@@ -13,8 +13,8 @@ full configuration — the variant, processor count, every
 :class:`~repro.config.ClusterConfig` and :class:`~repro.config.CostModel`
 constant, all protocol feature flags, the application parameters, and a
 fingerprint of the ``repro`` source tree (so stale results can never
-survive a code change).  Values are pickled ``RunResult`` objects,
-written atomically.
+survive a code change).  Each value is one entry file, written
+atomically — see :class:`ResultCache` for its layout.
 
 The cache directory resolves, in order: an explicit ``cache_dir``
 argument (the CLI's ``--cache-dir``), ``$REPRO_DSM_CACHE``,
@@ -22,11 +22,7 @@ argument (the CLI's ``--cache-dir``), ``$REPRO_DSM_CACHE``,
 
 Entries live in two-hex-char fingerprint-prefix subdirectories
 (``ab/abcdef....pkl``), so a hot cache with tens of thousands of points
-never turns a lookup into a linear scan of one huge directory.  Caches
-written by the original flat layout (``abcdef....pkl`` directly in the
-cache root) keep working: a sharded miss falls back to the flat path
-and, on a hit, migrates the entry into its shard subdirectory — see
-:meth:`ResultCache.get`.
+never turns a lookup into a linear scan of one huge directory.
 """
 
 from __future__ import annotations
@@ -35,15 +31,16 @@ import hashlib
 import json
 import os
 import pickle
+import struct
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional
 
 from repro.config import RunConfig
 
 #: Bump to invalidate every existing cache entry (result shape change).
-CACHE_SCHEMA = 4  # 4: sharing-policy knobs (granularity/prefetch/homing) entered the run key
+CACHE_SCHEMA = 5  # 5: one entry format (header + encoded section + pickle); no flat layout
 
 _ENV_VAR = "REPRO_DSM_CACHE"
 
@@ -189,11 +186,10 @@ class CacheStats:
 
     ``coalesced`` counts requests that never touched the disk at all:
     the serving layer's singleflight folded them onto an identical
-    in-flight computation (``repro.serving``).  ``migrated`` counts
-    legacy flat-layout entries moved into their shard subdirectory on
-    first hit.  ``evictions`` counts entries removed to keep a bounded
-    cache (``max_bytes`` / ``max_entries``) within its limits —
-    whether by :meth:`ResultCache.put` making room or by an explicit
+    in-flight computation (``repro.serving``).  ``evictions`` counts
+    entries removed to keep a bounded cache (``max_bytes`` /
+    ``max_entries``) within its limits — whether by
+    :meth:`ResultCache.put` making room or by an explicit
     :meth:`ResultCache.prune` (the serving layer's background sweep).
     """
 
@@ -201,7 +197,6 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     coalesced: int = 0
-    migrated: int = 0
     evictions: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -211,7 +206,6 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "coalesced": self.coalesced,
-            "migrated": self.migrated,
             "evictions": self.evictions,
         }
 
@@ -222,9 +216,80 @@ class CacheStats:
         return text
 
 
+class Encoded(NamedTuple):
+    """A result in its served form: canonical JSON bytes and their digest.
+
+    ``data`` is ``repro.serving.codec.encode_result(result)``; ``digest``
+    is the 64-hex SHA-256 of ``data``.  Produced once when the server
+    completes a point, stored in the entry header and encoded section,
+    and spliced unchanged into every later reply.
+    """
+
+    digest: str
+    data: bytes
+
+
+#: Entry header: magic, encoded-section length, pickle-section length,
+#: 64-hex SHA-256 of the encoded section (64 zeros when there is none).
+_HEADER = struct.Struct(">8sQQ64s")
+_MAGIC = b"RDSMres5"
+_NO_ENCODED = Encoded("0" * 64, b"")
+
+#: What unpickling a length-checked section can still raise: a damaged
+#: stream, or a class that moved since the entry was written.
+_UNPICKLE_ERRORS = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    TypeError,
+    ValueError,
+)
+
+
+def _read_entry(stream, encoded: bool):
+    """Decode one open entry file; None when truncated or corrupt."""
+    head = stream.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        return None
+    magic, encoded_len, pickle_len, digest = _HEADER.unpack(head)
+    size = os.fstat(stream.fileno()).st_size
+    if magic != _MAGIC or size != _HEADER.size + encoded_len + pickle_len:
+        return None
+    if encoded and encoded_len:
+        data = stream.read(encoded_len)
+        if hashlib.sha256(data).hexdigest().encode() != digest:
+            return None
+        return Encoded(digest.decode(), data)
+    stream.seek(encoded_len, os.SEEK_CUR)
+    try:
+        return pickle.loads(stream.read(pickle_len))
+    except _UNPICKLE_ERRORS:
+        return None
+
+
 @dataclass
 class ResultCache:
-    """Pickled :class:`repro.core.RunResult` objects, one file per key.
+    """:class:`repro.core.RunResult` objects, one entry file per key.
+
+    An entry is a fixed header, an optional *encoded section*, and a
+    *pickle section*::
+
+        magic  encoded_len  pickle_len  digest | encoded bytes | pickle
+        8s     u64          u64         64s    | encoded_len   | pickle_len
+
+    The pickle section is the ``RunResult`` the harness reads back
+    (:meth:`get` seeks past the encoded section).  The encoded section
+    is the result's served form (:class:`Encoded`): the server writes
+    it once, when a point completes, and a later serving lookup —
+    ``get(key, encoded=True)`` — reads header and encoded section only,
+    verifies the digest, and never unpickles.  Harness-side ``put``s
+    skip the encoded section (encoding a large result costs more than
+    the run); the server adds it the first time it serves such an entry.
+
+    A file that fails the magic, length, or digest check, or whose
+    pickle section does not load, is unlinked and reported as a miss.
 
     ``refresh=True`` turns every lookup into a miss (results are still
     stored), recomputing and overwriting existing entries — the CLI's
@@ -266,71 +331,55 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key[:2]}" / f"{key}.pkl"
 
-    def _legacy_path(self, key: str) -> Path:
-        # The pre-sharding flat layout: every entry directly in the
-        # cache root.  Read-and-migrate only; never written to.
-        return self.cache_dir / f"{key}.pkl"
+    def get(self, key: str, encoded: bool = False):
+        """The cached result for ``key``, or None on a miss.
 
-    def _load(self, path: Path):
-        """Unpickle ``path``; None when missing, corrupt, or stale."""
-        try:
-            with open(path, "rb") as stream:
-                return pickle.load(stream)
-        except FileNotFoundError:
+        ``encoded=True`` is the serving lookup: it returns the entry's
+        :class:`Encoded` section without unpickling anything — or, for
+        an entry written without one, the unpickled result, which the
+        caller encodes and ``put``s back.  On a bounded cache every hit
+        refreshes the entry's recency (in memory and, best-effort, the
+        file's ``atime``) so LRU eviction spares the hot set.
+        """
+        hit = None if self.refresh else self._load(self._path(key), encoded)
+        if hit is None:
+            self.stats.misses += 1
             return None
-        except Exception:
-            # Corrupt or unreadable entry (interrupted write, version
-            # skew): drop it and recompute.
+        self.stats.hits += 1
+        if self.bounded:
+            self._touch(key)
+        return hit
+
+    def _load(self, path: Path, encoded: bool):
+        """Read the entry at ``path``; None when missing or damaged."""
+        try:
+            stream = open(path, "rb", buffering=0)
+        except OSError:
+            return None
+        with stream:
+            hit = _read_entry(stream, encoded)
+        if hit is None:
+            # Interrupted write, bit rot, version skew: drop and recompute.
             try:
                 path.unlink()
             except OSError:
                 pass
-            return None
+        return hit
 
-    def get(self, key: str):
-        """The cached result for ``key``, or None on a miss.
-
-        Looks in the sharded layout first, then falls back to the
-        legacy flat layout; a flat hit migrates the entry into its
-        shard subdirectory so the fallback is paid at most once per
-        entry.  On a bounded cache every hit refreshes the entry's
-        recency (in memory and, best-effort, the file's ``atime``) so
-        LRU eviction spares the hot set.
-        """
-        if self.refresh:
-            self.stats.misses += 1
-            return None
-        result = self._load(self._path(key))
-        if result is None:
-            legacy = self._legacy_path(key)
-            result = self._load(legacy)
-            if result is None:
-                self.stats.misses += 1
-                return None
-            self._migrate(key, legacy)
-        self.stats.hits += 1
-        if self.bounded:
-            self._touch(key)
-        return result
-
-    def _migrate(self, key: str, legacy: Path) -> None:
-        """Move a flat-layout entry into its shard subdirectory."""
-        target = self._path(key)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError:
-            return  # read-only cache dir: keep serving from the flat file
-        self.stats.migrated += 1
-
-    def put(self, key: str, result) -> None:
+    def put(
+        self, key: str, result, encoded: Optional[Encoded] = None
+    ) -> None:
         """Store ``result`` under ``key`` (atomic rename).
+
+        ``encoded`` is the result's served form, when the caller has it
+        (the server always does; the harness never pays for one).
 
         On a bounded cache, room is made *before* the rename installs
         the entry (LRU evictions first), so the byte/entry bound holds
         at every instant — a stats scrape mid-load never observes an
         over-budget cache.
         """
+        digest, data = encoded or _NO_ENCODED
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -338,8 +387,21 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "wb") as stream:
+                # Sections first, streamed; the header needs the pickle
+                # length and is written last, into the gap left for it.
+                stream.seek(_HEADER.size)
+                stream.write(data)
                 pickle.dump(result, stream, protocol=pickle.HIGHEST_PROTOCOL)
-            size = os.stat(tmp).st_size
+                size = stream.tell()
+                stream.seek(0)
+                stream.write(
+                    _HEADER.pack(
+                        _MAGIC,
+                        len(data),
+                        size - _HEADER.size - len(data),
+                        digest.encode(),
+                    )
+                )
             if self.bounded:
                 self._make_room(size, exclude=key)
             os.replace(tmp, path)
@@ -357,6 +419,21 @@ class ResultCache:
 
     # -- bounds: LRU index, eviction, pruning --------------------------
 
+    def _entries(self) -> Iterator[Path]:
+        """Every entry file: ``*.pkl`` in a two-hex-char shard directory."""
+        try:
+            children = list(self.cache_dir.iterdir())
+        except OSError:
+            return
+        for child in children:
+            if child.is_dir() and len(child.name) == 2:
+                for entry in child.glob("*.pkl"):
+                    # pathlib's glob matches dotfiles, so in-flight
+                    # ``.tmp-*.pkl`` writes must be filtered or they
+                    # count as phantom entries mid-put.
+                    if not entry.name.startswith("."):
+                        yield entry
+
     def _index(self) -> Dict[str, int]:
         """The in-memory LRU index (key -> bytes), oldest first.
 
@@ -366,35 +443,15 @@ class ResultCache:
         """
         if self._lru is None:
             found = []
-            try:
-                children = list(self.cache_dir.iterdir())
-            except OSError:
-                children = []
-            for child in children:
-                entries = []
-                if child.is_dir() and len(child.name) == 2:
-                    # pathlib's glob matches dotfiles, so in-flight
-                    # ``.tmp-*.pkl`` writes must be filtered or they
-                    # count as phantom entries mid-put.
-                    entries = [
-                        e
-                        for e in child.glob("*.pkl")
-                        if not e.name.startswith(".")
-                    ]
-                elif (
-                    child.suffix == ".pkl"
-                    and not child.name.startswith(".")
-                ):
-                    entries = [child]
-                for entry in entries:
-                    try:
-                        stat = entry.stat()
-                    except OSError:
-                        continue
-                    found.append(
-                        (max(stat.st_atime, stat.st_mtime),
-                         entry.stem, stat.st_size)
-                    )
+            for entry in self._entries():
+                try:
+                    stat = entry.stat()
+                except OSError:
+                    continue
+                found.append(
+                    (max(stat.st_atime, stat.st_mtime),
+                     entry.stem, stat.st_size)
+                )
             found.sort()
             self._lru = {key: size for _, key, size in found}
             self._lru_bytes = sum(self._lru.values())
@@ -438,12 +495,45 @@ class ResultCache:
         index = self._index()
         size = index.pop(key, 0)
         self._lru_bytes -= size
-        for path in (self._path(key), self._legacy_path(key)):
+        try:
+            self._path(key).unlink()
+        except OSError:
+            pass
+        self.stats.evictions += 1
+
+    def _sweep_stale(self) -> int:
+        """Unlink ``*.pkl`` files in the cache root; returns their bytes.
+
+        Nothing has written there since entries moved into shard
+        subdirectories, no key of this schema can name them, and the
+        LRU index does not list them — without this they would outlive
+        every bound.
+        """
+        reclaimed = 0
+        for stale in self.cache_dir.glob("*.pkl"):
             try:
-                path.unlink()
+                size = stale.stat().st_size
+                stale.unlink()
             except OSError:
                 continue
-        self.stats.evictions += 1
+            reclaimed += size
+            self.stats.evictions += 1
+        return reclaimed
+
+    def _reclaim(self, over: Callable[[], Any]) -> Dict[str, int]:
+        """Sweep stale files, then evict LRU-first while ``over()``."""
+        index = self._index()
+        before_evictions = self.stats.evictions
+        before_bytes = self._lru_bytes
+        swept = self._sweep_stale()
+        while index and over():
+            self._evict(next(iter(index)))
+        return {
+            "evicted": self.stats.evictions - before_evictions,
+            "reclaimed_bytes": swept + before_bytes - self._lru_bytes,
+            "entries": len(index),
+            "bytes": self._lru_bytes,
+        }
 
     def prune(
         self,
@@ -454,81 +544,44 @@ class ResultCache:
 
         ``max_bytes`` / ``max_entries`` override the configured bounds
         for this call (0 = unbounded; ``max_entries=0`` with
-        ``max_bytes=0`` therefore evicts nothing).  This is the
-        serving layer's background sweep hook and the engine behind
+        ``max_bytes=0`` therefore evicts no entry).  Files older
+        layouts left in the cache root are removed regardless.  This is
+        the serving layer's background sweep hook and the engine behind
         ``repro-dsm cache prune`` / :func:`repro.api.cache_prune`.
         """
         bytes_bound = self.max_bytes if max_bytes is None else max_bytes
         entry_bound = (
             self.max_entries if max_entries is None else max_entries
         )
-        index = self._index()
-        before_evictions = self.stats.evictions
-        before_bytes = self._lru_bytes
-        while index and (
-            (entry_bound and len(index) > entry_bound)
+        return self._reclaim(
+            lambda: (entry_bound and len(self._lru) > entry_bound)
             or (bytes_bound and self._lru_bytes > bytes_bound)
-        ):
-            self._evict(next(iter(index)))
-        return {
-            "evicted": self.stats.evictions - before_evictions,
-            "reclaimed_bytes": before_bytes - self._lru_bytes,
-            "entries": len(index),
-            "bytes": self._lru_bytes,
-        }
+        )
 
     def clear(self) -> Dict[str, int]:
         """Delete every entry; returns the same report as :meth:`prune`."""
-        index = self._index()
-        before = len(index)
-        before_bytes = self._lru_bytes
-        while index:
-            self._evict(next(iter(index)))
-        return {
-            "evicted": before,
-            "reclaimed_bytes": before_bytes,
-            "entries": 0,
-            "bytes": 0,
-        }
+        return self._reclaim(lambda: True)
 
     def summary(self) -> Dict[str, Any]:
         """One scan of the cache directory: entry and shard counts.
 
         Powering the serving layer's ``GET /v1/stats`` endpoint and the
-        ``repro-dsm serve`` startup banner; ``legacy_entries`` > 0
-        means flat-layout files are still awaiting their
-        migrate-on-first-hit move.
+        ``repro-dsm serve`` startup banner.
         """
         entries = 0
-        shards = 0
-        legacy = 0
         total_bytes = 0
-        try:
-            children = list(self.cache_dir.iterdir())
-        except OSError:
-            children = []
-        for child in children:
-            if child.is_dir() and len(child.name) == 2:
-                shard_entries = [
-                    e
-                    for e in child.glob("*.pkl")
-                    if not e.name.startswith(".")
-                ]
-                if shard_entries:
-                    shards += 1
-                    entries += len(shard_entries)
-                    total_bytes += sum(
-                        p.stat().st_size for p in shard_entries
-                    )
-            elif child.suffix == ".pkl" and not child.name.startswith("."):
-                legacy += 1
-                entries += 1
-                total_bytes += child.stat().st_size
+        shards = set()
+        for entry in self._entries():
+            try:
+                total_bytes += entry.stat().st_size
+            except OSError:
+                continue  # evicted between the scan and the stat
+            entries += 1
+            shards.add(entry.parent)
         return {
             "cache_dir": str(self.cache_dir),
             "entries": entries,
-            "shards": shards,
-            "legacy_entries": legacy,
+            "shards": len(shards),
             "bytes": total_bytes,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,

@@ -803,11 +803,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"{summary['entries']} entr(ies) in "
                 f"{summary['shards']} shard(s)"
             )
-            if summary["legacy_entries"]:
-                banner += (
-                    f", {summary['legacy_entries']} legacy flat "
-                    f"entr(ies) pending migrate-on-hit"
-                )
         else:
             banner += "\n[serve] result cache disabled"
         print(banner, file=sys.stderr)

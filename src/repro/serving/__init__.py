@@ -6,8 +6,9 @@ an asyncio front end that serves experiment points to many concurrent
 clients.  Every request resolves through a three-tier fast path:
 
 1. **Sharded on-disk cache** — a prior run of the identical point
-   (same app, params, ``RunConfig``, code fingerprint) is unpickled
-   and served without simulating anything.
+   (same app, params, ``RunConfig``, code fingerprint) is served from
+   the encoded bytes stored with it, without simulating or unpickling
+   anything.
 2. **Singleflight coalescing** — an identical point already in flight
    gains one more awaiter instead of one more simulation
    (:mod:`repro.serving.singleflight`).
@@ -36,6 +37,7 @@ from repro.serving.codec import (
     ServingError,
     decode_request,
     encode_result,
+    encode_with_digest,
     expand_sweep,
     request_kwargs,
     result_digest,
@@ -66,6 +68,7 @@ __all__ = [
     "WIRE_VERSION",
     "decode_request",
     "encode_result",
+    "encode_with_digest",
     "expand_sweep",
     "request_kwargs",
     "result_digest",

@@ -63,15 +63,26 @@ def _request(app: str, variant=None, nprocs: int = 1, **fields) -> Dict:
     return request
 
 
-def _public(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip transport-private (underscore) keys from a service payload.
+async def _read_lines(reader) -> AsyncIterator[bytes]:
+    """Yield newline-delimited lines of any length until EOF.
 
-    The HTTP encoder consumes these (``_result_json`` — the hot tier's
-    pre-serialised result); in-process callers must see the same dict
-    an HTTP client would decode.
+    ``StreamReader.readline`` refuses lines over the reader's 64 KiB
+    limit, and one result line is routinely larger (tiny 8p lu and
+    ilink are 84 KB and 159 KB), so streams are read in chunks and
+    split here.
     """
-    payload.pop("_result_json", None)
-    return payload
+    parts: List[bytes] = []
+    while True:
+        chunk = await reader.read(1 << 16)
+        if not chunk:
+            break
+        *completed, tail = chunk.split(b"\n")
+        for piece in completed:
+            parts.append(piece)
+            yield b"".join(parts)
+            parts.clear()
+        parts.append(tail)
+    yield b"".join(parts)  # an unterminated last line, or b""
 
 
 class _LoopThread:
@@ -143,7 +154,7 @@ class ServingClient:
     async def resolve(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Resolve one already-built request object."""
         if self.service is not None:
-            return _public(await self.service.resolve(request))
+            return await self.service.resolve(request)
         return await self._json("POST", "/v1/point", request)
 
     async def points(
@@ -151,10 +162,11 @@ class ServingClient:
     ) -> List[Dict[str, Any]]:
         """Resolve many requests; returns payloads in request order."""
         if self.service is not None:
-            resolved = await asyncio.gather(
-                *(self.service.resolve(request) for request in requests)
+            return list(
+                await asyncio.gather(
+                    *(self.service.resolve(request) for request in requests)
+                )
             )
-            return [_public(payload) for payload in resolved]
         ordered: List[Optional[Dict[str, Any]]] = [None] * len(requests)
         async for payload in self.stream_points(requests):
             ordered[payload["index"]] = payload
@@ -172,7 +184,7 @@ class ServingClient:
         """Yield payloads as the server completes them (JSONL order)."""
         if self.service is not None:
             async for payload in self.service.resolve_many(requests):
-                yield _public(payload)
+                yield payload
             return
         async for line in self._stream(
             "POST", "/v1/points", {"points": requests}
@@ -197,7 +209,7 @@ class ServingClient:
                 }
             }
             async for payload in self.service.resolve_many(points):
-                yield _public(payload)
+                yield payload
             return
         async for line in self._stream("POST", "/v1/sweep", request):
             yield line
@@ -417,10 +429,7 @@ class ServingClient:
                 raise ServingError(
                     decoded.get("error", f"HTTP {status}"), status=status
                 )
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
+            async for line in _read_lines(reader):
                 if line.strip():
                     yield json.loads(line)
         finally:

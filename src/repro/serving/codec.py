@@ -30,6 +30,7 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.harness.cache import Encoded
 from repro.options import SimOptions
 
 #: The current wire-schema version.  v2 requests carry ``"v": 2``;
@@ -530,6 +531,17 @@ def encode_result(result) -> bytes:
     ).encode()
 
 
+def encode_with_digest(result) -> Encoded:
+    """``(digest, data)``: :func:`encode_result` and its SHA-256, once.
+
+    The pair the server produces when a point completes and then never
+    again: it is what :meth:`ResultCache.put` stores beside the pickle,
+    what the hot tier holds, and what every reply splices.
+    """
+    data = encode_result(result)
+    return Encoded(hashlib.sha256(data).hexdigest(), data)
+
+
 def result_digest(result) -> str:
     """SHA-256 hexdigest over :func:`encode_result`."""
-    return hashlib.sha256(encode_result(result)).hexdigest()
+    return encode_with_digest(result).digest

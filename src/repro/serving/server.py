@@ -6,7 +6,9 @@ Two layers, deliberately separable:
     The event-loop core.  ``resolve(request)`` takes one decoded JSON
     request through the fast path — hot in-memory payload, sharded
     disk cache, singleflight coalesce, cold-point batch — and returns
-    the payload dict.  Known-invalid request bodies are rejected from
+    the payload dict.  A result is encoded exactly once, when its
+    point completes; every tier holds and every reply splices those
+    same bytes.  Known-invalid request bodies are rejected from
     a negative cache without touching any of that.  Tests and
     in-process clients drive it directly with no sockets
     (``repro.serving.client.ServingClient(service=...)``).
@@ -37,17 +39,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.cache import ResultCache, key_for_spec
+from repro.harness.cache import Encoded, ResultCache, key_for_spec
 from repro.harness.parallel import execute_point_timed, persistent_pool
 from repro.serving.batcher import ColdPointBatcher
 from repro.serving.codec import (
     NegativeCache,
     ServingError,
     decode_request,
+    encode_with_digest,
     expand_sweep,
     negative_key,
-    result_digest,
-    result_payload,
 )
 from repro.serving.singleflight import SingleFlight
 
@@ -164,31 +165,29 @@ def _warm_worker() -> int:
 
     return os.getpid()
 
-#: Envelope fields memoised by the hot payload tier (everything that is
-#: a pure function of the request; per-request fields are layered on).
-_HOT_FIELDS = ("key", "app", "variant", "nprocs", "digest", "result")
-
-#: Placeholder the body encoder swaps for a pre-serialised result.  No
+#: Placeholder the body encoder swaps for the encoded result.  No
 #: legitimate envelope value can contain it (keys/digests are hex, the
 #: rest are registry names and numbers).
 _SPLICE = "__repro_result_splice__"
+_SPLICE_TOKEN = f'"{_SPLICE}"'.encode()
 
 
 def encode_payload(payload: Any) -> bytes:
-    """Serialise one response payload to its canonical JSON bytes.
+    """Serialise one response payload to its JSON bytes.
 
-    Hot-tier payloads carry ``_result_json`` — the ``result`` field
-    already serialised (it dominates the body, hundreds of times the
-    envelope).  Splicing it into a dumps of the small envelope is
-    byte-identical to serialising the whole payload, and turns the
-    per-request encode cost from O(result) into O(envelope).  The
-    transport-private ``_result_json`` key never reaches the wire.
+    A payload resolved with ``encoded=True`` carries ``result`` as the
+    canonical bytes every tier shares (it dominates the body, hundreds
+    of times the envelope).  Those are spliced, untouched, into a dumps
+    of the small envelope: O(envelope) work per reply, and the same
+    ``result`` bytes on the wire whichever tier answered.  ``payload``
+    is left as it was.
     """
-    raw = payload.pop("_result_json", None) if isinstance(payload, dict) else None
-    if raw is None:
+    result = payload.get("result") if isinstance(payload, dict) else None
+    if not isinstance(result, bytes):
         return json.dumps(payload, sort_keys=True).encode()
-    head = json.dumps(dict(payload, result=_SPLICE), sort_keys=True)
-    return head.replace(f'"{_SPLICE}"', raw, 1).encode()
+    envelope = json.dumps(dict(payload, result=_SPLICE), sort_keys=True)
+    head, tail = envelope.encode().split(_SPLICE_TOKEN)
+    return b"".join((head, result, tail))
 
 
 class ExperimentService:
@@ -215,11 +214,12 @@ class ExperimentService:
             ttl_s=config.negative_ttl_s,
             max_entries=config.negative_entries,
         )
-        # Hot payload tier: canonical request body -> ready-to-send
-        # envelope fields.  A hot hit skips request decoding, the spec
-        # fingerprint, the disk unpickle, and the digest — the request
-        # costs one dict lookup.  Disabled under ``refresh`` (which
-        # promises recomputation) and ``no_cache``.
+        # Hot payload tier: canonical request body -> the envelope
+        # fields that are a pure function of the request, ``result``
+        # held as its encoded bytes.  A hot hit skips request decoding,
+        # the spec fingerprint and the disk read — the request costs
+        # one dict lookup.  Disabled under ``refresh`` (which promises
+        # recomputation) and ``no_cache``.
         self._hot: Dict[str, Dict[str, Any]] = {}
         self._hot_limit = (
             config.hot_entries
@@ -298,19 +298,31 @@ class ExperimentService:
                 pass  # a sweep failure must never take the server down
 
     def _point_done(self, key: str, outcome, error) -> None:
-        """Batcher completion: store, then wake every awaiter."""
+        """Batcher completion: encode, store, then wake every awaiter."""
+        if error is None:
+            result, seconds = outcome
+            try:
+                encoded = self._store(key, result)
+            except Exception as exc:
+                # A result that will not encode or pickle must fail its
+                # awaiters, not strand them on a flight nobody resolves.
+                error = exc
         if error is not None:
             self.stats.errors += 1
             self.flight.fail(key, error)
             return
-        result, seconds = outcome
         self.stats.computed += 1
+        self.flight.resolve(key, (encoded, seconds))
+
+    def _store(self, key: str, result) -> Encoded:
+        """Encode ``result`` — the one time it ever is — and cache it."""
+        encoded = encode_with_digest(result)
         if self.cache is not None:
             try:
-                self.cache.put(key, result)
+                self.cache.put(key, result, encoded)
             except OSError:
                 pass  # read-only cache dir: serve without storing
-        self.flight.resolve(key, (result, seconds))
+        return encoded
 
     # -- hot payload tier ----------------------------------------------
 
@@ -322,24 +334,21 @@ class ExperimentService:
             self._hot[body_key] = entry  # LRU touch
         return entry
 
-    def _hot_put(self, body_key: Optional[str], payload: Dict) -> None:
+    def _hot_put(self, body_key: Optional[str], entry: Dict) -> None:
         if not self._hot_limit or body_key is None:
             return
         self._hot.pop(body_key, None)
         while len(self._hot) >= self._hot_limit:
             self._hot.pop(next(iter(self._hot)))
-        entry = {k: payload[k] for k in _HOT_FIELDS}
-        # Serialise the result once at insertion; every hot hit ships
-        # these bytes instead of re-encoding the grid (encode_payload).
-        entry["_result_json"] = json.dumps(
-            payload["result"], sort_keys=True
-        )
         self._hot[body_key] = entry
 
     # -- resolution ----------------------------------------------------
 
     async def resolve(
-        self, request: Dict[str, Any], admitted: bool = False
+        self,
+        request: Dict[str, Any],
+        admitted: bool = False,
+        encoded: bool = False,
     ) -> Dict[str, Any]:
         """One request through the tiers; returns the payload.
 
@@ -347,6 +356,10 @@ class ExperimentService:
         sweep expansion points) that is bounded by the stream's own
         semaphore — it bypasses the 429 admission check so a stream
         can never reject its own points.
+
+        ``encoded=True`` is the front end's opt-in: ``result`` stays
+        the canonical bytes the tiers hold, for :func:`encode_payload`
+        to splice.  Without it ``result`` is decoded from those bytes.
         """
         self._require_started()
         self.stats.requests += 1
@@ -361,12 +374,7 @@ class ExperimentService:
         if hot is not None:
             self.stats.cache_hits += 1
             self.stats.hot_hits += 1
-            return dict(
-                hot,
-                source="cache",
-                compute_seconds=None,
-                serve_seconds=time.perf_counter() - started,
-            )
+            return self._payload(hot, "cache", None, started, encoded)
         limit = self.config.max_inflight
         if not admitted and limit and self.inflight >= limit:
             self.stats.rejected += 1
@@ -387,55 +395,63 @@ class ExperimentService:
                     self.negative.put(body_key, str(exc), exc.status)
                 raise
             key = key_for_spec(spec)
+            source, seconds = "cache", None
+            hit = None
             if self.cache is not None:
-                result = self.cache.get(key)
-                if result is not None:
+                hit = self.cache.get(key, encoded=True)
+                if hit is not None:
                     self.stats.cache_hits += 1
-                    payload = self._payload(
-                        key, spec, result, "cache", None, started
-                    )
-                    self._hot_put(body_key, payload)
-                    return payload
-            future, leader = self.flight.begin(key)
-            if leader:
-                self.batcher.admit(key, spec)
-            else:
-                if self.cache is not None:
-                    self.cache.stats.coalesced += 1
-                self.stats.coalesced += 1
-            result, seconds = await future
-            source = "computed" if leader else "coalesced"
-            payload = self._payload(
-                key, spec, result, source, seconds, started
-            )
-            if leader:
-                self._hot_put(body_key, payload)
-            return payload
+                    if not isinstance(hit, Encoded):
+                        # Harness-written entry: add its encoded
+                        # section now, so the next lookup is a read.
+                        hit = self._store(key, hit)
+            if hit is None:
+                future, leader = self.flight.begin(key)
+                if leader:
+                    self.batcher.admit(key, spec)
+                else:
+                    if self.cache is not None:
+                        self.cache.stats.coalesced += 1
+                    self.stats.coalesced += 1
+                hit, seconds = await future
+                source = "computed" if leader else "coalesced"
+            # Everything under "result" (and its "digest") is a pure
+            # function of the simulation; the envelope around it
+            # records how *this* request was served.
+            entry = {
+                "key": key,
+                "app": spec.app,
+                "variant": spec.variant_name,
+                "nprocs": spec.nprocs,
+                "digest": hit.digest,
+                "result": hit.data,
+            }
+            if source != "coalesced":
+                self._hot_put(body_key, entry)
+            return self._payload(entry, source, seconds, started, encoded)
         finally:
             self.inflight -= 1
 
+    @staticmethod
     def _payload(
-        self, key, spec, result, source, compute_seconds, started
+        entry, source, compute_seconds, started, encoded
     ) -> Dict[str, Any]:
-        # Everything under "result" (and its "digest") is a pure
-        # function of the simulation; the envelope around it records
-        # how *this* request was served.
-        return {
-            "key": key,
-            "app": spec.app,
-            "variant": spec.variant_name,
-            "nprocs": spec.nprocs,
-            "source": source,
-            "compute_seconds": compute_seconds,
-            "serve_seconds": time.perf_counter() - started,
-            "digest": result_digest(result),
-            "result": result_payload(result),
-        }
+        """One reply: a hot-tier ``entry`` plus this request's envelope."""
+        payload = dict(
+            entry,
+            source=source,
+            compute_seconds=compute_seconds,
+            serve_seconds=time.perf_counter() - started,
+        )
+        if not encoded:
+            payload["result"] = json.loads(payload["result"])
+        return payload
 
     async def resolve_many(
         self,
         requests: List[Dict[str, Any]],
         concurrency: Optional[int] = None,
+        encoded: bool = False,
     ):
         """Async-iterate payloads in completion order (JSONL feed).
 
@@ -457,7 +473,9 @@ class ExperimentService:
         async def one(i: int, request: Dict[str, Any]):
             async with gate:
                 try:
-                    payload = await self.resolve(request, admitted=True)
+                    payload = await self.resolve(
+                        request, admitted=True, encoded=encoded
+                    )
                     payload["index"] = i
                     return payload
                 except ServingError as exc:
@@ -738,7 +756,7 @@ class ExperimentServer:
         elif path == "/v1/point":
             try:
                 request = json.loads(body or b"{}")
-                payload = await self.service.resolve(request)
+                payload = await self.service.resolve(request, encoded=True)
             except ServingError as exc:
                 headers = None
                 if exc.retry_after is not None:
@@ -784,7 +802,9 @@ class ExperimentServer:
                 writer, exc.status, {"error": str(exc)}, close=close
             )
             return False
-        await self._stream_lines(writer, self.service.resolve_many(requests))
+        await self._stream_lines(
+            writer, self.service.resolve_many(requests, encoded=True)
+        )
         return True
 
     async def _stream_sweep(self, body, writer, close) -> bool:
@@ -805,7 +825,9 @@ class ExperimentServer:
             "sweep": {"kind": decoded.get("kind"), "points": len(points)}
         }
         await self._stream_lines(
-            writer, self.service.resolve_many(points), preamble=preamble
+            writer,
+            self.service.resolve_many(points, encoded=True),
+            preamble=preamble,
         )
         return True
 

@@ -6,7 +6,7 @@ sharded cache, a coalesced singleflight, or a cold batch — is
 byte-for-byte the canonical encoding of the result the equivalent
 direct :func:`repro.api.run_point` call produces.  These tests pin the
 three tiers individually (singleflight and batcher as units, cache
-migration on disk) and end-to-end (in-process and over real HTTP).
+layout on disk) and end-to-end (in-process and over real HTTP).
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def test_batcher_reports_submit_errors():
     asyncio.run(go())
 
 
-# -- cache layout: sharded, with legacy flat fallback ------------------
+# -- cache layout: sharded ---------------------------------------------
 
 
 def test_cache_put_writes_sharded_layout(tmp_path):
@@ -164,35 +164,35 @@ def test_cache_put_writes_sharded_layout(tmp_path):
     assert cache.get(key) == {"x": 1}
 
 
-def test_legacy_flat_entry_hits_and_migrates(tmp_path):
-    key = "cd" * 32
-    ResultCache(cache_dir=tmp_path).put(key, {"x": 2})
-    sharded = tmp_path / key[:2] / f"{key}.pkl"
-    flat = tmp_path / f"{key}.pkl"
-    sharded.rename(flat)  # simulate a cache written pre-sharding
-    (tmp_path / key[:2]).rmdir()
-
-    fresh = ResultCache(cache_dir=tmp_path)
-    assert fresh.get(key) == {"x": 2}
-    assert fresh.stats.hits == 1
-    assert fresh.stats.migrated == 1
-    # Migration moved (not copied) the entry into its shard.
-    assert sharded.exists() and not flat.exists()
-
-    assert fresh.get(key) == {"x": 2}
-    assert fresh.stats.migrated == 1  # second hit is plain sharded
-
-
-def test_cache_summary_counts_shards_and_legacy(tmp_path):
+def test_cache_summary_counts_shards(tmp_path):
     cache = ResultCache(cache_dir=tmp_path)
     cache.put("ab" * 32, {"x": 1})
     cache.put("cd" * 32, {"x": 2})
-    (tmp_path / ("ef" * 32 + ".pkl")).write_bytes(b"legacy")
     summary = cache.summary()
-    assert summary["entries"] == 3
+    assert summary["entries"] == 2
     assert summary["shards"] == 2
-    assert summary["legacy_entries"] == 1
     assert summary["bytes"] > 0
+    assert "legacy_entries" not in summary
+
+
+def test_clear_and_prune_sweep_stale_root_files(tmp_path):
+    """Files an older schema left in the cache root are outside the
+    index; prune and clear remove them and report the bytes."""
+    cache = ResultCache(cache_dir=tmp_path)
+    cache.put("ab" * 32, {"x": 1})
+    stale = tmp_path / ("ef" * 32 + ".pkl")
+    stale.write_bytes(b"old flat-layout pickle")
+    assert cache.get("ef" * 32) is None  # no flat fallback any more
+    assert stale.exists()
+    report = cache.prune()  # unbounded: evicts no entry, sweeps the root
+    assert not stale.exists()
+    assert report["evicted"] == 1 and report["entries"] == 1
+    assert report["reclaimed_bytes"] == len(b"old flat-layout pickle")
+    stale.write_bytes(b"again")
+    report = cache.clear()
+    assert not stale.exists()
+    assert report["evicted"] == 2 and report["entries"] == 0
+    assert cache.stats.evictions == 3
 
 
 def test_key_for_spec_matches_manual_derivation():

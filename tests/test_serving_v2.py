@@ -19,12 +19,15 @@ import time
 
 import pytest
 
+from repro import api
 from repro.harness.cache import CacheStats, ResultCache
 from repro.serving import (
     NegativeCache,
     ServingClient,
     ServingError,
+    encode_result,
     expand_sweep,
+    request_kwargs,
     upconvert_request,
     validate_request,
 )
@@ -53,6 +56,13 @@ def _config(tmp_path, **overrides) -> ServerConfig:
     }
     fields.update(overrides)
     return ServerConfig(**fields)
+
+
+def _result_slice(body: bytes) -> bytes:
+    """The bytes a reply carries inside ``"result"`` (sorted envelope:
+    ``result`` is followed by ``serve_seconds``)."""
+    start = body.index(b'"result": ') + len(b'"result": ')
+    return body[start : body.rindex(b', "serve_seconds"')]
 
 
 def _with_server(tmp_path, coro_fn, **config_overrides):
@@ -400,23 +410,32 @@ def test_drain_during_sweep_delivers_admitted_points(tmp_path):
 
 
 def test_hot_tier_splice_is_byte_identical(tmp_path):
+    direct = encode_result(api.run_point(**request_kwargs(SOR)))
+
     async def go(server, host, port):
         service = server.service
         await service.resolve(dict(SOR))  # cold: populates the hot tier
-        hot = await service.resolve(dict(SOR))
-        assert "_result_json" in hot
-        public = {k: v for k, v in hot.items() if k != "_result_json"}
-        assert encode_payload(dict(hot)) == json.dumps(
-            public, sort_keys=True
-        ).encode()
-        # The in-process client strips the transport-private key; the
-        # HTTP client never sees it.
+        hot = await service.resolve(dict(SOR), encoded=True)
+        assert service.stats.hot_hits == 1
+        assert hot["result"] == direct  # the tier holds the codec's bytes
+        body = encode_payload(hot)
+        # The body decodes to the public payload, and the bytes inside
+        # "result" are the canonical encoding, untouched.
+        public = await service.resolve(dict(SOR))
+        decoded = json.loads(body)
+        del decoded["serve_seconds"], public["serve_seconds"]
+        assert decoded == public
+        assert _result_slice(body) == direct
+        # Encoding leaves the payload alone: a second encode of the
+        # same hot payload takes the same splice path to equal bytes.
+        assert isinstance(hot["result"], bytes)
+        assert encode_payload(hot) == body
+        # In-process and HTTP clients see the same decoded dict.
         inproc = await ServingClient(service=service).resolve(dict(SOR))
-        assert "_result_json" not in inproc
         http_client = ServingClient(host, port)
         over_http = await http_client.resolve(dict(SOR))
         await http_client.close()
-        assert "_result_json" not in over_http
+        assert inproc["result"] == over_http["result"] == decoded["result"]
         assert over_http["digest"] == inproc["digest"]
 
     _with_server(tmp_path, go)
