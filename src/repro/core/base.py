@@ -42,18 +42,30 @@ class DsmProtocol(abc.ABC):
     #: doubled-write sequence even when no fault is taken.
     free_writes = False
 
-    def trace(self, proc, kind: str, *, dur: float = 0.0, **details) -> None:
+    def trace(
+        self,
+        proc,
+        kind: str,
+        *,
+        dur: float = 0.0,
+        at: Optional[float] = None,
+        **details,
+    ) -> None:
         """Record a protocol event when tracing is enabled.
 
         ``dur > 0`` records a *span* that started ``dur`` microseconds
         ago (callers emit spans when they end); the tracer files it
-        under its start time.  See ``docs/OBSERVABILITY.md`` for the
-        catalog of kinds and their ``details`` fields.
+        under its start time.  ``at`` stamps the event with a simulated
+        time other than now — a merge of write notices is evaluated
+        ahead of the occupancies it is charged (``Processor.busy_run``),
+        and stamps each ``invalidate`` with the time it takes effect.
+        See ``docs/OBSERVABILITY.md`` for the catalog of kinds and
+        their ``details`` fields.
         """
         if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(
-                proc.engine.now - dur, proc.pid, kind, dur=dur, **details
-            )
+            if at is None:
+                at = proc.engine.now
+            self.tracer.emit(at - dur, proc.pid, kind, dur=dur, **details)
 
     # -- page access ------------------------------------------------------
 

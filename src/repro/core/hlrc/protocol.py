@@ -165,18 +165,23 @@ class HlrcProtocol(LrcProtocolBase):
         if not page.perm.allows_read():
             yield from self._validate_page(proc, page_idx, page)
         is_home = self._home_of(page_idx) == proc.pid
+        run = []  # twinning and re-protecting: one run, one wake
         if not is_home and page.twin is None:
             # The home writes its copy in place; everyone else twins so
             # the release can diff.
             page.twin = page.copy.copy()
             proc.bump("twins_created")
             self.trace(proc, "twin", page=page_idx)
-            yield from proc.busy(
-                self.costs.twin_cost(self.space.page_size), Category.PROTOCOL
-            )
+            run.append(self.costs.twin_cost(self.space.page_size))
+            if self._dynamic_homing:
+                # A migration check elsewhere reads ``perm``: it may
+                # not turn writable before the twin's time has passed.
+                yield from proc.busy_run(run, Category.PROTOCOL)
+                run = []
         state.notices.add(page_idx)
         self._set_perm(proc.pid, page_idx, page, Protection.READ_WRITE)
-        yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
+        run.append(self.costs.mprotect)
+        yield from proc.busy_run(run, Category.PROTOCOL)
 
     def _prefetch_page(self, proc: Processor, page_idx: int) -> Generator:
         """Software prefetch: re-validate an invalidated unit to READ
@@ -378,18 +383,23 @@ class HlrcProtocol(LrcProtocolBase):
     # base-class hooks
     # ------------------------------------------------------------------
 
-    def _note_remote_write(
-        self, proc: Processor, writer: int, iid: int, page_idx: int
-    ) -> float:
-        if self._home_of(page_idx) == proc.pid:
-            return 0.0  # the home copy is always current
-        state = self._state(proc)
-        page = state.pages.get(page_idx)
-        if page is None or page.perm is Protection.NONE:
-            return 0.0
-        self._set_perm(proc.pid, page_idx, page, Protection.NONE)
-        self.trace(proc, "invalidate", page=page_idx)
-        return self.costs.mprotect
+    def _note_record(self, proc: Processor, record, at: float):
+        pid = proc.pid
+        pages = self.procs[pid].pages
+        homes = self.homes
+        mprotect = self.costs.mprotect
+        costs = []
+        for page_idx in record.pages:
+            if homes.get(page_idx) == pid:
+                continue  # the home copy is always current
+            page = pages.get(page_idx)
+            if page is None or page.perm is Protection.NONE:
+                continue
+            self._set_perm(pid, page_idx, page, Protection.NONE)
+            self.trace(proc, "invalidate", page=page_idx, at=at)
+            at += mprotect
+            costs.append(mprotect)
+        return costs
 
     def _serve_data(self, proc: Processor, request: Request) -> Generator:
         if request.kind == PAGE_FETCH:

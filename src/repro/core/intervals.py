@@ -18,7 +18,7 @@ def vts_max(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     """Pairwise maximum of two vector timestamps."""
     if len(a) != len(b):
         raise ValueError("vector timestamps of different arity")
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vts_leq(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -100,13 +100,19 @@ class IntervalStore:
 
     def records_after(self, vts: Sequence[int]) -> List[IntervalRecord]:
         """All known records not yet seen by a processor at ``vts``,
-        in a happens-before-consistent order."""
+        in a happens-before-consistent order.
+
+        Each chain holds the consecutive intervals ``base + 1 ..
+        latest`` (:meth:`insert` refuses gaps), so the unseen records
+        of a processor are a suffix found by index, not by scanning:
+        the cost is O(returned records), whatever the store holds.
+        """
         out: List[IntervalRecord] = []
+        base = self._base
         for proc, chain in self._records.items():
-            seen = vts[proc]
-            for record in chain:
-                if record.iid > seen:
-                    out.append(record)
+            start = vts[proc] - base[proc]
+            if start < len(chain):
+                out += chain[start:] if start > 0 else chain
         out.sort(key=IntervalRecord.sort_key)
         return out
 

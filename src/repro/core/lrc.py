@@ -11,8 +11,8 @@ hooks at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +100,11 @@ class LrcProtocolBase(DsmProtocol):
 
     #: per-run GC threshold (subclasses or tests may override)
     gc_record_threshold = GC_RECORD_THRESHOLD
+
+    #: True when :meth:`_note_record` reads state that other processors
+    #: write — HLRC's home table under ``homing="dynamic"`` — so a merge
+    #: cannot be evaluated ahead of its own occupancies.
+    _dynamic_homing = False
 
     def __init__(
         self,
@@ -376,15 +381,19 @@ class LrcProtocolBase(DsmProtocol):
         return flag_id % self.nprocs
 
     def _records_size(self, records: List[IntervalRecord]) -> int:
+        """Wire bytes of ``records`` plus the sender's timestamp: the sum
+        of :meth:`IntervalRecord.encoded_size`, every record carrying a
+        full ``nprocs``-entry timestamp."""
         per = self.costs
-        return sum(
-            r.encoded_size(
-                per.interval_record_bytes,
-                per.vts_entry_bytes,
-                per.write_notice_bytes,
-            )
-            for r in records
-        ) + per.vts_entry_bytes * self.nprocs
+        vts_bytes = per.vts_entry_bytes * self.nprocs
+        notices = 0
+        for record in records:
+            notices += len(record.pages)
+        return (
+            (per.interval_record_bytes + vts_bytes) * len(records)
+            + per.write_notice_bytes * notices
+            + vts_bytes
+        )
 
     # -- intervals ---------------------------------------------------------
 
@@ -412,21 +421,43 @@ class LrcProtocolBase(DsmProtocol):
     def _incorporate(
         self, proc: Processor, records: List[IntervalRecord]
     ) -> Generator:
-        """Merge received interval records; invalidate noticed pages."""
+        """Merge received interval records; invalidate noticed pages.
+
+        The whole merge is one run of uninterruptible occupancies — a
+        record's processing time, then an ``mprotect`` per page it
+        invalidates — and between them only ``proc``'s private state
+        changes, so the run is slept through with a single wake
+        (:meth:`Processor.busy_run`).  The exception is a hook that
+        reads state other processors write (:attr:`_dynamic_homing`):
+        there the run so far is slept out before every single notice is
+        evaluated, which is the one-wake-per-occupancy schedule.
+        """
         state = self._state(proc)
+        insert = state.store.insert
+        vts = state.vts
+        interval_process = self.costs.interval_process
+        per_notice = self._dynamic_homing
+        run: List[float] = []  # occupancies not yet slept through
+        at = self.engine.now  # simulated time once ``run`` has elapsed
         for record in records:
-            if not state.store.insert(record):
+            if not insert(record):
                 continue
-            yield from proc.busy(
-                self.costs.interval_process, Category.PROTOCOL
-            )
-            state.vts[record.proc] = max(state.vts[record.proc], record.iid)
-            for page_idx in record.pages:
-                us = self._note_remote_write(
-                    proc, record.proc, record.iid, page_idx
-                )
-                if us:
-                    yield from proc.busy(us, Category.PROTOCOL)
+            run.append(interval_process)
+            at += interval_process
+            if record.iid > vts[record.proc]:
+                vts[record.proc] = record.iid
+            if per_notice:
+                units = [replace(record, pages=(p,)) for p in record.pages]
+            else:
+                units = (record,)
+            for unit in units:
+                if per_notice:
+                    yield from proc.busy_run(run, Category.PROTOCOL)
+                    run = []
+                for us in self._note_record(proc, unit, at):
+                    run.append(us)
+                    at += us
+        yield from proc.busy_run(run, Category.PROTOCOL)
 
     # -- locks -------------------------------------------------------------
 
@@ -819,15 +850,19 @@ class LrcProtocolBase(DsmProtocol):
         return
         yield  # pragma: no cover
 
-    def _note_remote_write(
-        self, proc: Processor, writer: int, iid: int, page_idx: int
-    ) -> float:
-        """A write notice for ``page_idx`` entered ``proc``'s past.
+    def _note_record(
+        self, proc: Processor, record: IntervalRecord, at: float
+    ) -> Sequence[float]:
+        """``record``'s write notices entered ``proc``'s past.
 
-        Synchronous (this is the hottest hook: one call per write
-        notice per incorporating processor); returns the protocol busy
-        time in microseconds the caller must charge — 0 for the common
-        nothing-to-invalidate case, ``costs.mprotect`` otherwise.
+        Synchronous (the hottest hook: once per new record per
+        incorporating processor).  Invalidates what the notices make
+        stale and returns the protocol occupancies, in order, that the
+        caller must sleep through and charge — one ``costs.mprotect``
+        per page invalidated, nothing for the common nothing-to-do
+        notice.  ``at`` is the simulated time at which the first notice
+        is examined (the wake itself comes later); trace events are
+        stamped from it, advancing by each occupancy returned.
         """
         raise NotImplementedError
 

@@ -169,6 +169,9 @@ class TreadMarksProtocol(LrcProtocolBase):
         yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
         if not page.perm.allows_read():
             yield from self._validate_page(proc, page_idx, page)
+        # Twinning and re-protecting touch only this processor's own
+        # state, so the two occupancies are one run (one wake).
+        run = []
         if page.twin is None:
             pool = self._twin_pool
             if pool:
@@ -179,12 +182,11 @@ class TreadMarksProtocol(LrcProtocolBase):
                 page.twin = page.copy.copy()
             proc.bump("twins_created")
             self.trace(proc, "twin", page=page_idx)
-            yield from proc.busy(
-                self.costs.twin_cost(self.space.page_size), Category.PROTOCOL
-            )
+            run.append(self.costs.twin_cost(self.space.page_size))
         state.notices.add(page_idx)
         self._set_perm(proc.pid, page_idx, page, Protection.READ_WRITE)
-        yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
+        run.append(self.costs.mprotect)
+        yield from proc.busy_run(run, Category.PROTOCOL)
 
     def _prefetch_page(self, proc: Processor, page_idx: int) -> Generator:
         """Software prefetch: re-validate an invalidated unit to READ
@@ -301,7 +303,13 @@ class TreadMarksProtocol(LrcProtocolBase):
                     continue
                 incoming.append((tag, writer, seq, diff))
         # Apply in causal order with word-level versioning (see
-        # TmkPage.lamport / word_tags).
+        # TmkPage.lamport / word_tags).  The applies are one run of
+        # occupancies (one wake) while the copy is private; on a
+        # backend with one-sided reads a peer may pull it at any time,
+        # so there each apply is slept out before the copy changes.
+        exposed = self.network.remote_reads
+        run = []
+        at = self.engine.now  # simulated time once ``run`` has elapsed
         for tag, writer, seq, diff in sorted(incoming):
             page.have_seq[writer] = max(page.have_seq.get(writer, 0), seq)
             page.lamport = max(page.lamport, tag)
@@ -310,7 +318,11 @@ class TreadMarksProtocol(LrcProtocolBase):
             apply_cost = self.costs.diff_apply_base + (
                 self.costs.diff_apply_per_kb * diff.dirty_bytes / 1024.0
             )
-            yield from proc.busy(apply_cost, Category.PROTOCOL)
+            run.append(apply_cost)
+            at += apply_cost
+            if exposed:
+                yield from proc.busy_run(run, Category.PROTOCOL)
+                run = []
             targets = [page.copy]
             if page.twin is not None:
                 targets.append(page.twin)
@@ -319,8 +331,14 @@ class TreadMarksProtocol(LrcProtocolBase):
             )
             proc.bump("diffs_applied")
             self.trace(
-                proc, "diff_apply", page=page_idx, writer=writer, tag=tag
+                proc,
+                "diff_apply",
+                page=page_idx,
+                writer=writer,
+                tag=tag,
+                at=at,
             )
+        yield from proc.busy_run(run, Category.PROTOCOL)
 
     def _fetch_base_copy(
         self, proc: Processor, page_idx: int, page: TmkPage
@@ -376,17 +394,23 @@ class TreadMarksProtocol(LrcProtocolBase):
     # base-class hooks
     # ------------------------------------------------------------------
 
-    def _note_remote_write(
-        self, proc: Processor, writer: int, iid: int, page_idx: int
-    ) -> float:
+    def _note_record(self, proc: Processor, record, at: float):
         state = self._state(proc)
-        page = state.page(page_idx)
-        page.pending.append((writer, iid))
-        if page.perm is not Protection.NONE:
-            self._set_perm(proc.pid, page_idx, page, Protection.NONE)
-            self.trace(proc, "invalidate", page=page_idx)
-            return self.costs.mprotect
-        return 0.0
+        pages = state.pages
+        notice = (record.proc, record.iid)
+        mprotect = self.costs.mprotect
+        costs = []
+        for page_idx in record.pages:
+            page = pages.get(page_idx)
+            if page is None:
+                page = state.page(page_idx)
+            page.pending.append(notice)
+            if page.perm is not Protection.NONE:
+                self._set_perm(proc.pid, page_idx, page, Protection.NONE)
+                self.trace(proc, "invalidate", page=page_idx, at=at)
+                at += mprotect
+                costs.append(mprotect)
+        return costs
 
     def _serve_data(self, proc: Processor, request: Request) -> Generator:
         if request.kind == PAGE_FETCH:

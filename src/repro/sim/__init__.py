@@ -14,6 +14,7 @@ from repro.sim.engine import (
     Interrupt,
     Process,
     Timeout,
+    Until,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "Interrupt",
     "Process",
     "Timeout",
+    "Until",
 ]

@@ -3,7 +3,8 @@
 The design follows SimPy's process/event model, reduced to exactly what
 the DSM simulation needs:
 
-* :class:`Event` — one-shot; processes wait on it by yielding it.
+* :class:`Event` — one-shot; processes wait on it by yielding it (the
+  first of three wait forms; bare delays and :class:`Until` are below).
 * :class:`Timeout` — an event that fires after a simulated delay.
 * :class:`AnyOf` — fires as soon as any child event fires.
 * :class:`Process` — wraps a generator; is itself an event that fires
@@ -44,6 +45,15 @@ Two further allocation levers ride on the same switch:
   no callback cell, and no pool traffic.  ``Processor.busy`` (the
   single hottest wait in full runs: every protocol-handler occupancy
   and doubled write goes through it) rides this channel.
+* **Absolute-deadline yields** — the third wait form: a process may
+  yield ``Until(when)`` (:class:`Until`): "resume me at absolute time
+  ``when``, value ``None``".  It rides the bare-delay channel (same two queue
+  hops, same wait-token rule on interrupt), and exists because float
+  addition is not associative: a run of back-to-back delays ``a, b``
+  ends at ``(now + a) + b``, which ``yield a + b`` would not reproduce
+  bit-for-bit.  ``Processor.busy_run`` folds such a run left to right
+  and sleeps through it with one ``Until`` — one wake instead of one
+  per delay.
 
 Escape hatch: ``SimOptions(calqueue=False)`` (CLI ``--no-calqueue``,
 deprecated alias ``REPRO_DSM_NO_CALQUEUE=1``) restores the plain binary
@@ -98,6 +108,19 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
+
+
+class Until:
+    """Wait target: resume at absolute simulated time ``when``.
+
+    The absolute-time sibling of a bare delay (see the module
+    docstring); ``when`` earlier than the current time is an error.
+    """
+
+    __slots__ = ("when",)
+
+    def __init__(self, when: float):
+        self.when = when
 
 
 #: A registered callback: a one-element list so cancellation is a single
@@ -377,19 +400,24 @@ class Process(Event):
     def _wait_for(self, target: Any) -> None:
         # Bare delays first: with busy/compute riding the delay channel
         # they outnumber event waits on full runs.
-        if type(target) is float or type(target) is int:
+        kind = type(target)
+        if kind is float or kind is int:
             # Bare-delay fast channel: resume with value None after
             # ``target`` microseconds, through the same two queue hops
             # a Timeout would take (see module docstring).
             if target < 0:
                 raise ValueError(f"negative delay {target!r}")
-            self._wait_token += 1
-            self._waiting_on = _BUSY_WAIT
-            self.engine._push(
-                self.engine.now + target,
-                _delay_fire,
-                (self, self._wait_token),
-            )
+            self._sleep_until(self.engine.now + target)
+            return
+        if kind is Until:
+            # Absolute deadline on the same channel: no addition here,
+            # the caller already folded its delays into ``when``.
+            if target.when < self.engine.now:
+                raise ValueError(
+                    f"deadline {target.when!r} is in the past "
+                    f"(now {self.engine.now!r})"
+                )
+            self._sleep_until(target.when)
             return
         if isinstance(target, Event):
             if target._triggered:
@@ -406,8 +434,15 @@ class Process(Event):
             return
         raise TypeError(
             f"process {self.name!r} yielded {target!r}; "
-            "processes must yield Event instances or bare delays"
+            "processes must yield Event instances, bare delays or Until"
         )
+
+    def _sleep_until(self, when: float) -> None:
+        """Arm the bare-delay channel: first hop at ``when``, guarded
+        by a fresh wait token (an interrupt bumps it again)."""
+        self._wait_token += 1
+        self._waiting_on = _BUSY_WAIT
+        self.engine._push(when, _delay_fire, (self, self._wait_token))
 
     def _resume_immediate(self) -> None:
         value, self._pending_value = self._pending_value, None

@@ -1,0 +1,371 @@
+"""``Until`` and ``Processor.busy_run``: a run of uninterruptible
+occupancies is one engine wake, and nothing simulated can tell.
+
+Three layers of evidence:
+
+* engine level — ``yield Until(when)`` lands on the bit-identical float
+  time of the delay chain it replaces, in all three queue modes, and
+  obeys the wait-token rule;
+* processor level — ``busy_run`` charges and sleeps exactly like the
+  ``busy`` loop, and both reject negative occupancies;
+* protocol level (the order gate) — the final wake of a run is queued
+  when the run *starts*, so it may precede a same-instant entry it used
+  to follow.  Random race-free LRC programs, run against the per-
+  occupancy oracle of ``tests/lrc_oracle.py``, must produce the same
+  result digest and the same per-processor trace timeline.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro import options as options_mod
+from repro.cluster.machine import Cluster
+from repro.config import (
+    HLRC_INT,
+    HLRC_POLL,
+    TMK_MC_POLL,
+    TMK_UDP_INT,
+    ClusterConfig,
+    CostModel,
+    Mechanism,
+    RunConfig,
+)
+from repro.core import Program, SharedArray, run_program
+from repro.serving.codec import result_digest
+from repro.sim import Engine, Interrupt, Until
+from repro.stats import Category, StatsBoard
+from tests.lrc_oracle import per_occupancy
+
+QUEUE_MODES = {
+    "heap": dict(calqueue=False),
+    "calqueue": dict(calqueue=True, shard=False),
+    "shard": dict(calqueue=True, shard=True),
+}
+
+
+def _engine(mode: str) -> Engine:
+    return Engine(replace(options_mod.current(), **QUEUE_MODES[mode]))
+
+
+# -- engine: the third wait form ----------------------------------------
+
+_cost = st.one_of(
+    st.sampled_from([0.1, 0.7, 2.0, 12.0, 62.0, 1e-3, 1e6 + 0.3]),
+    st.floats(min_value=1e-6, max_value=1e5, allow_nan=False),
+)
+_chains = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),  # start
+        st.lists(_cost, min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _landings(mode: str, chains, folded: bool):
+    """``(time, worker)`` of every wake-up after the start-up delay."""
+    engine = _engine(mode)
+    log = []
+
+    def worker(wid, start, costs):
+        yield start
+        if folded:
+            when = engine.now
+            for us in costs:
+                when += us
+            yield Until(when)
+        else:
+            for us in costs:
+                yield us
+        log.append((engine.now, wid))
+
+    for wid, (start, costs) in enumerate(chains):
+        engine.process(worker(wid, start, costs), name=f"w{wid}")
+    engine.run()
+    return log
+
+
+@pytest.mark.parametrize("mode", QUEUE_MODES)
+@settings(max_examples=60, deadline=None)
+@given(chains=_chains)
+def test_until_lands_on_the_delay_chains_exact_time(mode, chains):
+    # Sorted: the *times* are the claim here; same-instant order
+    # between workers is what the protocol-level differential gates.
+    chained = sorted(_landings(mode, chains, folded=False))
+    assert sorted(_landings(mode, chains, folded=True)) == chained
+    assert chained == sorted(_landings("heap", chains, folded=False))
+
+
+@pytest.mark.parametrize("mode", QUEUE_MODES)
+def test_until_in_the_past_raises(mode):
+    engine = _engine(mode)
+
+    def bad():
+        yield 5.0
+        yield Until(4.0)
+
+    engine.process(bad())
+    with pytest.raises(ValueError, match="in the past"):
+        engine.run()
+
+
+@pytest.mark.parametrize("mode", QUEUE_MODES)
+def test_until_now_still_yields_to_same_instant_entries(mode):
+    engine = _engine(mode)
+    log = []
+
+    def sleeper():
+        yield 3.0
+        yield Until(engine.now)
+        log.append("sleeper")
+
+    def other():
+        yield 3.0
+        log.append("other")
+
+    engine.process(sleeper())
+    engine.process(other())
+    engine.run()
+    assert log == ["other", "sleeper"]
+    assert engine.now == 3.0
+
+
+@pytest.mark.parametrize("mode", QUEUE_MODES)
+def test_interrupt_away_from_until_ignores_the_stale_wake(mode):
+    engine = _engine(mode)
+    log = []
+
+    def sleeper():
+        try:
+            yield Until(100.0)
+            log.append("full sleep")
+        except Interrupt as err:
+            log.append(("interrupted", engine.now, err.cause))
+        yield Until(150.0)  # still asleep when the stale wake pops
+        log.append(("resumed", engine.now))
+
+    def waker(target):
+        yield 30.0
+        target.interrupt("wake")
+
+    target = engine.process(sleeper())
+    engine.process(waker(target))
+    engine.run()
+    assert log == [("interrupted", 30.0, "wake"), ("resumed", 150.0)]
+
+
+# -- processor: busy_run vs the busy loop ---------------------------------
+
+
+def _processor(engine):
+    stats = StatsBoard(1)
+    cluster = Cluster(
+        engine, ClusterConfig(), CostModel(), Mechanism.POLL, [(0, 0)], stats
+    )
+    return cluster.proc(0), stats[0]
+
+
+@pytest.mark.parametrize("costs", [[], [0.0], [0.0, 0.0, 0.0]])
+def test_busy_run_of_nothing_yields_nothing(engine, costs):
+    proc, stat = _processor(engine)
+    assert list(proc.busy_run(costs, Category.PROTOCOL)) == []
+    assert stat.time[Category.PROTOCOL] == 0.0
+
+
+@pytest.mark.parametrize("costs", [[-1.0], [12.0, -1e-9, 62.0]])
+def test_negative_occupancy_raises(engine, costs):
+    proc, stat = _processor(engine)
+    with pytest.raises(ValueError, match="negative busy"):
+        list(proc.busy_run(costs, Category.PROTOCOL))
+    with pytest.raises(ValueError, match="negative busy"):
+        list(proc.busy(-1.0, Category.PROTOCOL))
+    assert stat.time[Category.PROTOCOL] == 0.0  # nothing charged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    costs=st.lists(st.one_of(st.just(0.0), _cost), max_size=12),
+)
+def test_busy_run_sleeps_and_charges_like_the_busy_loop(start, costs):
+    def measure(run):
+        engine = Engine()
+        proc, stat = _processor(engine)
+        wakes = []
+
+        def worker():
+            yield start
+            before = engine.events_fired
+            if run:
+                yield from proc.busy_run(costs, Category.PROTOCOL)
+            else:
+                for us in costs:
+                    yield from proc.busy(us, Category.PROTOCOL)
+            wakes.append(engine.events_fired - before)
+
+        engine.process(worker())
+        engine.run()
+        return engine.now, stat.time[Category.PROTOCOL], wakes[0]
+
+    end, charged, events = measure(run=True)
+    loop_end, loop_charged, loop_events = measure(run=False)
+    assert (end, charged) == (loop_end, loop_charged)  # bit-identical
+    assert events == min(loop_events, 2)  # one fire + one resume, or none
+
+
+# -- protocol: the order gate ----------------------------------------------
+
+PAGE = 256  # bytes: a 4 KiB array is 16 sharing units
+SLOTS = 16 * PAGE // 8
+LOCK_BASE = SLOTS  # lock-protected counters live past the barrier slots
+N_LOCKS = 4
+
+# Biased towards a few hot units and ranks, so that pages are shared
+# repeatedly (multi-notice merges, and under ``homing="dynamic"`` enough
+# fetches by one reader for homes to migrate mid-run).
+_slot = st.one_of(
+    st.sampled_from([0, 1, PAGE // 8, 5 * PAGE // 8]),
+    st.integers(0, SLOTS - 1),
+)
+_rank = st.one_of(st.sampled_from([0, 1]), st.integers(0, 15))
+_round = st.fixed_dictionaries(
+    {
+        # (slot, writer, value): the first writer named for a slot wins
+        "writes": st.lists(
+            st.tuples(_slot, _rank, st.integers(-99, 99)), max_size=24
+        ),
+        # (rank, lock, amount): lock-protected increments before the barrier
+        "locked": st.lists(
+            st.tuples(_rank, st.integers(0, N_LOCKS - 1), st.integers(1, 9)),
+            max_size=6,
+        ),
+        # per-rank compute before the barrier, staggering arrivals
+        "skew": st.lists(
+            st.sampled_from([0.0, 12.0, 62.0, 74.0, 100.0, 333.3]),
+            min_size=16,
+            max_size=16,
+        ),
+        # (reader, slot): read back after the barrier
+        "reads": st.lists(st.tuples(_rank, _slot), max_size=12),
+    }
+)
+
+
+def _lrc_program(rounds):
+    """A race-free SPMD program: per round, single-writer slot writes
+    and lock-protected increments, a barrier, then cross-rank reads."""
+
+    def setup(space, params):
+        arr = SharedArray.alloc(
+            space, "fuzz", np.float64, (SLOTS + N_LOCKS * PAGE // 8,)
+        )
+        arr.initialize(np.zeros(arr.shape))
+        return {"arr": arr}
+
+    def worker(env, shared, params):
+        arr = shared["arr"]
+        seen = []
+        for rnd in rounds:
+            written = set()
+            for slot, writer, value in rnd["writes"]:
+                if slot in written:
+                    continue
+                written.add(slot)
+                if writer % env.nprocs == env.rank:
+                    yield from arr.put(env, slot, float(value))
+            for rank, lock, amount in rnd["locked"]:
+                if rank % env.nprocs != env.rank:
+                    continue
+                counter = LOCK_BASE + lock * PAGE // 8
+                yield from env.lock_acquire(lock)
+                value = yield from arr.get(env, counter)
+                yield from arr.put(env, counter, value + amount)
+                yield from env.lock_release(lock)
+            yield from env.compute(rnd["skew"][env.rank])
+            yield from env.barrier(0)
+            for reader, slot in rnd["reads"]:
+                if reader % env.nprocs == env.rank:
+                    seen.append((yield from arr.get(env, slot)))
+            yield from env.barrier(1)
+        env.stop_timer()
+        if env.rank == 0:
+            return (yield from arr.read_all(env)), seen
+        return seen
+
+    return Program("fuzz_lrc", setup, worker)
+
+
+def _timelines(tracer, nprocs):
+    return [tracer.for_pid(pid) for pid in range(nprocs)]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    rounds=st.lists(_round, min_size=1, max_size=8),
+    variant=st.sampled_from([TMK_MC_POLL, TMK_UDP_INT, HLRC_POLL, HLRC_INT]),
+    homing=st.sampled_from(["first-touch", "round-robin", "dynamic"]),
+    network=st.sampled_from(["memch", "rdma", "ethernet"]),
+    nprocs=st.sampled_from([2, 3, 4, 8, 16]),
+)
+def test_one_wake_merge_matches_the_per_occupancy_oracle(
+    rounds, variant, homing, network, nprocs
+):
+    cfg = RunConfig(
+        variant=variant,
+        nprocs=nprocs,
+        cluster=ClusterConfig(page_size=PAGE),
+        network=network,
+        homing=homing,
+        trace=True,
+    )
+    program = _lrc_program(rounds)
+    production = run_program(program, cfg, {})
+    with per_occupancy():
+        oracle = run_program(program, cfg, {})
+    assert result_digest(production) == result_digest(oracle)
+    assert _timelines(production.trace, nprocs) == _timelines(
+        oracle.trace, nprocs
+    )
+
+
+@pytest.mark.parametrize(
+    "app, variant, nprocs, homing",
+    [
+        ("sor", "tmk_mc_poll", 8, "first-touch"),
+        ("water", "tmk_udp_int", 8, "first-touch"),
+        ("em3d", "hlrc_poll", 16, "round-robin"),
+        ("irreg", "hlrc_int", 8, "first-touch"),
+        ("tsp", "hlrc_int", 8, "dynamic"),
+        ("water", "hlrc_poll", 16, "dynamic"),
+    ],
+)
+def test_traced_app_timeline_equals_the_oracles(app, variant, nprocs, homing):
+    """Each ``invalidate`` is stamped with the time its page's turn came
+    in the merge — not the time the merge was evaluated — so every
+    processor's timeline is the oracle's, event for event."""
+
+    def traced():
+        return api.run_point(
+            app, variant, nprocs, scale="tiny", homing=homing, trace=True
+        )
+
+    production = traced()
+    with per_occupancy():
+        oracle = traced()
+    assert result_digest(production) == result_digest(oracle)
+    assert production.trace.counts().get("invalidate", 0) > 0
+    if homing == "dynamic":  # homes moved while merges were in flight
+        assert production.counter("home_migrations") > 0
+    assert _timelines(production.trace, nprocs) == _timelines(
+        oracle.trace, nprocs
+    )

@@ -43,9 +43,11 @@ class MetadataOnlyProtocol(LrcProtocolBase):
         return
         yield
 
-    def _note_remote_write(self, proc, writer, iid, page_idx):
-        self.noted.setdefault(proc.pid, []).append((writer, iid, page_idx))
-        return 0.0
+    def _note_record(self, proc, record, at):
+        self.noted.setdefault(proc.pid, []).extend(
+            (record.proc, record.iid, page_idx) for page_idx in record.pages
+        )
+        return ()
 
     def _serve_data(self, proc, request):
         raise RuntimeError(f"no data requests expected: {request.kind}")
@@ -188,3 +190,41 @@ def test_gc_collects_records_in_stub():
     for pid in range(2):
         assert protocol.procs[pid].store.record_count() <= 4 + 2
     protocol.check_invariants()
+
+
+def test_merging_known_records_costs_no_wake_and_no_time():
+    """A merge is one wake when it holds a new record, none otherwise."""
+    engine, cluster, protocol = build(2)
+
+    def worker(env):
+        yield from env.protocol.ensure_write(env.proc, env.rank)
+        yield from env.barrier(0)
+
+    run_workers(engine, cluster, protocol, worker, 2)
+    proc = cluster.proc(1)
+    known = list(protocol.procs[1].store.all_records())
+    assert len(known) == 2
+    noted = list(protocol.noted[1])
+    assert list(protocol._incorporate(proc, known)) == []
+    assert list(protocol._incorporate(proc, [])) == []
+    assert protocol.noted[1] == noted  # no notice examined twice
+
+
+def test_records_size_is_the_sum_of_the_records_encoded_sizes():
+    from repro.core.intervals import IntervalRecord
+
+    _engine, _cluster, protocol = build(4)
+    per = protocol.costs
+    records = [
+        IntervalRecord(p, 1, (1, 0, 2, 0), tuple(range(p * 3)))
+        for p in range(4)
+    ]
+    for batch in ([], records[:1], records):
+        assert protocol._records_size(batch) == per.vts_entry_bytes * 4 + sum(
+            r.encoded_size(
+                per.interval_record_bytes,
+                per.vts_entry_bytes,
+                per.write_notice_bytes,
+            )
+            for r in batch
+        )

@@ -38,6 +38,8 @@ from repro.config import (
     RunConfig,
 )
 from repro.core import run_program
+from repro.core.intervals import IntervalRecord, IntervalStore
+from repro.core.lrc import LrcProtocolBase
 from repro.core.runtime import program as program_mod
 from repro.harness import scaling
 from repro.harness.configs import cluster_for
@@ -200,6 +202,83 @@ def test_random_sharded_schedules_are_monotonic_and_heap_identical(
     assert engine.shard_violations == []
     heap_log, _heap_engine = _trace(False, schedules)
     assert sharded_log == heap_log
+
+
+# -- pinned complexity of the LRC barrier exchange ----------------------
+
+
+@pytest.mark.parametrize("nprocs", [8, 64])
+@pytest.mark.parametrize(
+    "variant", [TMK_MC_POLL, HLRC_POLL], ids=lambda v: v.name
+)
+def test_write_notice_merge_is_one_engine_wake(monkeypatch, variant, nprocs):
+    """Host events per ``_incorporate`` call: exactly one when it merges
+    at least one new record, none otherwise — however many records and
+    invalidations the merge holds."""
+    calls = []  # (new records, wakes)
+    real = LrcProtocolBase._incorporate
+
+    def counted(self, proc, records):
+        store = self.procs[proc.pid].store
+        known = store.record_count()
+        wakes = 0
+        for target in real(self, proc, records):
+            wakes += 1
+            yield target
+        calls.append((store.record_count() - known, wakes))
+
+    monkeypatch.setattr(LrcProtocolBase, "_incorporate", counted)
+    params = scaling.weak_params("sor", TINY_SOR, 8, nprocs)
+    api.run_point("sor", variant, nprocs, params=params)
+
+    assert all(wakes == (1 if new else 0) for new, wakes in calls)
+    assert max(new for new, _wakes in calls) == nprocs - 1  # full merges
+
+
+class _CountingChain(list):
+    """A record chain that counts every element a caller touches."""
+
+    touched = 0
+
+    def __iter__(self):
+        _CountingChain.touched += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        found = super().__getitem__(index)
+        _CountingChain.touched += (
+            len(found) if isinstance(index, slice) else 1
+        )
+        return found
+
+
+def test_records_after_costs_the_records_it_returns():
+    """No chain scan: on a 4,096-record store, asking for the last few
+    intervals of each processor touches exactly the records returned."""
+    nprocs, depth = 64, 64
+    store = IntervalStore(nprocs)
+    for iid in range(1, depth + 1):
+        for proc in range(nprocs):
+            vts = [iid - 1] * nprocs
+            vts[proc] = iid
+            store.insert(IntervalRecord(proc, iid, tuple(vts), (proc,)))
+    assert store.record_count() == 4096
+    scan = {
+        behind: sorted(
+            (r for r in store.all_records() if r.iid > depth - behind),
+            key=IntervalRecord.sort_key,
+        )
+        for behind in (0, 1, 3, depth, depth + 5)
+    }
+    store._records = {
+        proc: _CountingChain(chain) for proc, chain in store._records.items()
+    }
+    for behind, expected in scan.items():
+        _CountingChain.touched = 0
+        found = store.records_after([depth - behind] * nprocs)
+        assert found == expected
+        assert len(found) == nprocs * min(behind, depth)
+        assert _CountingChain.touched == len(found)
 
 
 # -- supporting cast: cluster growth, knob resolution, the driver -------
