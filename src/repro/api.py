@@ -268,6 +268,11 @@ def build_system(
     resolved = _as_variant(variant)
     if resolved is None:
         raise ValueError("build_system needs a protocol variant")
+    if warm_start and space is None:
+        raise ValueError(
+            "warm_start=True warms the regions of the address space "
+            "passed as space=; without one there is nothing to warm"
+        )
     if cluster is None:
         from repro.harness.configs import cluster_for
 

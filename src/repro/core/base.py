@@ -464,8 +464,11 @@ class DsmProtocol(abc.ABC):
         """Called once before worker processes begin."""
 
     def prewarm(self) -> None:
-        """Give every processor a valid read-only copy of every page
-        (the ``warm_start`` option; see :class:`repro.config.RunConfig`)."""
+        """The ``warm_start`` option (:class:`repro.config.RunConfig`):
+        a no-op unless overridden.  The LRC protocols map every page
+        read-only at every processor; Cashmere deliberately ignores
+        ``warm_start`` — first-touch homing already makes first touches
+        local (EXPERIMENTS.md, "warm starts")."""
 
     def check_invariants(self) -> None:
         """Debug hook: raise if internal state is inconsistent."""

@@ -36,7 +36,7 @@ from repro.core.lrc import LrcProcState, LrcProtocolBase
 from repro.core.intervals import IntervalStore
 from repro.memory import policy as sharing_policy
 from repro.memory.diff import apply_diff, make_diff
-from repro.memory.page import Protection
+from repro.memory.page import Protection, own_copy
 from repro.stats import Category
 
 PAGE_FETCH = "hlrc_page_fetch"
@@ -119,9 +119,9 @@ class HlrcProtocol(LrcProtocolBase):
         home_state = self.procs[home]
         home_page = home_state.page(page_idx)
         if home_page.copy is not None:
-            # Adopt the home's existing (possibly warm) copy as the
-            # authoritative one.
-            self.home_pages[page_idx] = home_page.copy
+            # Adopt the home's existing copy as the authoritative one —
+            # privately, since remote diffs land there.
+            self.home_pages[page_idx] = own_copy(home_page)
         else:
             self.home_pages[page_idx] = self.space.backing_page(
                 page_idx
@@ -167,9 +167,10 @@ class HlrcProtocol(LrcProtocolBase):
         is_home = self._home_of(page_idx) == proc.pid
         run = []  # twinning and re-protecting: one run, one wake
         if not is_home and page.twin is None:
-            # The home writes its copy in place; everyone else twins so
-            # the release can diff.
-            page.twin = page.copy.copy()
+            # The home writes its copy in place (the authoritative one,
+            # private since ``_assign_home``); everyone else takes a
+            # private copy and twins it so the release can diff.
+            page.twin = own_copy(page).copy()
             proc.bump("twins_created")
             self.trace(proc, "twin", page=page_idx)
             run.append(self.costs.twin_cost(self.space.page_size))
@@ -261,10 +262,10 @@ class HlrcProtocol(LrcProtocolBase):
         yield from proc.busy(
             self.costs.memcpy_cost(self.space.page_size), Category.PROTOCOL
         )
-        if page.copy is None:
-            page.copy = snapshot.copy()
-        else:
+        if page.copy is not None and page.copy.flags.writeable:
             page.copy[:] = snapshot
+        else:  # first copy, or a shared warm frame: take a private one
+            page.copy = snapshot.copy()
         if own_diff is not None:
             # The twin becomes the fresh base, so the next release still
             # diffs out exactly our own words.
@@ -459,7 +460,7 @@ class HlrcProtocol(LrcProtocolBase):
         yield  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # cost modelling / warm start
+    # cost modelling
     # ------------------------------------------------------------------
 
     def compute_factors(self, ws: WorkingSet):
@@ -467,24 +468,19 @@ class HlrcProtocol(LrcProtocolBase):
         total = self.cache.total_factor(ws, ws.twin, ws.twin_l2)
         return user, total, Category.PROTOCOL
 
-    def prewarm(self) -> None:
-        """Give every processor a valid read-only copy of every page.
-
-        Homes stay unassigned: the first post-warm *fault* (normally the
-        first write) picks the home, which makes first-touch placement
-        follow the writers."""
-        for pid, state in self.procs.items():
-            for page_idx in range(self.space.n_pages):
-                page = state.page(page_idx)
-                page.copy = self.space.backing_page(page_idx).copy()
-                self._set_perm(pid, page_idx, page, Protection.READ)
-
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
         super().check_invariants()
+        for page_idx, data in self.home_pages.items():
+            if not data.flags.writeable or np.shares_memory(
+                data, self.space.backing_page(page_idx)
+            ):
+                raise AssertionError(
+                    f"home copy of page {page_idx} is a shared frame"
+                )
         for pid, state in self.procs.items():
             for page_idx, page in state.pages.items():
                 if (

@@ -29,6 +29,7 @@ from repro.core.intervals import (
     vts_max,
 )
 from repro.memory.address_space import AddressSpace
+from repro.memory.page import Protection, shared_frame
 from repro.sim import Engine, Event
 from repro.stats import Category, StatsBoard
 
@@ -880,6 +881,25 @@ class LrcProtocolBase(DsmProtocol):
         return
         yield  # pragma: no cover
 
+    # -- warm start ------------------------------------------------------------------
+
+    def prewarm(self) -> None:
+        """Map every page ``READ`` at every processor, modelling a long
+        run whose cold distribution is already amortized.  Copy-on-
+        write: all processors map one read-only frame per page (a view
+        of the backing store) until :func:`own_copy` gives a mutator its
+        private copy.  HLRC homes stay unassigned, so the first
+        post-warm *fault* (normally a write) places each home."""
+        frames = [
+            shared_frame(self.space.backing_page(page_idx))
+            for page_idx in range(self.space.n_pages)
+        ]
+        for pid, state in self.procs.items():
+            for page_idx, frame in enumerate(frames):
+                page = state.page(page_idx)
+                page.copy = frame
+                self._set_perm(pid, page_idx, page, Protection.READ)
+
     # -- invariants -----------------------------------------------------------------
 
     def _perm_entries(self, pid: int):
@@ -891,6 +911,17 @@ class LrcProtocolBase(DsmProtocol):
     def check_invariants(self) -> None:
         self.check_perm_bitmaps()
         for pid, state in self.procs.items():
+            # The ownership rule: only a private copy is ever mutated.
+            for page_idx, page in getattr(state, "pages", {}).items():
+                twin = page.twin
+                mutable = twin is not None or page.perm.allows_write()
+                if (mutable and not page.copy.flags.writeable) or (
+                    twin is not None and not twin.flags.writeable
+                ):
+                    raise AssertionError(
+                        f"p{pid}: page {page_idx} is written through a "
+                        "shared frame"
+                    )
             for other in range(self.nprocs):
                 latest = state.store.latest(other)
                 if other == pid:

@@ -17,6 +17,7 @@ from repro.config import RunConfig, SystemKind
 from repro.cluster.machine import Cluster
 from repro.cluster.messaging import Messenger
 from repro.cluster.network import NetworkModel, build_network
+from repro.core import fastpath
 from repro.core.runtime.env import Env
 from repro.memory.address_space import AddressSpace
 from repro.sim import Engine
@@ -204,6 +205,7 @@ def run_program(
         run_cfg.cluster.page_size, unit_size=run_cfg.unit_bytes
     )
     shared = program.setup(space, params)
+    backing = space.backing_digest() if fastpath.DEBUG else None
     system = build_system(run_cfg, space=space, placement=placement)
     engine = system.engine
     cluster = system.cluster
@@ -236,6 +238,8 @@ def run_program(
         )
     engine.run()
     protocol.check_invariants()
+    if backing is not None and space.backing_digest() != backing:
+        raise AssertionError("a parallel run wrote the backing store")
     return RunResult(
         program=program.name,
         config=run_cfg,

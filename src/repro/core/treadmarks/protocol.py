@@ -30,7 +30,7 @@ from repro.cluster.messaging import Request
 from repro.core.lrc import LrcProcState, LrcProtocolBase
 from repro.core.intervals import IntervalStore
 from repro.memory.diff import WORD, Diff, apply_diff_versioned, make_diff
-from repro.memory.page import Protection
+from repro.memory.page import Protection, own_copy
 from repro.stats import Category
 
 PAGE_FETCH = "tmk_page_fetch"
@@ -173,13 +173,14 @@ class TreadMarksProtocol(LrcProtocolBase):
         # state, so the two occupancies are one run (one wake).
         run = []
         if page.twin is None:
+            copy = own_copy(page)  # a warm frame is shared until now
             pool = self._twin_pool
             if pool:
                 twin = pool.pop()
-                np.copyto(twin, page.copy)
+                np.copyto(twin, copy)
                 page.twin = twin
             else:
-                page.twin = page.copy.copy()
+                page.twin = copy.copy()
             proc.bump("twins_created")
             self.trace(proc, "twin", page=page_idx)
             run.append(self.costs.twin_cost(self.space.page_size))
@@ -323,7 +324,7 @@ class TreadMarksProtocol(LrcProtocolBase):
             if exposed:
                 yield from proc.busy_run(run, Category.PROTOCOL)
                 run = []
-            targets = [page.copy]
+            targets = [own_copy(page)]
             if page.twin is not None:
                 targets.append(page.twin)
             apply_diff_versioned(
@@ -567,23 +568,13 @@ class TreadMarksProtocol(LrcProtocolBase):
         yield  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # cost modelling / warm start
+    # cost modelling
     # ------------------------------------------------------------------
 
     def compute_factors(self, ws: WorkingSet):
         user = self.cache.total_factor(ws)
         total = self.cache.total_factor(ws, ws.twin, ws.twin_l2)
         return user, total, Category.PROTOCOL
-
-    def prewarm(self) -> None:
-        """Give every processor a valid copy of every page, modelling a
-        long-running execution whose cold distribution has already been
-        amortized."""
-        for pid, state in self.procs.items():
-            for page_idx in range(self.space.n_pages):
-                page = state.page(page_idx)
-                page.copy = self.space.backing_page(page_idx).copy()
-                self._set_perm(pid, page_idx, page, Protection.READ)
 
     # ------------------------------------------------------------------
     # invariants

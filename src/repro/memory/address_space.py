@@ -20,6 +20,7 @@ layout never varies with the sharing policy.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -215,3 +216,8 @@ class AddressSpace:
             ]
             pos += length
         return out
+
+    def backing_digest(self) -> int:
+        """CRC-32 of the backing store (debug checks: warm frames are
+        views of it, so a parallel run must never change it)."""
+        return zlib.crc32(self.read_backing(0, self._brk))

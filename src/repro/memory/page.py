@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 
 class Protection(enum.IntEnum):
     """Access rights of one processor's mapping of one page.
@@ -28,3 +30,21 @@ class Protection(enum.IntEnum):
 
     def allows_write(self) -> bool:
         return self >= Protection.READ_WRITE
+
+
+def shared_frame(data: np.ndarray) -> np.ndarray:
+    """A read-only view of ``data``: one physical frame any number of
+    processors may map.  NumPy's write flag *is* the shared bit — a
+    stray in-place write raises ``ValueError`` instead of corrupting
+    every mapper."""
+    frame = data.view()
+    frame.flags.writeable = False
+    return frame
+
+
+def own_copy(page) -> np.ndarray:
+    """``page.copy``, made private first if it is a shared frame:
+    call before mutating a page copy in place (copy-on-write)."""
+    if not page.copy.flags.writeable:
+        page.copy = page.copy.copy()
+    return page.copy

@@ -29,3 +29,21 @@ def cluster_config():
 @pytest.fixture
 def costs():
     return CostModel()
+
+
+@pytest.fixture
+def built_systems(monkeypatch):
+    """Every :class:`System` ``run_program`` builds during the test, in
+    order — ``run_program`` returns results, not the protocol state the
+    memory and ownership pins look at."""
+    from repro.core.runtime import program as program_mod
+
+    systems = []
+    real_build = program_mod.build_system
+
+    def spying_build(cfg, **kwargs):
+        systems.append(real_build(cfg, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(program_mod, "build_system", spying_build)
+    return systems

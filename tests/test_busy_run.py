@@ -17,7 +17,6 @@ Three layers of evidence:
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,20 +24,17 @@ from hypothesis import strategies as st
 from repro import api
 from repro import options as options_mod
 from repro.cluster.machine import Cluster
-from repro.config import (
-    HLRC_INT,
-    HLRC_POLL,
-    TMK_MC_POLL,
-    TMK_UDP_INT,
-    ClusterConfig,
-    CostModel,
-    Mechanism,
-    RunConfig,
-)
-from repro.core import Program, SharedArray, run_program
+from repro.config import ClusterConfig, CostModel, Mechanism
+from repro.core import run_program
 from repro.serving.codec import result_digest
 from repro.sim import Engine, Interrupt, Until
 from repro.stats import Category, StatsBoard
+from tests.helpers import (
+    LRC_FUZZ_AXES,
+    lrc_fuzz_config,
+    lrc_program,
+    timelines,
+)
 from tests.lrc_oracle import per_occupancy
 
 QUEUE_MODES = {
@@ -221,119 +217,23 @@ def test_busy_run_sleeps_and_charges_like_the_busy_loop(start, costs):
 
 # -- protocol: the order gate ----------------------------------------------
 
-PAGE = 256  # bytes: a 4 KiB array is 16 sharing units
-SLOTS = 16 * PAGE // 8
-LOCK_BASE = SLOTS  # lock-protected counters live past the barrier slots
-N_LOCKS = 4
-
-# Biased towards a few hot units and ranks, so that pages are shared
-# repeatedly (multi-notice merges, and under ``homing="dynamic"`` enough
-# fetches by one reader for homes to migrate mid-run).
-_slot = st.one_of(
-    st.sampled_from([0, 1, PAGE // 8, 5 * PAGE // 8]),
-    st.integers(0, SLOTS - 1),
-)
-_rank = st.one_of(st.sampled_from([0, 1]), st.integers(0, 15))
-_round = st.fixed_dictionaries(
-    {
-        # (slot, writer, value): the first writer named for a slot wins
-        "writes": st.lists(
-            st.tuples(_slot, _rank, st.integers(-99, 99)), max_size=24
-        ),
-        # (rank, lock, amount): lock-protected increments before the barrier
-        "locked": st.lists(
-            st.tuples(_rank, st.integers(0, N_LOCKS - 1), st.integers(1, 9)),
-            max_size=6,
-        ),
-        # per-rank compute before the barrier, staggering arrivals
-        "skew": st.lists(
-            st.sampled_from([0.0, 12.0, 62.0, 74.0, 100.0, 333.3]),
-            min_size=16,
-            max_size=16,
-        ),
-        # (reader, slot): read back after the barrier
-        "reads": st.lists(st.tuples(_rank, _slot), max_size=12),
-    }
-)
-
-
-def _lrc_program(rounds):
-    """A race-free SPMD program: per round, single-writer slot writes
-    and lock-protected increments, a barrier, then cross-rank reads."""
-
-    def setup(space, params):
-        arr = SharedArray.alloc(
-            space, "fuzz", np.float64, (SLOTS + N_LOCKS * PAGE // 8,)
-        )
-        arr.initialize(np.zeros(arr.shape))
-        return {"arr": arr}
-
-    def worker(env, shared, params):
-        arr = shared["arr"]
-        seen = []
-        for rnd in rounds:
-            written = set()
-            for slot, writer, value in rnd["writes"]:
-                if slot in written:
-                    continue
-                written.add(slot)
-                if writer % env.nprocs == env.rank:
-                    yield from arr.put(env, slot, float(value))
-            for rank, lock, amount in rnd["locked"]:
-                if rank % env.nprocs != env.rank:
-                    continue
-                counter = LOCK_BASE + lock * PAGE // 8
-                yield from env.lock_acquire(lock)
-                value = yield from arr.get(env, counter)
-                yield from arr.put(env, counter, value + amount)
-                yield from env.lock_release(lock)
-            yield from env.compute(rnd["skew"][env.rank])
-            yield from env.barrier(0)
-            for reader, slot in rnd["reads"]:
-                if reader % env.nprocs == env.rank:
-                    seen.append((yield from arr.get(env, slot)))
-            yield from env.barrier(1)
-        env.stop_timer()
-        if env.rank == 0:
-            return (yield from arr.read_all(env)), seen
-        return seen
-
-    return Program("fuzz_lrc", setup, worker)
-
-
-def _timelines(tracer, nprocs):
-    return [tracer.for_pid(pid) for pid in range(nprocs)]
-
 
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(
-    rounds=st.lists(_round, min_size=1, max_size=8),
-    variant=st.sampled_from([TMK_MC_POLL, TMK_UDP_INT, HLRC_POLL, HLRC_INT]),
-    homing=st.sampled_from(["first-touch", "round-robin", "dynamic"]),
-    network=st.sampled_from(["memch", "rdma", "ethernet"]),
-    nprocs=st.sampled_from([2, 3, 4, 8, 16]),
-)
+@given(**LRC_FUZZ_AXES)
 def test_one_wake_merge_matches_the_per_occupancy_oracle(
     rounds, variant, homing, network, nprocs
 ):
-    cfg = RunConfig(
-        variant=variant,
-        nprocs=nprocs,
-        cluster=ClusterConfig(page_size=PAGE),
-        network=network,
-        homing=homing,
-        trace=True,
-    )
-    program = _lrc_program(rounds)
+    cfg = lrc_fuzz_config(variant, homing, network, nprocs)
+    program = lrc_program(rounds)
     production = run_program(program, cfg, {})
     with per_occupancy():
         oracle = run_program(program, cfg, {})
     assert result_digest(production) == result_digest(oracle)
-    assert _timelines(production.trace, nprocs) == _timelines(
+    assert timelines(production.trace, nprocs) == timelines(
         oracle.trace, nprocs
     )
 
@@ -366,6 +266,6 @@ def test_traced_app_timeline_equals_the_oracles(app, variant, nprocs, homing):
     assert production.trace.counts().get("invalidate", 0) > 0
     if homing == "dynamic":  # homes moved while merges were in flight
         assert production.counter("home_migrations") > 0
-    assert _timelines(production.trace, nprocs) == _timelines(
+    assert timelines(production.trace, nprocs) == timelines(
         oracle.trace, nprocs
     )

@@ -44,6 +44,7 @@ from repro.core.runtime import program as program_mod
 from repro.harness import scaling
 from repro.harness.configs import cluster_for
 from repro.harness.runner import ExperimentContext
+from repro.memory.address_space import AddressSpace
 from repro.sim import Engine
 from tests.helpers import values_match
 
@@ -279,6 +280,65 @@ def test_records_after_costs_the_records_it_returns():
         assert found == expected
         assert len(found) == nprocs * min(behind, depth)
         assert _CountingChain.touched == len(found)
+
+
+# -- pinned complexity of warm page memory -------------------------------
+
+
+def _page_buffers(system):
+    """Address of every page copy mapped by any processor."""
+    return [
+        page.copy.__array_interface__["data"][0]
+        for state in system.protocol.procs.values()
+        for page in state.pages.values()
+    ]
+
+
+def _owned_copies(system):
+    return sum(
+        page.copy.flags.writeable
+        for state in system.protocol.procs.values()
+        for page in state.pages.values()
+    )
+
+
+@pytest.mark.parametrize("nprocs", [8, 64])
+@pytest.mark.parametrize(
+    "variant", [TMK_MC_POLL, HLRC_POLL], ids=lambda v: v.name
+)
+def test_warm_build_maps_one_frame_per_page(variant, nprocs):
+    """A warm start costs O(pages), not O(processors x pages)."""
+    space = AddressSpace()
+    space.alloc("data", 24 * space.page_size)
+    system = api.build_system(variant, nprocs, warm_start=True, space=space)
+    buffers = _page_buffers(system)
+    assert len(buffers) == nprocs * 24  # every processor maps every page
+    assert len(set(buffers)) == space.n_pages == 24
+    assert _owned_copies(system) == 0
+
+
+@pytest.mark.parametrize("nprocs", [8, 64])
+@pytest.mark.parametrize(
+    "variant", [TMK_MC_POLL, HLRC_POLL], ids=lambda v: v.name
+)
+def test_copies_are_owned_only_by_faulting_or_patching(
+    built_systems, variant, nprocs
+):
+    params = scaling.weak_params("sor", TINY_SOR, 8, nprocs)
+    result = api.run_point("sor", variant, nprocs, params=params)
+    (system,) = built_systems
+    assert 0 < _owned_copies(system) <= sum(
+        result.counter(name)
+        for name in ("write_faults", "diffs_applied", "page_fetches")
+    )
+
+
+def test_small_sor_at_64p_owns_a_fraction_of_its_mappings(built_systems):
+    """Tiny sor is two pages that every processor writes; at ``small``
+    scale the ratio means something (1,260 of 32,768 when pinned)."""
+    api.run_point("sor", TMK_MC_POLL, 64)
+    (system,) = built_systems
+    assert _owned_copies(system) < 64 * system.space.n_pages / 8
 
 
 # -- supporting cast: cluster growth, knob resolution, the driver -------
