@@ -18,7 +18,27 @@ kernel output is written back into DSM shared memory, where TreadMarks
 diffs it byte-by-byte against twins; a single differing low bit would
 change diff sizes, message bytes, and therefore simulated times.  The
 equivalence tests in ``tests/test_app_kernels.py`` pin kernel-vs-scalar
-equality with ``==``, never ``allclose``.
+equality with ``==``, never ``allclose``.  Four rules the batched barnes
+traversal had to learn (mismatches against the scalar expression,
+measured on one host over uniform random inputs; EXPERIMENTS.md):
+
+1. *Order.*  Float adds do not reassociate: accumulate in the scalar
+   loop's order, one ``+=`` per term — never ``sum``/``reduceat``.
+2. *Dot products.*  ``v @ v`` is BLAS ``ddot``, which contracts to FMA:
+   ``(d0*d0 + d1*d1) + d2*d2`` differs in the last bit on 22 % of
+   3-vectors and ``einsum`` on 30 %.  The stacked
+   ``np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]`` calls the same
+   routine per row (0 differ).
+3. *Powers.*  An array ``** 1.5`` dispatches to a SIMD ``pow`` and
+   differs from the scalar one on 5 % of values: take non-integer
+   powers over ``.tolist()`` in Python floats.
+4. *Squares.*  ``x ** 2`` on a NumPy scalar is ``pow``, on an array a
+   multiply (0.07 % differ): evaluate it the way the scalar loop does.
+
+Barnes ``values`` go through BLAS ``ddot``, so their last bits (and
+``result_digest``) are a function of the BLAS build: the batched path
+calls the same routine, so kernels on and off agree on every host, but
+two hosts need not.
 
 **Flop charging.**  Simulated compute time is charged through one hook,
 :func:`flop_cost`: a kernel invocation costs ``flops * us_per_flop``
@@ -255,6 +275,93 @@ def barnes_integrate(
     vel = sel[:, 3:6] + sel[:, 6:9] * dt
     pos = sel[:, 0:3] + vel * dt
     return pos, vel
+
+
+# ---------------------------------------------------------------------------
+# Barnes — batched Barnes-Hut traversals over already-fetched cell blocks
+# ---------------------------------------------------------------------------
+
+BARNES_BATCH = 128  # bodies per frontier: bounds one call's working memory
+_KEY_BITS = 60  # path key: 3 bits a level, left-aligned => 20 levels
+
+
+def barnes_forces(ids, pos, table, size2, have, page_rows, theta2):
+    """Forces on bodies ``ids`` (at ``pos``) from the private cell
+    ``table``: ``(force, inter, done)``.
+
+    ``have[block]`` says which ``page_rows``-row blocks of ``table`` (and
+    of ``size2``, each row's ``(2 * half) ** 2``) have been fetched.
+    ``done[b]`` is True iff every cell the walk of body ``b`` visits lies
+    in a fetched block — then ``force[b]`` and ``inter[b]`` are
+    bit-identical to ``apps.barnes._force_on`` (same interactions, added
+    in the same depth-first order); otherwise they are meaningless and
+    the caller runs the scalar walk, which also fetches the block.
+    """
+    n = len(ids)
+    force = np.zeros((n, 3))
+    inter = np.zeros(n, dtype=np.int64)
+    done = np.ones(n, dtype=bool)
+    for lo in range(0, n, BARNES_BATCH):
+        part = slice(lo, lo + BARNES_BATCH)
+        _barnes_batch(
+            ids[part], pos[part], table, size2, have, page_rows, theta2,
+            force[part], inter[part], done[part],
+        )
+    return force, inter, done
+
+
+def _barnes_batch(
+    ids, pos, table, size2, have, page_rows, theta2, force, inter, done
+):
+    """One level-synchronous frontier of (body, cell) pairs; fills the
+    ``force``/``inter``/``done`` views in place."""
+    body = np.arange(len(ids))
+    cell = np.zeros(len(ids), dtype=np.int64)
+    key = np.zeros(len(ids), dtype=np.int64)
+    hits = []  # per level: (body, path key, force term)
+    shift = _KEY_BITS
+    while len(body):
+        done[body[~have[cell // page_rows]]] = False
+        keep = done[body]  # a faulting body's other pairs are wasted work
+        body, cell, key = body[keep], cell[keep], key[keep]
+        rows = table[cell]
+        mass = rows[:, 0]
+        delta = rows[:, 1:4] - pos[body]
+        # Per-row ddot, the routine ``delta @ delta`` calls (rule 2).
+        dist2 = np.matmul(delta[:, None, :], delta[:, :, None])[:, 0, 0]
+        leaf = rows[:, 13].astype(np.int64)
+        is_leaf = leaf >= 0
+        far = ~is_leaf & (dist2 > 0) & (size2[cell] < theta2 * dist2)
+        live = mass > 0.0
+        hit = live & (far | (is_leaf & (leaf != ids[body])))
+        # Scalar ``pow`` over Python floats (rule 3).
+        denom = np.array([(d + 1e-4) ** 1.5 for d in dist2[hit].tolist()])
+        hits.append(
+            (body[hit], key[hit], mass[hit, None] * delta[hit] / denom[:, None])
+        )
+        grow = live & ~is_leaf & ~far
+        shift -= 3
+        if shift < 0:  # deeper than the key can order
+            done[body[grow]] = False
+            break
+        kids = rows[grow, 5:13]
+        slot = kids >= 0
+        count = slot.sum(axis=1)
+        # The scalar walk pops children 7 -> 0: digit ``7 - slot`` (rule 1).
+        key = np.repeat(key[grow], count) | ((7 - np.nonzero(slot)[1]) << shift)
+        body = np.repeat(body[grow], count)
+        cell = kids[slot].astype(np.int64)
+    hit_body = np.concatenate([h[0] for h in hits])
+    order = np.lexsort((np.concatenate([h[1] for h in hits]), hit_body))
+    term = np.concatenate([h[2] for h in hits])[order]
+    inter[:] = np.bincount(hit_body, minlength=len(ids))
+    start = np.cumsum(inter) - inter
+    # ``force += term`` left to right, batched across bodies by rank.
+    active, rank = np.flatnonzero(inter), 0
+    while len(active):
+        force[active] += term[start[active] + rank]
+        rank += 1
+        active = active[inter[active] > rank]
 
 
 # ---------------------------------------------------------------------------

@@ -392,3 +392,139 @@ def test_sim_options_sync_kernels_flag():
         assert kernels.ENABLED is True
     finally:
         saved.apply()
+
+
+# --- batched Barnes-Hut traversals vs the scalar walk -----------------------
+#
+# ``kernels.barnes_forces`` speculates the walks that stay inside the
+# cell blocks a processor has already fetched.  The scalar side is the
+# production fallback ``barnes._force_on`` itself, driven by a
+# dict-backed ``fetch_cell`` that records every cell it is asked for.
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+THETA2 = barnes.THETA * barnes.THETA
+
+
+def _encoded_tree(positions):
+    n = len(positions)
+    masses = np.ones(n) / n
+    max_cells = max((5 * n) // 2, 8)
+    tree = barnes._build_tree(positions, masses)
+    return barnes._encode_cells(tree, max_cells)
+
+
+def _scalar_walk(body, pos, records):
+    """``(force, inter, cells visited)`` of the scalar traversal."""
+    visited = []
+
+    def fetch_cell(idx):
+        visited.append(idx)
+        return records[idx]
+        yield  # a generator, like the worker's
+
+    walk = barnes._force_on(body, pos, fetch_cell, None)
+    try:
+        next(walk)
+    except StopIteration as stop:
+        force, inter = stop.value
+        return force, inter, visited
+    raise AssertionError("a dict-backed fetch never suspends")
+
+
+def _cell_depths(encoded):
+    depth = {0: 0}
+    frontier = [0]
+    while frontier:
+        idx = frontier.pop()
+        for child in encoded[idx, 5:13]:
+            if child >= 0:
+                depth[int(child)] = depth[idx] + 1
+                frontier.append(int(child))
+    return depth
+
+
+def _assert_batched_equals_scalar(positions, have, page_rows, ids=None):
+    """Run both sides; returns ``done``.  Unfetched blocks of the table
+    hold NaN, so a kernel that read one could not come out equal."""
+    encoded = _encoded_tree(positions)
+    records = dict(enumerate(encoded))
+    depth = _cell_depths(encoded)
+    have = np.asarray(have, dtype=bool)
+    fetched = np.repeat(have, page_rows)[: len(encoded)]
+    table = np.where(fetched[:, None], encoded, np.nan)
+    size2 = np.array([(2 * half) ** 2 for half in table[:, 4]])
+    table.flags.writeable = size2.flags.writeable = False
+    before = table.copy()
+    if ids is None:
+        ids = range(len(positions))
+    ids = np.asarray(ids, dtype=np.intp)
+    force, inter, done = kernels.barnes_forces(
+        ids, positions[ids], table, size2, have, page_rows, THETA2
+    )
+    assert np.array_equal(table, before, equal_nan=True)
+    for i, body in enumerate(ids.tolist()):
+        ref_force, ref_inter, visited = _scalar_walk(
+            body, positions[body], records
+        )
+        stays_inside = all(have[idx // page_rows] for idx in visited)
+        orderable = max(depth[idx] for idx in visited) <= 20
+        assert done[i] == (stays_inside and orderable), body
+        if done[i]:
+            assert inter[i] == ref_inter
+            assert np.array_equal(force[i], ref_force), body
+    return done
+
+
+def _all_blocks(n, page_rows):
+    return np.ones(-(-max((5 * n) // 2, 8) // page_rows), dtype=bool)
+
+
+@pytest.mark.parametrize("page_rows", [16, 64])
+@pytest.mark.parametrize("n", [1, 2, 64, 300])
+def test_kernel_barnes_forces_bitwise(n, page_rows):
+    positions = deterministic_rng(40 + n).random((n, 3)) * 2.0 - 1.0
+    done = _assert_batched_equals_scalar(
+        positions, _all_blocks(n, page_rows), page_rows
+    )
+    assert done.all()  # the whole tree is fetched: nothing faults
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_barnes_forces_done_exactly_when_walk_stays_fetched(data):
+    n = data.draw(st.integers(1, 300), label="n")
+    page_rows = data.draw(st.sampled_from([16, 64]), label="page_rows")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    n_blocks = len(_all_blocks(n, page_rows))
+    have = data.draw(
+        st.lists(st.booleans(), min_size=n_blocks, max_size=n_blocks),
+        label="have",
+    )
+    ids = data.draw(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(sorted),
+        label="ids",
+    )
+    positions = deterministic_rng(seed).random((n, 3)) * 2.0 - 1.0
+    _assert_batched_equals_scalar(positions, have, page_rows, ids)
+
+
+def test_kernel_barnes_forces_gives_up_below_twenty_levels():
+    """Two bodies 1e-7 apart sit ~24 levels down: their walks outrun the
+    path key, so they are left to the scalar walk; the far bodies accept
+    the enclosing cell much higher and stay batched."""
+    positions = deterministic_rng(41).random((40, 3)) * 2.0 - 1.0
+    positions[7] = positions[3] + 1e-7
+    done = _assert_batched_equals_scalar(positions, _all_blocks(40, 64), 64)
+    assert not done[3] and not done[7]
+    assert done.sum() >= 30
+
+
+def test_ddot_per_row_matmul_equals_the_scalar_dot():
+    """Rule 2 of the bitwise contract, pinned on its own: the stacked
+    ``matmul`` reaches the same BLAS ``ddot`` as ``v @ v``, so a NumPy
+    dispatch change fails here instead of drifting result digests."""
+    d = deterministic_rng(42).random((10_000, 3)) * 2.0 - 1.0
+    batched = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+    assert batched.tolist() == [float(v @ v) for v in d]

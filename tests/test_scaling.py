@@ -20,14 +20,19 @@ Plus unit coverage of the supporting cast: ``cluster_for`` growth, the
 resolved ``RunConfig`` knobs, and the weak/strong scaling driver.
 """
 
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
 from repro import options as options_mod
+from repro.apps import barnes, kernels
+from repro.apps.common import deterministic_rng
 from repro.config import (
     CSM_POLL,
     CSM_PP,
@@ -339,6 +344,63 @@ def test_small_sor_at_64p_owns_a_fraction_of_its_mappings(built_systems):
     api.run_point("sor", TMK_MC_POLL, 64)
     (system,) = built_systems
     assert _owned_copies(system) < 64 * system.space.n_pages / 8
+
+
+# -- pinned complexity of the batched Barnes-Hut traversals ---------------
+
+
+def test_barnes_scalar_walks_are_bounded_by_the_blocks_fetched(monkeypatch):
+    """Every scalar walk the batched worker runs fetches at least one
+    new cell block, so a processor walks at most ``ceil(max_cells /
+    page_rows)`` bodies a step the slow way; the rest are speculated
+    (31 scalar of 2,048 body-steps, 1.69 speculated each, when pinned)."""
+    scalar = Counter()  # per fetch_cell closure = per processor per step
+    speculated = []
+    real_walk, real_batch = barnes._force_on, kernels.barnes_forces
+
+    def counted_walk(body, pos, fetch_cell, masses):
+        scalar[fetch_cell] += 1
+        return real_walk(body, pos, fetch_cell, masses)
+
+    def counted_batch(ids, *rest):
+        speculated.append(len(ids))
+        return real_batch(ids, *rest)
+
+    monkeypatch.setattr(barnes, "_force_on", counted_walk)
+    monkeypatch.setattr(kernels, "barnes_forces", counted_batch)
+    api.run_point("barnes", TMK_MC_POLL, 8)
+
+    params = barnes.default_params("small")
+    body_steps = params["n_bodies"] * params["steps"]
+    max_cells = (5 * params["n_bodies"]) // 2
+    page_rows = ClusterConfig().page_size // (barnes.CELL_FIELDS * 8)
+    assert len(scalar) == 8 * params["steps"]
+    assert max(scalar.values()) <= -(-max_cells // page_rows)
+    assert sum(scalar.values()) <= 0.05 * body_steps
+    assert sum(speculated) <= 2.5 * body_steps
+
+
+def test_barnes_forces_working_memory_is_bounded_by_the_batch():
+    """One call over 4,096 bodies peaks at a few MB because the frontier
+    holds at most ``BARNES_BATCH`` bodies' pairs (4.7 MB when pinned; 140
+    MB with all 4,096 bodies in one frontier)."""
+    n, page_rows = 4096, 64
+    positions = deterministic_rng(1997).random((n, 3)) * 2.0 - 1.0
+    tree = barnes._build_tree(positions, np.ones(n) / n)
+    table = barnes._encode_cells(tree, (5 * n) // 2)
+    size2 = (2 * table[:, 4]) ** 2  # memory, not bits, is under test
+    have = np.ones(-(-len(table) // page_rows), dtype=bool)
+    tracemalloc.start()
+    try:
+        _force, inter, done = kernels.barnes_forces(
+            np.arange(n), positions, table, size2, have, page_rows,
+            barnes.THETA * barnes.THETA,
+        )
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert done.all() and inter.min() > 0
+    assert peak <= 12 * 2**20
 
 
 # -- supporting cast: cluster growth, knob resolution, the driver -------
