@@ -34,21 +34,6 @@ honest end-to-end context — most of a full simulation is engine,
 messaging, and cold faults, which the fast path deliberately leaves
 untouched.
 
-**--pr4** — times the event-engine/messaging overhaul (calendar-queue
-scheduler, pooled events, slotted messages, generator-frame
-flattening):
-
-1. **engine microbench** — raw resumes/sec on a synthetic schedule,
-   calendar queue vs binary heap, plus end-to-end messages/sec from
-   gauss 8p runs;
-2. **full runs** — lu/gauss/sor x csm/tmk/hlrc at 8 processors under
-   the overhauled engine and under the ``--no-calqueue`` escape hatch,
-   asserting bit-identical simulated results; with ``--baseline-json``
-   (seed-tree timings from the same host) it also records speedup
-   against the pre-PR4 seed.
-
-Results land in ``BENCH_PR4.json``.
-
 **--pr5** — times the bulk-region API and the vectorized kernel layer:
 
 1. **region microbench** — region gathers/scatters (contiguous band,
@@ -65,23 +50,6 @@ Results land in ``BENCH_PR4.json``.
 Results land in ``BENCH_PR5.json``.  The PR3 full-run section fans its
 points across the ``--jobs`` process pool (one mode of one point per
 worker); pass ``--jobs 1`` for minimum-noise serial timings.
-
-**--pr7** — times the sharded event scheduler (per-node cascade ring,
-recycled bucket free list, batched bare-delay resume) against the
-``--no-shard`` flat calendar queue — which *is* the PR4/PR5-era
-engine, so the A/B doubles as the regression check against BENCH_PR5:
-
-1. **synchronization storm** — a queue-dominated microbench (P
-   generator workers alternating bare delays with an event barrier)
-   at 8/64/256 processors, reporting wall-clock **ns per delivered
-   simulated event** (``Engine.events_fired`` is the denominator),
-   interleaved A/B, asserting identical event counts and final sim
-   time across modes;
-2. **full runs** — sor/gauss x csm/tmk at 8 processors plus a
-   64-processor weak-scaled sor point, shard vs --no-shard, asserting
-   bit-identical simulated results.
-
-Results land in ``BENCH_PR7.json``.
 
 **--pr8** — load-tests the experiment-serving layer (asyncio front
 end with request coalescing, cold-point batching, and the sharded
@@ -140,12 +108,8 @@ Usage::
         [--jobs N] [--scale tiny] [--out BENCH_PR2.json]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --pr3 \
         [--reps N] [--jobs N] [--out BENCH_PR3.json]
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --pr4 \
-        [--reps N] [--baseline-json seed.json] [--out BENCH_PR4.json]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --pr5 \
         [--reps N] [--baseline-json seed.json] [--out BENCH_PR5.json]
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --pr7 \
-        [--reps N] [--out BENCH_PR7.json]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --pr8 \
         [--clients N] [--jobs N] [--out BENCH_PR8.json]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --pr9 \
@@ -169,11 +133,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import api
-from repro import options as options_mod
 from repro.apps import registry
 from repro.config import (
     CSM_POLL,
-    HLRC_POLL,
     TMK_MC_POLL,
     ClusterConfig,
     CostModel,
@@ -187,7 +149,6 @@ from repro.harness.cache import ResultCache
 from repro.harness.parallel import PointSpec, run_points
 from repro.harness.runner import ExperimentContext
 from repro.options import SimOptions
-from repro.sim import Engine
 
 APPS = ("sor", "water", "gauss")
 VARIANTS = (CSM_POLL, TMK_MC_POLL)
@@ -327,13 +288,14 @@ def _bench_access_path(reps: int) -> dict:
         env, arr, ref = cap["env"], cap["arr"], cap["ref"]
         outputs = {}
         timings = {}
+        saved = fastpath.ENABLED
         for label, enabled in (("on", True), ("off", False)):
             fastpath.set_enabled(enabled)
             try:
                 outputs[label] = replay(env, arr, ref)
                 timings[label] = _time_replay(replay, env, arr, ref, reps)
             finally:
-                fastpath.refresh_from_env()
+                fastpath.set_enabled(saved)
         # Identity: both modes return the same bytes, and they match
         # the plain-numpy serial reference the worker wrote.
         assert len(outputs["on"]) == len(outputs["off"])
@@ -380,7 +342,7 @@ def _bench_full_runs(jobs: int = 1) -> dict:
     """
     from dataclasses import replace
 
-    defaults = SimOptions.from_env(warn=False)
+    defaults = SimOptions()
     points = [
         (app, variant)
         for app in ("lu", "gauss", "sor")
@@ -427,8 +389,7 @@ def _bench_full_runs(jobs: int = 1) -> dict:
 
 def pr3_main(args) -> int:
     print(
-        "benchmarking the shared-access fast path (on vs "
-        "REPRO_DSM_NO_FASTPATH)",
+        "benchmarking the shared-access fast path (on vs --no-fastpath)",
         file=sys.stderr,
     )
     access = _bench_access_path(args.reps)
@@ -466,181 +427,8 @@ def pr3_main(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# PR4: event-engine & messaging hot-path benchmark
-# ---------------------------------------------------------------------------
-
-PR4_POINTS = tuple(
-    (app, variant)
-    for app in ("lu", "gauss", "sor")
-    for variant in (CSM_POLL, TMK_MC_POLL, HLRC_POLL)
-)
-
-
 def _point_key(app, variant) -> str:
     return f"{app}/{variant.name}/8p"
-
-
-def _events_per_sec(calqueue: bool, n_events: int, reps: int) -> float:
-    """Raw engine throughput: resumes/sec over a synthetic schedule.
-
-    Eight processes sleep in a fixed pattern mixing the two hot sleep
-    styles (bare delays and pooled ``Timeout`` events) with heavy
-    same-timestamp collisions — the shape of a real run's queue load.
-    """
-    from dataclasses import replace
-
-    nprocs = 8
-    per_proc = n_events // nprocs
-    best = float("inf")
-    for _ in range(reps):
-        engine = Engine(replace(options_mod.current(), calqueue=calqueue))
-
-        def worker(pid):
-            for i in range(per_proc):
-                delay = float(1 + (pid + i) % 3)
-                if i % 2:
-                    yield engine.timeout(delay)
-                else:
-                    yield delay
-
-        for pid in range(nprocs):
-            engine.process(worker(pid), name=f"p{pid}")
-        started = time.perf_counter()
-        engine.run()
-        best = min(best, time.perf_counter() - started)
-    return nprocs * per_proc / best
-
-
-def _bench_engine_micro(reps: int) -> dict:
-    n_events = 200_000
-    rates = {}
-    for label, calqueue in (("calqueue", True), ("heap", False)):
-        rates[label] = _events_per_sec(calqueue, n_events, reps)
-        print(
-            f"  engine micro: {rates[label]:12,.0f} events/s ({label})",
-            file=sys.stderr,
-        )
-    messages = {}
-    for variant in (CSM_POLL, TMK_MC_POLL):
-        best, result = float("inf"), None
-        for _ in range(reps):
-            result, elapsed = _run_point("gauss", variant, 8)
-            best = min(best, elapsed)
-        count = result.stats.aggregate_counters()["messages"]
-        messages[_point_key("gauss", variant)] = count / best
-        print(
-            f"  messaging   : {count / best:12,.0f} messages/s "
-            f"({variant.name}, {count:,} msgs in {best:.3f}s best)",
-            file=sys.stderr,
-        )
-    return {
-        "events_per_sec": {k: round(v) for k, v in rates.items()},
-        "calqueue_vs_heap": round(rates["calqueue"] / rates["heap"], 3),
-        "messages_per_sec": {k: round(v) for k, v in messages.items()},
-        "n_events": n_events,
-    }
-
-
-def _bench_pr4_full_runs(reps: int, baseline: dict) -> tuple:
-    """8p full runs: wall clock under the overhauled engine, the heap
-    escape hatch as A/B identity check, and (when seed timings are
-    supplied) speedup against the pre-PR4 tree."""
-    defaults = SimOptions.from_env(warn=False)
-    from dataclasses import replace
-
-    heap = replace(defaults, calqueue=False)
-    results = {}
-    speedups = []
-    for app, variant in PR4_POINTS:
-        key = _point_key(app, variant)
-        new_s, heap_s = float("inf"), float("inf")
-        res_new = res_heap = None
-        for _ in range(reps):
-            res_new, elapsed = _run_point(app, variant, 8, options=defaults)
-            new_s = min(new_s, elapsed)
-        for _ in range(reps):
-            res_heap, elapsed = _run_point(app, variant, 8, options=heap)
-            heap_s = min(heap_s, elapsed)
-        defaults.apply()
-        assert res_new.exec_time == res_heap.exec_time, key
-        assert res_new.network_bytes == res_heap.network_bytes, key
-        assert res_new.stats.as_dict() == res_heap.stats.as_dict(), key
-        entry = {
-            "seconds": round(new_s, 3),
-            "heap_seconds": round(heap_s, 3),
-            "identical_simulated_results": True,
-        }
-        line = (
-            f"  full run {key:24s}: {new_s:7.3f}s  heap {heap_s:7.3f}s"
-        )
-        base_s = baseline.get(key)
-        if base_s is not None:
-            entry["seed_seconds"] = base_s
-            entry["speedup_vs_seed"] = round(base_s / new_s, 2)
-            speedups.append(base_s / new_s)
-            line += f"  seed {base_s:7.3f}s ({base_s / new_s:4.2f}x)"
-        results[key] = entry
-        print(line, file=sys.stderr)
-    geomean = None
-    if speedups:
-        geomean = round(float(np.exp(np.mean(np.log(speedups)))), 3)
-        print(f"  geomean speedup vs seed: {geomean:.3f}x", file=sys.stderr)
-    return results, geomean
-
-
-def pr4_main(args) -> int:
-    print(
-        "benchmarking the event-engine/messaging overhaul "
-        "(calendar queue + pooling + frame flattening)",
-        file=sys.stderr,
-    )
-    baseline = {}
-    baseline_meta = {}
-    if args.baseline_json:
-        data = json.loads(Path(args.baseline_json).read_text())
-        baseline = data.get("points", data)
-        baseline_meta = {
-            k: v for k, v in data.items() if k != "points"
-        }
-    micro = _bench_engine_micro(args.reps)
-    full, geomean = _bench_pr4_full_runs(args.reps, baseline)
-    report = {
-        "benchmark": (
-            "event-engine & messaging hot path: calendar-queue "
-            "scheduler, event pooling, slotted messages, and "
-            "generator-frame flattening vs the PR3 seed"
-        ),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "engine_microbench": micro,
-        "full_runs_8p_small": full,
-        "identical_results": True,
-        "notes": (
-            "full_runs compare the overhauled engine against its own "
-            "binary-heap escape hatch (--no-calqueue) and assert "
-            "bit-identical simulated results; seed_seconds/speedup "
-            "fields appear when --baseline-json supplies wall-clock "
-            "timings of the pre-PR4 tree measured on the same host.  "
-            "The queue swap alone is a modest share of the win — most "
-            "comes from frame flattening and pooling, which have no "
-            "escape hatch — so heap_seconds understates the PR's "
-            "total effect."
-        ),
-    }
-    if geomean is not None:
-        report["speedup_vs_seed_geomean"] = geomean
-    if baseline_meta:
-        report["baseline"] = baseline_meta
-    out = args.out or str(
-        Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
-    )
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +551,7 @@ def _bench_pr5_full_runs(reps: int, baseline: dict) -> tuple:
     — speedup against the ``.bench_seed`` reference tree."""
     from dataclasses import replace
 
-    defaults = SimOptions.from_env(warn=False)
+    defaults = SimOptions()
     scalar = replace(defaults, kernels=False)
     results = {}
     speedups = []
@@ -858,250 +646,6 @@ def pr5_main(args) -> int:
         report["baseline"] = baseline_meta
     out = args.out or str(
         Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
-    )
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# PR7: sharded event scheduler benchmark
-# ---------------------------------------------------------------------------
-
-PR7_STORM_COUNTS = (8, 64, 256)
-
-PR7_POINTS = tuple(
-    (app, variant)
-    for app in ("sor", "gauss")
-    for variant in (CSM_POLL, TMK_MC_POLL)
-)
-
-
-def _storm_run(nprocs: int, shard: bool):
-    """One synchronization storm; returns (seconds, events, final_now).
-
-    P workers alternate two bare delays (the two-hop batched resume
-    path) with an event barrier whose release wakes all P at the same
-    timestamp (the cascade-ring path) — the queue load shape of a real
-    large-P run with the protocol layers stripped away.  Total work is
-    fixed (~P x iters constant), so counts are comparable.
-    """
-    from dataclasses import replace
-
-    iters = 40_000 // nprocs * 4
-    eng = Engine(
-        replace(options_mod.current(), calqueue=True, shard=shard)
-    )
-    arrived = [0] * iters
-    releases = [eng.event() for _ in range(iters)]
-
-    def worker(pid):
-        for i in range(iters):
-            yield 1.0
-            yield 0.5
-            arrived[i] += 1
-            if arrived[i] == nprocs:
-                eng.succeed_at(eng.now + 0.5, releases[i])
-            yield releases[i]
-
-    n_nodes = -(-nprocs // 4)
-    for pid in range(nprocs):
-        eng.process(worker(pid), name=f"p{pid}", shard=pid % n_nodes)
-    # CPU time, not wall time: the storm is single-threaded pure-Python
-    # compute, and process_time excludes other-tenant interference that
-    # otherwise swamps a 15% effect on a shared host.
-    started = time.process_time()
-    eng.run()
-    return time.process_time() - started, eng.events_fired, eng.now
-
-
-def _storm_subprocess(nprocs: int, shard: bool, reps: int):
-    """Best-of-``reps`` storm timing in a fresh interpreter.
-
-    Allocator and free-list state accumulated by earlier in-process
-    runs systematically favours whichever mode runs later; a clean
-    process per (count, mode) sample removes that coupling.  Returns
-    ``(best_seconds, events, final_now)``.
-    """
-    import subprocess
-
-    out = subprocess.run(
-        [
-            sys.executable,
-            __file__,
-            "--storm-one",
-            f"{nprocs},{int(shard)},{reps}",
-        ],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": "src"},
-        cwd=str(Path(__file__).resolve().parent.parent),
-    )
-    seconds, events, now = out.stdout.split()
-    return float(seconds), int(events), float(now)
-
-
-def storm_one_main(spec: str) -> int:
-    """Hidden worker mode backing :func:`_storm_subprocess`."""
-    import gc
-
-    nprocs, shard, reps = (int(v) for v in spec.split(","))
-    best = float("inf")
-    meta = None
-    for _ in range(reps):
-        gc.collect()
-        seconds, events, now = _storm_run(nprocs, bool(shard))
-        best = min(best, seconds)
-        assert meta in (None, (events, now)), "storm drifted across reps"
-        meta = (events, now)
-    print(best, meta[0], meta[1])
-    return 0
-
-
-def _bench_storm(reps: int) -> dict:
-    """ns/event at each processor count, shard vs --no-shard.
-
-    Each (count, mode) is sampled in three fresh subprocesses of
-    best-of-``reps//3`` runs each; the minimum over subprocesses is
-    reported.
-    """
-    results = {}
-    per_proc = max(3, reps // 3)
-    for nprocs in PR7_STORM_COUNTS:
-        best = {"shard": float("inf"), "noshard": float("inf")}
-        meta = {}
-        for _ in range(3):
-            for label, shard in (("shard", True), ("noshard", False)):
-                seconds, events, now = _storm_subprocess(
-                    nprocs, shard, per_proc
-                )
-                best[label] = min(best[label], seconds)
-                prev = meta.setdefault(label, (events, now))
-                assert prev == (events, now), f"{nprocs}p {label} drifted"
-        events_s, now_s = meta["shard"]
-        events_n, now_n = meta["noshard"]
-        assert events_s == events_n, f"{nprocs}p: event counts diverge"
-        assert now_s == now_n, f"{nprocs}p: final sim times diverge"
-        shard_ns = best["shard"] / events_s * 1e9
-        noshard_ns = best["noshard"] / events_n * 1e9
-        results[f"{nprocs}p"] = {
-            "events": events_s,
-            "shard_ns_per_event": round(shard_ns, 1),
-            "noshard_ns_per_event": round(noshard_ns, 1),
-            "speedup": round(noshard_ns / shard_ns, 2),
-        }
-        print(
-            f"  storm {nprocs:4d}p: shard {shard_ns:7.1f} ns/event  "
-            f"noshard {noshard_ns:7.1f} ns/event  "
-            f"({noshard_ns / shard_ns:4.2f}x, {events_s:,} events)",
-            file=sys.stderr,
-        )
-    return results
-
-
-def _bench_pr7_full_runs(reps: int) -> dict:
-    """Full runs shard vs --no-shard: sor/gauss x csm/tmk at 8p plus a
-    64-processor weak-scaled sor point, asserting bit-identical
-    simulated results (the shard toggle is wall-clock-only)."""
-    from dataclasses import replace
-
-    from repro.harness.scaling import weak_params
-
-    defaults = SimOptions.from_env(warn=False)
-    noshard = replace(defaults, shard=False)
-    runs = []
-    for app, variant in PR7_POINTS:
-        runs.append((f"{app}/{variant.name}/8p", app, variant, 8, None))
-    base = registry.load("sor").default_params("tiny")
-    runs.append(
-        (
-            "sor/csm_poll/64p-weak-tiny",
-            "sor",
-            CSM_POLL,
-            64,
-            weak_params("sor", base, 8, 64),
-        )
-    )
-    results = {}
-    for key, app, variant, nprocs, params in runs:
-        # One untimed run per mode first: imports, allocator growth,
-        # and page-cache warm-up otherwise land on whichever mode goes
-        # first and skew the A/B.
-        api.run_point(app, variant, nprocs, params=params, options=defaults)
-        api.run_point(app, variant, nprocs, params=params, options=noshard)
-        shard_s = noshard_s = float("inf")
-        res_shard = res_noshard = None
-        for _ in range(reps):
-            started = time.perf_counter()
-            res_shard = api.run_point(
-                app, variant, nprocs, params=params, options=defaults
-            )
-            shard_s = min(shard_s, time.perf_counter() - started)
-            started = time.perf_counter()
-            res_noshard = api.run_point(
-                app, variant, nprocs, params=params, options=noshard
-            )
-            noshard_s = min(noshard_s, time.perf_counter() - started)
-        defaults.apply()
-        assert res_shard.exec_time == res_noshard.exec_time, key
-        assert res_shard.network_bytes == res_noshard.network_bytes, key
-        assert (
-            res_shard.stats.as_dict() == res_noshard.stats.as_dict()
-        ), key
-        results[key] = {
-            "shard_s": round(shard_s, 3),
-            "noshard_s": round(noshard_s, 3),
-            "speedup": round(noshard_s / shard_s, 2),
-            "identical_simulated_results": True,
-        }
-        print(
-            f"  full run {key:28s}: shard {shard_s:7.3f}s  "
-            f"noshard {noshard_s:7.3f}s  ({noshard_s / shard_s:4.2f}x)",
-            file=sys.stderr,
-        )
-    return results
-
-
-def pr7_main(args) -> int:
-    print(
-        "benchmarking the sharded event scheduler (shard vs --no-shard)",
-        file=sys.stderr,
-    )
-    storm = _bench_storm(args.reps)
-    full = _bench_pr7_full_runs(max(1, args.reps // 2))
-    report = {
-        "benchmark": (
-            "sharded event scheduler: per-node cascade ring, recycled "
-            "bucket free list, and batched bare-delay resume vs the "
-            "flat calendar queue (--no-shard), which is the PR4/PR5-"
-            "era engine"
-        ),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "storm_ns_per_event": storm,
-        "full_runs_shard_ab": full,
-        "identical_results": True,
-        "notes": (
-            "storm_ns_per_event is the headline wall-clock-per-"
-            "simulated-event metric: a queue-dominated synchronization "
-            "storm with Engine.events_fired as the denominator, "
-            "asserted identical across modes.  Because --no-shard "
-            "restores the engine PR5 shipped, the 8p shard/noshard "
-            "ratio doubles as the BENCH_PR5 regression check (>= 1.0 "
-            "means no worse than the PR5 engine), and the 64p/256p "
-            "ratios are the large-P win the sharding targets.  "
-            "full_runs give end-to-end context — protocol and app "
-            "layers dilute the queue share there — and assert "
-            "bit-identical simulated results, including a 64-processor "
-            "weak-scaled sor point on an auto-grown 16-node cluster."
-        ),
-    }
-    out = args.out or str(
-        Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
     )
     Path(out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
@@ -1445,27 +989,11 @@ def main(argv=None) -> int:
         help="benchmark the shared-access fast path instead of the harness",
     )
     parser.add_argument(
-        "--pr4",
-        action="store_true",
-        help=(
-            "benchmark the event-engine/messaging overhaul (engine "
-            "microbench + 8p full runs + queue-mode A/B identity)"
-        ),
-    )
-    parser.add_argument(
         "--pr5",
         action="store_true",
         help=(
             "benchmark the bulk-region API + vectorized kernel layer "
             "(region microbench + 8p full runs kernels on/off)"
-        ),
-    )
-    parser.add_argument(
-        "--pr7",
-        action="store_true",
-        help=(
-            "benchmark the sharded event scheduler (synchronization-"
-            "storm ns/event at 8/64/256p + full-run shard A/B identity)"
         ),
     )
     parser.add_argument(
@@ -1533,8 +1061,7 @@ def main(argv=None) -> int:
         "--reps",
         type=int,
         default=7,
-        help="best-of repetitions for the --pr3/--pr4/--pr5/--pr7 "
-        "measurements",
+        help="best-of repetitions for the --pr3/--pr5 measurements",
     )
     parser.add_argument(
         "--baseline-json",
@@ -1542,28 +1069,16 @@ def main(argv=None) -> int:
         help=(
             "JSON with seed-tree wall-clock timings "
             "({'points': {'app/variant/8p': seconds}}) measured on this "
-            "host; enables the speedup_vs_seed fields of --pr4/--pr5"
+            "host; enables the speedup_vs_seed fields of --pr5"
         ),
-    )
-    parser.add_argument(
-        "--storm-one",
-        default=None,
-        metavar="NPROCS,SHARD,REPS",
-        help=argparse.SUPPRESS,  # internal: one --pr7 storm sample
     )
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    if args.storm_one:
-        return storm_one_main(args.storm_one)
     if args.pr3:
         return pr3_main(args)
-    if args.pr4:
-        return pr4_main(args)
     if args.pr5:
         return pr5_main(args)
-    if args.pr7:
-        return pr7_main(args)
     if args.pr8:
         return pr8_main(args)
     if args.pr9:

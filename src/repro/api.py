@@ -20,7 +20,7 @@ driver and protocol internals:
     counters + breakdown + provenance + rendered text).
 
 Wall-clock toggles travel as a :class:`~repro.options.SimOptions`
-(CLI: ``--no-fastpath``, ``--debug-checks``, ``--no-calqueue``); every
+(CLI: ``--no-fastpath``, ``--debug-checks``, ``--no-kernels``); every
 combination is simulated-result bit-identical.  The exception is
 ``SimOptions.network`` (CLI: ``--network {memch,rdma,ethernet}``),
 which selects the simulated interconnect backend and *changes

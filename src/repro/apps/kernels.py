@@ -48,8 +48,8 @@ totals (and hence simulated results) are identical with the kernel
 layer on or off.
 
 **Escape hatch.**  ``SimOptions(kernels=False)`` — the CLI's
-``--no-kernels`` flag or the deprecated ``REPRO_DSM_NO_KERNELS=1``
-alias — restores the per-element scalar reference loops in every app.
+``--no-kernels`` flag — restores the per-element scalar reference
+loops in every app.
 Simulated stats, counters, and traces are bit-identical either way
 (locked in by ``tests/test_engine_equivalence.py``); only wall clock
 differs.

@@ -84,8 +84,10 @@ def worker(env, shared: Dict, params: Dict):
     # accumulation loop every step (the chunk bands never change).
     accum_regions: Dict[int, object] = {}
     for _ in range(steps):
-        # Zero the global force vectors for the chunk we own.
-        yield from force.write_rows(env, lo, np.zeros((n_mine, 3)))
+        # Zero the global force vectors for the chunk we own (ranks
+        # past the last molecule own none).
+        if n_mine:
+            yield from force.write_rows(env, lo, np.zeros((n_mine, 3)))
         yield from env.barrier(0)
 
         # Force phase: all positions against my chunk.
@@ -130,21 +132,22 @@ def worker(env, shared: Dict, params: Dict):
         yield from env.barrier(0)
 
         # Update phase: integrate my molecules.
-        my_force = yield from force.read_rows(env, lo, hi)
-        my_vel = yield from vel.read_rows(env, lo, hi)
-        my_pos = yield from pos.read_rows(env, lo, hi)
-        yield from env.compute(
-            n_mine * US_PER_MOL_UPDATE, polls=n_mine, ws=ws
-        )
-        if kernels.ENABLED:
-            new_vel, new_pos = kernels.water_integrate(
-                my_pos, my_vel, my_force, DT
+        if n_mine:
+            my_force = yield from force.read_rows(env, lo, hi)
+            my_vel = yield from vel.read_rows(env, lo, hi)
+            my_pos = yield from pos.read_rows(env, lo, hi)
+            yield from env.compute(
+                n_mine * US_PER_MOL_UPDATE, polls=n_mine, ws=ws
             )
-        else:
-            new_vel = my_vel + my_force * DT
-            new_pos = my_pos + new_vel * DT
-        yield from vel.write_rows(env, lo, new_vel)
-        yield from pos.write_rows(env, lo, new_pos)
+            if kernels.ENABLED:
+                new_vel, new_pos = kernels.water_integrate(
+                    my_pos, my_vel, my_force, DT
+                )
+            else:
+                new_vel = my_vel + my_force * DT
+                new_pos = my_pos + new_vel * DT
+            yield from vel.write_rows(env, lo, new_vel)
+            yield from pos.write_rows(env, lo, new_pos)
         yield from env.barrier(0)
     env.stop_timer()
     if rank == 0:

@@ -367,7 +367,6 @@ class Cluster:
                     node.protocol_processor.serve_forever(),
                     name=f"pp-node{node.nid}",
                     daemon=True,
-                    shard=node.nid,
                 )
 
     def same_node(self, rank_a: int, rank_b: int) -> bool:

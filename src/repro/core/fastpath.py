@@ -22,17 +22,16 @@ transition (fault upgrades, invalidations, release/barrier downgrades).
 fault/invalidate/downgrade sequences for all three protocols.
 
 Escape hatch: ``SimOptions(fastpath=False)`` — the CLI's
-``--no-fastpath`` flag, or the deprecated ``REPRO_DSM_NO_FASTPATH=1``
-alias — disables the fast path entirely and restores the per-page
-generator loop.  Simulated times, counters, and traces are
+``--no-fastpath`` flag — disables the fast path entirely and restores
+the per-page generator loop.  Simulated times, counters, and traces are
 bit-identical either way (locked in by
 ``tests/test_engine_equivalence.py``); only wall clock differs.
 
-With ``SimOptions(debug_checks=True)`` (``--debug-checks`` /
-``REPRO_DSM_DEBUG=1``), the runtime additionally re-checks bitmap/perm
-coherence at every barrier (see ``Env.barrier``), so a drifting
-transition is caught at the first synchronization point after it
-happens instead of at the end of the run.
+With ``SimOptions(debug_checks=True)`` (``--debug-checks``), the
+runtime additionally re-checks bitmap/perm coherence at every barrier
+(see ``Env.barrier``), so a drifting transition is caught at the first
+synchronization point after it happens instead of at the end of the
+run.
 """
 
 from __future__ import annotations
@@ -54,14 +53,6 @@ def set_enabled(flag: bool) -> None:
     """Toggle the fast path in-process (benchmarks and tests)."""
     global ENABLED
     ENABLED = bool(flag)
-
-
-def refresh_from_env() -> None:
-    """Re-read both switches from the deprecated environment aliases."""
-    global ENABLED, DEBUG
-    options = _options.SimOptions.from_env(warn=False)
-    ENABLED = options.fastpath
-    DEBUG = options.debug_checks
 
 
 #: perm -> (readable, writable), resolved once instead of two enum

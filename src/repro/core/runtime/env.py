@@ -105,7 +105,7 @@ class Env:
             self.proc, "barrier", dur=self.now - t0, barrier=barrier_id
         )
         if fastpath.DEBUG:
-            # REPRO_DSM_DEBUG=1: re-verify bitmap/perm coherence at
+            # --debug-checks: re-verify bitmap/perm coherence at
             # every synchronization point, so a drifting permission
             # transition is caught right after it happens.
             self.protocol.check_perm_bitmaps()

@@ -222,20 +222,14 @@ def run_program(
             stats[rank].freeze(engine.now)
         # The real process stays alive after its work is done and keeps
         # fielding remote requests (polls/interrupts) while idle.
-        proc = cluster.proc(rank)
         engine.process(
-            proc.serve_forever(),
+            cluster.proc(rank).serve_forever(),
             name=f"idle-p{rank}",
             daemon=True,
-            shard=proc.node.nid,
         )
 
     for rank in range(run_cfg.nprocs):
-        engine.process(
-            run_worker(rank),
-            name=f"{program.name}-w{rank}",
-            shard=cluster.proc(rank).node.nid,
-        )
+        engine.process(run_worker(rank), name=f"{program.name}-w{rank}")
     engine.run()
     protocol.check_invariants()
     if backing is not None and space.backing_digest() != backing:

@@ -11,8 +11,9 @@ resolved by one vectorized permission-bitmap check and a direct
 gather/scatter, entering no protocol generator at all.  Cold spans fall
 into the protocol's ``ensure_read_span`` / ``ensure_write_span`` batch
 fault loops, which preserve per-page event order, counters, and traces
-exactly.  ``REPRO_DSM_NO_FASTPATH=1`` restores the original per-page
-generator loop; simulated results are bit-identical either way.
+exactly.  ``SimOptions(fastpath=False)`` (``--no-fastpath``) restores
+the original per-page generator loop; simulated results are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -496,7 +497,7 @@ class SharedArray:
     # shape when everything is hot, and the *exact* per-segment
     # fault/charge replay when anything is cold.  ``read_region`` /
     # ``write_region`` are bit-identical to the equivalent per-row loop
-    # under every protocol, both queue modes, and fastpath on/off —
+    # under every protocol, on both engines, and fastpath on/off —
     # hot reads are event-free everywhere, hot writes are event-free
     # only under ``free_writes`` (the scatter is gated on it), and cold
     # segments run ``ensure_read_span`` / ``ensure_write_span`` in

@@ -111,43 +111,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "disable the vectorized shared-access fast path (restores "
-            "the per-page generator loop; bit-identical results, "
-            "replaces $REPRO_DSM_NO_FASTPATH)"
+            "the per-page generator loop; bit-identical results)"
         ),
     )
     parser.add_argument(
         "--debug-checks",
         action="store_true",
-        help=(
-            "re-verify permission-bitmap coherence at every barrier "
-            "(replaces $REPRO_DSM_DEBUG)"
-        ),
-    )
-    parser.add_argument(
-        "--no-calqueue",
-        action="store_true",
-        help=(
-            "use the plain binary-heap event scheduler instead of the "
-            "calendar queue (bit-identical results, replaces "
-            "$REPRO_DSM_NO_CALQUEUE)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shard",
-        action="store_true",
-        help=(
-            "use the flat calendar queue instead of the sharded event "
-            "scheduler (bit-identical results, replaces "
-            "$REPRO_DSM_NO_SHARD; the A/B hatch for large-P wall-clock)"
-        ),
+        help="re-verify permission-bitmap coherence at every barrier",
     )
     parser.add_argument(
         "--no-kernels",
         action="store_true",
         help=(
             "run the per-element scalar reference loops instead of the "
-            "vectorized app kernels (bit-identical results, replaces "
-            "$REPRO_DSM_NO_KERNELS)"
+            "vectorized app kernels (bit-identical results)"
         ),
     )
     parser.add_argument(
@@ -216,9 +193,7 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
     options = SimOptions.from_flags(
         no_fastpath=args.no_fastpath,
         debug_checks=args.debug_checks,
-        no_calqueue=args.no_calqueue,
         no_kernels=args.no_kernels,
-        no_shard=args.no_shard,
         network=args.network,
         granularity=args.granularity,
         prefetch=args.prefetch,

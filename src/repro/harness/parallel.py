@@ -47,7 +47,7 @@ class PointSpec:
     warm_start: bool = True
     trace: bool = False
     overrides: Dict[str, Any] = field(default_factory=dict)
-    # Wall-clock toggles only (fast path, queue mode, debug checks):
+    # Wall-clock toggles only (fast path, kernels, debug checks):
     # every combination is bit-identical, so options never enter cache
     # keys.  Shipping them in the spec makes worker processes honour the
     # CLI flags under both fork and spawn start methods.

@@ -1,16 +1,9 @@
 """Typed simulation options: the one place runtime toggles live.
 
-Three PRs of growth scattered the simulator's switches across
-environment variables (``REPRO_DSM_NO_FASTPATH``, ``REPRO_DSM_DEBUG``,
-and now ``REPRO_DSM_NO_CALQUEUE``).  :class:`SimOptions` consolidates
-them into a single dataclass that the CLI plumbs from flags
-(``--no-fastpath``, ``--debug-checks``, ``--no-calqueue``) and that the
-parallel harness ships to worker processes inside each
-:class:`~repro.harness.parallel.PointSpec`.
-
-The environment variables keep working as **deprecated aliases**: they
-are folded into :meth:`SimOptions.from_env` and produce a one-time
-stderr warning pointing at the replacement flag.  Every toggle is a
+:class:`SimOptions` is a single dataclass that the CLI plumbs from
+flags (``--no-fastpath``, ``--debug-checks``, ``--no-kernels``, ...)
+and that the parallel harness ships to worker processes inside each
+:class:`~repro.harness.parallel.PointSpec`.  Every toggle is a
 wall-clock lever only — simulated results are bit-identical in every
 combination (locked in by ``tests/test_engine_equivalence.py``) — with
 one documented exception: ``network`` selects the simulated
@@ -24,37 +17,8 @@ goldens (``tests/golden_networks.json``).
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional
-
-#: Deprecated environment aliases: var -> (SimOptions field, value when
-#: the var is set, replacement CLI flag named in the warning).
-_ENV_ALIASES = {
-    "REPRO_DSM_NO_FASTPATH": ("fastpath", False, "--no-fastpath"),
-    "REPRO_DSM_DEBUG": ("debug_checks", True, "--debug-checks"),
-    "REPRO_DSM_NO_CALQUEUE": ("calqueue", False, "--no-calqueue"),
-    "REPRO_DSM_NO_KERNELS": ("kernels", False, "--no-kernels"),
-    "REPRO_DSM_NO_SHARD": ("shard", False, "--no-shard"),
-}
-
-_warned_vars = set()
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0")
-
-
-def _warn_once(var: str, flag: str) -> None:
-    if var in _warned_vars:
-        return
-    _warned_vars.add(var)
-    print(
-        f"[repro-dsm] warning: ${var} is deprecated; "
-        f"use the {flag} flag (or repro.SimOptions) instead",
-        file=sys.stderr,
-    )
 
 
 @dataclass(frozen=True)
@@ -67,21 +31,10 @@ class SimOptions:
         (PR 3).  Off restores the per-page generator loop.
     ``debug_checks``
         Re-verify bitmap/permission coherence at every barrier.
-    ``calqueue``
-        Bucketed calendar queue + event pooling in the simulation
-        engine (PR 4).  Off restores the plain binary-heap
-        scheduler with per-event allocation — the A/B escape hatch.
     ``kernels``
         Vectorized application kernels over the bulk region API
         (PR 5).  Off restores the per-element scalar reference loops
         in every app — the A/B escape hatch for the kernel layer.
-    ``shard``
-        Sharded calendar queue in the simulation engine (PR 7): the
-        same-timestamp cascade ring, recycled bucket free list, and
-        batched bare-delay resume that keep large-P event storms O(1)
-        per entry.  Off restores the PR 4 flat calendar queue — the
-        A/B escape hatch for the sharded scheduler.  Only meaningful
-        when ``calqueue`` is on (the binary heap has no shards).
     ``network``
         Interconnect backend name (``memch``, ``rdma``, ``ethernet``;
         see docs/NETWORKS.md).  **Not** a wall-clock toggle: it changes
@@ -101,51 +54,31 @@ class SimOptions:
 
     fastpath: bool = True
     debug_checks: bool = False
-    calqueue: bool = True
     kernels: bool = True
-    shard: bool = True
     network: str = "memch"
     granularity: str = "page"
     prefetch: str = "none"
     homing: str = "first-touch"
 
     @classmethod
-    def from_env(cls, warn: bool = True) -> "SimOptions":
-        """Build options from the deprecated ``REPRO_DSM_*`` aliases."""
-        options = cls()
-        for var, (fld, value, flag) in _ENV_ALIASES.items():
-            if _env_flag(var):
-                if warn:
-                    _warn_once(var, flag)
-                options = replace(options, **{fld: value})
-        return options
-
-    @classmethod
     def from_flags(
         cls,
         no_fastpath: bool = False,
         debug_checks: bool = False,
-        no_calqueue: bool = False,
         no_kernels: bool = False,
-        no_shard: bool = False,
         network: Optional[str] = None,
         granularity: Optional[str] = None,
         prefetch: Optional[str] = None,
         homing: Optional[str] = None,
     ) -> "SimOptions":
-        """Build options from CLI flag values, layered over the
-        environment aliases (explicit flags win)."""
-        options = cls.from_env()
+        """Build options from CLI flag values over the defaults."""
+        options = cls()
         if no_fastpath:
             options = replace(options, fastpath=False)
         if debug_checks:
             options = replace(options, debug_checks=True)
-        if no_calqueue:
-            options = replace(options, calqueue=False)
         if no_kernels:
             options = replace(options, kernels=False)
-        if no_shard:
-            options = replace(options, shard=False)
         if network is not None:
             options = replace(options, network=network)
         if granularity is not None:
@@ -160,9 +93,9 @@ class SimOptions:
         """Install these options as the process-wide current set.
 
         Mirrors the toggles into the modules that consume them
-        (``repro.core.fastpath`` keeps its ``ENABLED``/``DEBUG`` module
-        globals for backward compatibility; new engines pick up the
-        queue mode at construction).  Returns self for chaining.
+        (``repro.core.fastpath`` and ``repro.apps.kernels`` keep
+        ``ENABLED``/``DEBUG`` module globals the hot paths probe).
+        Returns self for chaining.
         """
         global _current
         _current = self
@@ -176,21 +109,14 @@ class SimOptions:
         return self
 
 
-#: The process-wide options; engines and the fast path read this at
-#: construction / import.  ``SimOptions.apply`` replaces it.
+#: The process-wide options; the fast path and the kernel layer read
+#: this at import.  ``SimOptions.apply`` replaces it.
 _current: Optional[SimOptions] = None
 
 
 def current() -> SimOptions:
-    """The active options (initialized from the environment once)."""
+    """The active options (the defaults until something applies)."""
     global _current
     if _current is None:
-        _current = SimOptions.from_env()
+        _current = SimOptions()
     return _current
-
-
-def reset_for_tests() -> None:
-    """Forget the cached options and warnings (test isolation)."""
-    global _current
-    _current = None
-    _warned_vars.clear()

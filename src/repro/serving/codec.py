@@ -25,6 +25,7 @@ tests and the load generator compare these bytes (or the SHA-256
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -53,18 +54,9 @@ REQUEST_FIELDS = (
     "overrides",
 )
 
-#: ``options`` sub-object fields (the SimOptions surface).
-OPTION_FIELDS = (
-    "fastpath",
-    "debug_checks",
-    "calqueue",
-    "kernels",
-    "shard",
-    "network",
-    "granularity",
-    "prefetch",
-    "homing",
-)
+#: ``options`` sub-object fields: exactly the SimOptions dataclass, so
+#: the wire surface cannot drift from it.
+OPTION_FIELDS = tuple(field.name for field in dataclasses.fields(SimOptions))
 
 #: Sharing-policy fields (docs/POLICIES.md), validated eagerly wherever
 #: they appear — in ``options`` or in ``overrides`` — so an unknown

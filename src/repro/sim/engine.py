@@ -12,19 +12,47 @@ the DSM simulation needs:
   the cluster model uses to deliver remote requests into a running
   compute block.
 
-The inner loop is deliberately allocation-light, and (as of the PR 4
-overhaul) the scheduler itself is a **bucketed calendar queue**: pending
-callbacks are grouped into per-timestamp buckets (a dict keyed by the
-exact firing time, with a small heap ordering the distinct times), so
-the extremely common same-timestamp schedules — event fire delivery,
-barrier wake-ups of every waiting processor, interrupt posting —
-are O(1) list appends instead of O(log n) heap pushes of fresh tuples.
-Within a bucket, entries fire in push order, which is exactly the
-``(when, seq)`` order the old binary heap produced, so simulated
-results are bit-identical (``tests/test_engine_queue.py`` proves the
-orders equal on random schedules; the goldens run in both modes).
+**The ordering contract.**  Every simulated result comes from one event
+order: queue entries fire in ``(when, push order)`` — earliest time
+first, and at equal times in the order they were pushed.  Entries from
+different nodes at the same time are *not* commutative (messenger
+queues are served in arrival order), so there is one global queue.
+Time never moves backwards: :meth:`Engine.schedule`,
+:meth:`Engine.call_at`, :meth:`Engine.succeed_at`, :class:`Timeout` and
+:class:`Until` reject the past when they push, and the drain raises if
+it ever meets a bucket earlier than ``now``.
 
-Two further allocation levers ride on the same switch:
+**One scheduler** keeps that order — a calendar queue with a
+same-timestamp ring:
+
+* **Ring** — entries pushed for exactly ``now`` during delivery (the
+  second hop of every bare delay, fire deliveries, interrupt posts, and
+  the barrier wake storms that grow O(P)) append to a plain list that
+  is drained next, in push order: no heap, no dict, no allocation.  At
+  256 processors ~46% of all pushes ride it.
+* **Buckets** — an entry for a future time appends to that exact
+  time's bucket (a flat ``[func, arg, func, arg, ...]`` list); a heap
+  of the distinct times orders the buckets.  Drained buckets and ring
+  batches are recycled through a bounded list pool.
+* **A flat top level** — with the ring absorbing every same-time push,
+  the heap holds only distinct *future* times, ~130 entries at 256
+  processors (the simulated cluster's event horizon, not its event
+  count).  An epoch-sharded wheel over that heap was prototyped and
+  measured *slower* — the epoch indexing cost more than a heappush into
+  a ~100-entry heap saves — so the top level stays a flat heap.
+* **Two drain shortcuts**, both order-exact: a bare-delay fire that is
+  the last entry of a batch, with the ring empty, delivers its resume
+  inline (the resume would be the next entry anyway); and a batch made
+  only of bare-delay fires, with the ring empty, resumes every process
+  directly in push order (the whole-batch resume that turns an O(P)
+  wake storm into one pass).
+
+The reference for the order is the binary heap of ``(when, seq, func,
+arg)`` tuples the engine started as.  It survives only as a test
+oracle, ``HeapEngine`` in ``tests/heap_oracle.py``: the random-schedule
+property tests and the golden replays compare production against it.
+
+Allocation levers on the same path:
 
 * **Event pooling** — :meth:`Engine.timeout` and :meth:`Engine.any_of`
   recycle their objects through per-engine free lists.  An event
@@ -33,8 +61,8 @@ Two further allocation levers ride on the same switch:
   delivery); each reuse bumps a generation counter and resets the
   callback list, so callbacks can never leak across generations
   (property-tested in ``tests/test_engine_queue.py``).
-* **No closures on the hot path** — heap entries are plain
-  ``(when, func, arg)``; callback registration hands out *cells*
+* **No closures on the hot path** — queue entries are plain
+  ``(func, arg)`` pairs; callback registration hands out *cells*
   cancelled in O(1) by tombstoning rather than ``list.remove``.
 * **Bare-delay yields** — a process may yield a plain ``float``/``int``
   instead of a :class:`Timeout`: "resume me in this many microseconds,
@@ -54,42 +82,6 @@ Two further allocation levers ride on the same switch:
   bit-for-bit.  ``Processor.busy_run`` folds such a run left to right
   and sleeps through it with one ``Until`` — one wake instead of one
   per delay.
-
-Escape hatch: ``SimOptions(calqueue=False)`` (CLI ``--no-calqueue``,
-deprecated alias ``REPRO_DSM_NO_CALQUEUE=1``) restores the plain binary
-heap and per-event allocation for A/B verification.
-
-PR 7 shards the calendar queue for 64–1024-processor clusters
-(``SimOptions(shard=True)``, the default; CLI ``--no-shard`` restores
-the PR 4 flat calendar queue for A/B verification):
-
-* **Same-timestamp cascade ring** (level 0) — entries scheduled for
-  exactly the current time during delivery (the second hop of every
-  bare delay, fire deliveries, interrupt posts, and the barrier wake
-  storms that grow O(P)) land in a plain ring list instead of opening
-  a fresh bucket: no heap round trip, no dict traffic, no allocation.
-  At 256 processors ~46% of all pushes ride this channel.
-* **Bucket free list** — drained per-timestamp buckets (and ring
-  batches) are recycled through a bounded pool, so the allocation in
-  ``_push_bucket`` (the last profiled engine lever) disappears.
-* **Small top-level time index** — with the cascade ring absorbing
-  every same-timestamp push, the top-level heap holds only *distinct
-  future* times, which stays small (~130 entries at 256 processors —
-  the simulated cluster's event horizon, not its event count).  An
-  epoch-sharded wheel over that heap was prototyped and measured
-  *slower* (the epoch indexing cost more than a heappush into a
-  ~100-entry heap saves), so the top level deliberately stays a flat
-  heap; the measurement lives in BENCH_PR7.json's design notes.
-
-Entries from different nodes at the same timestamp are **not**
-commutative (messenger queues are served in arrival order), so the
-shards preserve one global drain order — bit-identical simulated
-results in all three queue modes is the contract, enforced by the
-goldens.  What stays node-local is the accounting: processes carry a
-``shard`` tag (their node id), and :meth:`Engine.enable_shard_meter`
-turns on per-shard delivery meters (fired-event counts, last-delivery
-times) that the scaling invariant tests check — global time never
-moves backwards across shards.
 """
 
 from __future__ import annotations
@@ -135,8 +127,8 @@ _COMPACT_MIN_DEAD = 8
 #: delay (no event object to register a callback with).
 _BUSY_WAIT = object()
 
-#: Sharded-queue tuning: bound on the recycled-list pool (drained
-#: buckets and cascade-ring batches are reused instead of reallocated).
+#: Bound on the recycled-list pool (drained buckets and ring batches
+#: are reused instead of reallocated).
 _POOL_MAX = 128
 
 
@@ -303,7 +295,6 @@ class Process(Event):
         "generator",
         "name",
         "daemon",
-        "shard",
         "_waiting_on",
         "_wait_cell",
         "_interrupt_pending",
@@ -317,15 +308,11 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: str = "proc",
         daemon: bool = False,
-        shard: int = 0,
     ):
         super().__init__(engine)
         self.generator = generator
         self.name = name
         self.daemon = daemon
-        #: Event-shard tag (the owning node id on cluster runs); only
-        #: read by the per-shard delivery meters, never by scheduling.
-        self.shard = shard
         self._waiting_on: Optional[Event] = None
         self._wait_cell: Optional[Cell] = None
         self._interrupt_pending: Optional[Interrupt] = None
@@ -481,56 +468,32 @@ def _delay_resume(pair) -> None:
 
 
 class Engine:
-    """The event loop.
+    """The event loop: the calendar queue with a same-timestamp ring
+    described in the module docstring.
 
-    Two interchangeable schedulers (selected by
-    :class:`repro.options.SimOptions`, default calendar queue):
+    * ``_ring`` — flat ``[func, arg, ...]`` entries pushed for ``now``;
+    * ``_buckets`` — exact future time -> flat entry list, with
+      ``_times`` the heap of those distinct times;
+    * ``_list_pool`` — drained buckets and ring batches for reuse.
 
-    * **calendar queue** — per-timestamp buckets (``_buckets``: exact
-      firing time -> flat ``[func, arg, func, arg, ...]`` list) with a
-      heap of distinct times (``_times``).  Same-time schedules append;
-      within a bucket, entries fire in push order — identical global
-      order to the binary heap's ``(when, seq)``.
-    * **binary heap** — the original time-ordered heap of
-      ``(when, seq, func, arg)`` tuples (the A/B escape hatch).
+    ``events_fired`` counts delivered entries — the denominator of the
+    wall-clock-per-simulated-event metric.  A drain shortcut counts the
+    hop it skips, so the count is the heap oracle's pop count whenever
+    no bare-delay sleep is interrupted (an interrupted sleep's stale
+    hop is counted here but never queued by the heap).
     """
 
-    def __init__(self, options=None) -> None:
-        if options is None:
-            from repro import options as _options_mod
-
-            options = _options_mod.current()
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.calqueue: bool = bool(getattr(options, "calqueue", True))
-        self.sharded: bool = self.calqueue and bool(
-            getattr(options, "shard", True)
-        )
-        # binary-heap state
-        self._heap: List = []
-        self._seq = 0
-        # calendar-queue state
+        self._ring: List = []
         self._times: List[float] = []
         self._buckets: dict = {}
-        # sharded-queue state: same-timestamp cascade ring and the
-        # recycled list pool (drained buckets and ring batches).
-        self._ring: List = []
         self._list_pool: List[list] = []
-        #: Delivered (func, arg) entries, all queue modes — the
-        #: denominator of the wall-clock-per-simulated-event metric.
         self.events_fired: int = 0
-        # per-shard delivery meters (None unless enabled by tests /
-        # the scaling smoke checks; see enable_shard_meter)
-        self._shard_meter: Optional[dict] = None
-        self._shard_violations: List = []
         self._processes: List[Process] = []
-        # free lists for pooled events (calendar-queue mode only; the
-        # escape hatch restores per-event allocation wholesale)
+        # free lists for pooled events
         self._timeout_pool: List[Timeout] = []
         self._anyof_pool: List[AnyOf] = []
-        if self.sharded:
-            self._push = self._push_shard  # type: ignore[method-assign]
-        elif self.calqueue:
-            self._push = self._push_bucket  # type: ignore[method-assign]
 
     # -- public construction helpers ----------------------------------
 
@@ -539,29 +502,10 @@ class Engine:
         generator: Generator[Event, Any, Any],
         name: str = "proc",
         daemon: bool = False,
-        shard: int = 0,
     ) -> Process:
-        proc = Process(self, generator, name, daemon, shard)
+        proc = Process(self, generator, name, daemon)
         self._processes.append(proc)
         return proc
-
-    def enable_shard_meter(self) -> dict:
-        """Turn on per-shard delivery meters (test instrumentation).
-
-        Returns the live meter dict: shard id -> ``[fired_count,
-        last_delivery_time]``.  A delivery at a time earlier than the
-        shard's last recorded delivery is appended to
-        :attr:`shard_violations` — the invariant the 256p scaling
-        smoke test checks is that this list stays empty (global time
-        never moves backwards across shards).
-        """
-        if self._shard_meter is None:
-            self._shard_meter = {}
-        return self._shard_meter
-
-    @property
-    def shard_violations(self) -> List:
-        return self._shard_violations
 
     def call_at(self, when: float, action: Callable[[], None]) -> None:
         """Run ``action`` at absolute sim time ``when``."""
@@ -602,8 +546,7 @@ class Engine:
             self._push(self.now + delay, _succeed, t)
             return t
         t = Timeout(self, delay)
-        if self.calqueue:
-            t._recycle_list = pool
+        t._recycle_list = pool
         return t
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
@@ -614,21 +557,14 @@ class Engine:
             a._arm(events)
             return a
         a = AnyOf(self, events)
-        if self.calqueue:
-            a._recycle_list = pool
+        a._recycle_list = pool
         return a
 
     # -- running -------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until no work remains (or ``until`` sim time); return now."""
-        if self.sharded:
-            exhausted = self._run_shard(until)
-        elif self.calqueue:
-            exhausted = self._run_calqueue(until)
-        else:
-            exhausted = self._run_heap(until)
-        if not exhausted:
+        if not self._drain(until):
             return self.now  # stopped at ``until`` with work pending
         stuck = [
             p.name for p in self._processes if p.is_alive and not p.daemon
@@ -639,73 +575,14 @@ class Engine:
             )
         return self.now
 
-    def _run_heap(self, until: Optional[float]) -> bool:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                self.now = until
-                return False
-            _when, _seq, func, arg = pop(heap)
-            if when < self.now:
-                raise RuntimeError("event scheduled in the past")
-            self.now = when
-            self.events_fired += 1
-            func(arg)
-        return True
+    def _drain(self, until: Optional[float]) -> bool:
+        """Deliver entries in ``(when, push order)``; False if stopped
+        at ``until`` with work pending.
 
-    def _run_calqueue(self, until: Optional[float]) -> bool:
-        times = self._times
-        buckets = self._buckets
-        pop = heapq.heappop
-        while times:
-            when = times[0]
-            if until is not None and when > until:
-                self.now = until
-                return False
-            if when < self.now:
-                raise RuntimeError("event scheduled in the past")
-            pop(times)
-            self.now = when
-            # Entries scheduled for this same time *during* delivery
-            # open a fresh bucket (this one is already detached), which
-            # the loop drains on its next iteration — preserving global
-            # push order exactly.
-            bucket = buckets.pop(when)
-            n = len(bucket)
-            i = 0
-            while i < n:
-                func = bucket[i]
-                arg = bucket[i + 1]
-                i += 2
-                if func is _delay_fire:
-                    # A bare delay's first hop.  Its second hop would be
-                    # appended to the fresh bucket for this same time;
-                    # when this is the last entry of the current bucket
-                    # and no fresh bucket exists, that append position
-                    # is provably "run next" — so skip the heap round
-                    # trip and deliver the resume inline.  (Identical
-                    # firing order either way; the detour is only an
-                    # allocation/heap saving.)
-                    if i == n and when not in buckets:
-                        self.events_fired += 1
-                        _delay_resume(arg)
-                    else:
-                        _delay_fire(arg)
-                else:
-                    func(arg)
-            self.events_fired += n >> 1
-        return True
-
-    def _run_shard(self, until: Optional[float]) -> bool:
-        """The sharded scheduler: cascade ring over the bucketed heap.
-
-        Drain order is identical to :meth:`_run_calqueue`: the ring
-        holds exactly the entries that would have opened a fresh
-        bucket for the current time (drained next in push order), and
-        the heap yields the distinct future times in the same numeric
-        order either way.
+        The ring holds exactly the entries pushed for ``now`` since the
+        current batch was detached, so draining it before the next
+        bucket keeps push order; the heap yields the distinct future
+        times in numeric order.
         """
         times = self._times
         buckets = self._buckets
@@ -714,8 +591,8 @@ class Engine:
         while True:
             batch = self._ring
             if batch:
-                # Cascade entries at self.now: detach the ring (fresh
-                # pushes during delivery open the next one) and drain.
+                # Entries at self.now: detach the ring (pushes during
+                # delivery open the next one) and drain.
                 self._ring = pool.pop() if pool else []
             else:
                 if not times:
@@ -730,10 +607,7 @@ class Engine:
                 self.now = when
                 batch = buckets.pop(when)
             n = len(batch)
-            if self._shard_meter is not None:
-                self.events_fired += n >> 1
-                self._deliver_metered(batch)
-            elif not self._ring and _is_pure_delay(batch, n):
+            if not self._ring and _is_pure_delay(batch, n):
                 # Whole-batch resume: every entry is a bare-delay first
                 # hop and the ring is empty, so the original schedule is
                 # provably [fire1..fireK][resume1..resumeK] with the
@@ -756,11 +630,10 @@ class Engine:
                     arg = batch[i + 1]
                     i += 2
                     if func is _delay_fire:
-                        # Same inline-resume saving as _run_calqueue:
-                        # when this bare-delay fire is the last entry
-                        # of the batch and the cascade ring is empty,
-                        # its resume is provably the next entry to run
-                        # — deliver it without the ring detour.
+                        # Inline resume: when this bare-delay fire is
+                        # the last entry of the batch and the ring is
+                        # empty, its resume is provably the next entry
+                        # to run — deliver it without the ring detour.
                         if i == n and not self._ring:
                             self.events_fired += 1
                             _delay_resume(arg)
@@ -772,59 +645,12 @@ class Engine:
                 batch.clear()
                 pool.append(batch)
 
-    def _deliver_metered(self, bucket: list) -> None:
-        """The shard-metered drain (test instrumentation path only)."""
-        n = len(bucket)
-        i = 0
-        while i < n:
-            func = bucket[i]
-            arg = bucket[i + 1]
-            i += 2
-            self._meter_entry(arg)
-            if func is _delay_fire:
-                if i == n and not self._ring:
-                    _delay_resume(arg)
-                else:
-                    _delay_fire(arg)
-            else:
-                func(arg)
-
-    def _meter_entry(self, arg: Any) -> None:
-        obj = arg[0] if type(arg) is tuple else arg
-        shard = getattr(obj, "shard", 0)
-        meter = self._shard_meter
-        rec = meter.get(shard)
-        if rec is None:
-            meter[shard] = [1, self.now]
-        else:
-            if self.now < rec[1]:
-                self._shard_violations.append((shard, rec[1], self.now))
-            rec[0] += 1
-            rec[1] = self.now
-
     # -- internals -----------------------------------------------------
 
     def _push(self, when: float, func: Callable[[Any], None], arg: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, func, arg))
-
-    def _push_bucket(
-        self, when: float, func: Callable[[Any], None], arg: Any
-    ) -> None:
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            heapq.heappush(self._times, when)
-            self._buckets[when] = [func, arg]
-        else:
-            bucket.append(func)
-            bucket.append(arg)
-
-    def _push_shard(
-        self, when: float, func: Callable[[Any], None], arg: Any
-    ) -> None:
         if when == self.now:
-            # Same-timestamp cascade: stays in the ring, drained next
-            # in push order — never touches the heap or the buckets.
+            # Same-timestamp entry: the ring, drained next in push
+            # order — never touches the heap or the buckets.
             ring = self._ring
             ring.append(func)
             ring.append(arg)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import kernels
 from repro.config import ClusterConfig, CostModel
+from repro.core import fastpath
+from tests.heap_oracle import heap_engine
 
 
 @pytest.fixture(autouse=True)
@@ -47,3 +50,40 @@ def built_systems(monkeypatch):
 
     monkeypatch.setattr(program_mod, "build_system", spying_build)
     return systems
+
+
+# -- golden replays over the wall-clock mode matrix ----------------------
+#
+# One fixture chain, engine -> fast path -> kernels, each depending on
+# the previous so setup and teardown nest.  A replay requests
+# ``kernels_mode`` and picks its engine ids with
+# ``pytest.mark.parametrize("engine_mode", [...], indirect=True)``.
+
+
+@pytest.fixture
+def engine_mode(request):
+    """The engine a replay runs on.  ``heap`` is the binary-heap oracle
+    (tests/heap_oracle.py); every other id is the production engine —
+    ``calqueue``/``noshard`` named retired scheduler modes and are kept
+    so the replayed cases keep their ids."""
+    if request.param == "heap":
+        with heap_engine():
+            yield request.param
+    else:
+        yield request.param
+
+
+@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
+def fastpath_mode(request, engine_mode):
+    saved = fastpath.ENABLED
+    fastpath.set_enabled(request.param)
+    yield request.param
+    fastpath.set_enabled(saved)
+
+
+@pytest.fixture(params=[True, False], ids=["kernels", "scalar"])
+def kernels_mode(request, fastpath_mode):
+    saved = kernels.ENABLED
+    kernels.set_enabled(request.param)
+    yield request.param
+    kernels.set_enabled(saved)

@@ -4,6 +4,7 @@ sequential (unlinked) execution, for both DSM systems."""
 import numpy as np
 import pytest
 
+from repro import api
 from repro.config import (
     ALL_VARIANTS,
     CSM_POLL,
@@ -110,6 +111,22 @@ def test_water_and_em3d_warm_start_match():
         params,
     )
     assert values_match(seq.values[0], warm.values[0])
+
+
+@pytest.mark.parametrize("nprocs", (7, 8))
+def test_water_with_more_processors_than_molecules(nprocs):
+    """Ranks past the last molecule own an empty band: they skip the
+    band's zeroing and update instead of failing on a zero-row access.
+    Six molecules on 7p/8p take the path tiny water (48 molecules) takes
+    at 49p/64p, at a hundredth of the cost."""
+    from repro.apps import water
+
+    params = {"n_mols": 6, "steps": 2}
+    seq = run_sequential(water.program(), params).values[0]
+    for variant in POLLING:
+        par = api.run_point("water", variant, nprocs, params=params)
+        for got, want in zip(par.values[0], seq):
+            assert np.array_equal(got, want), variant.name
 
 
 def test_registry_knows_all_eight_apps():

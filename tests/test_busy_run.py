@@ -4,8 +4,8 @@ occupancies is one engine wake, and nothing simulated can tell.
 Three layers of evidence:
 
 * engine level — ``yield Until(when)`` lands on the bit-identical float
-  time of the delay chain it replaces, in all three queue modes, and
-  obeys the wait-token rule;
+  time of the delay chain it replaces, on the production engine and
+  the binary-heap oracle, and obeys the wait-token rule;
 * processor level — ``busy_run`` charges and sleeps exactly like the
   ``busy`` loop, and both reject negative occupancies;
 * protocol level (the order gate) — the final wake of a run is queued
@@ -15,14 +15,11 @@ Three layers of evidence:
   result digest and the same per-processor trace timeline.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro import options as options_mod
 from repro.cluster.machine import Cluster
 from repro.config import ClusterConfig, CostModel, Mechanism
 from repro.core import run_program
@@ -35,17 +32,17 @@ from tests.helpers import (
     lrc_program,
     timelines,
 )
+from tests.heap_oracle import HeapEngine
 from tests.lrc_oracle import per_occupancy
 
-QUEUE_MODES = {
-    "heap": dict(calqueue=False),
-    "calqueue": dict(calqueue=True, shard=False),
-    "shard": dict(calqueue=True, shard=True),
-}
+#: Engine by test id: ``heap`` is the binary-heap oracle; ``calqueue``
+#: and ``shard`` named retired scheduler modes and now both run the
+#: production engine (kept so the cases keep their ids).
+QUEUE_MODES = {"heap": HeapEngine, "calqueue": Engine, "shard": Engine}
 
 
 def _engine(mode: str) -> Engine:
-    return Engine(replace(options_mod.current(), **QUEUE_MODES[mode]))
+    return QUEUE_MODES[mode]()
 
 
 # -- engine: the third wait form ----------------------------------------

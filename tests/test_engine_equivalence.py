@@ -6,13 +6,13 @@ optimizations landed.  These tests re-run the same configurations and
 require *exact* equality — the optimizations must change wall-clock
 time only, never a single simulated microsecond or counter.
 
-The goldens predate the shared-access fast path and the calendar-queue
-engine, so every case runs with fast path on/off crossed with the three
-scheduler modes — the sharded calendar queue (the default), the
-unsharded calendar queue (``--no-shard``), and the binary heap
-(``--no-calqueue``) — proving every mode reproduces the
-pre-optimization simulated results exactly.  Runs go through the
-public ``repro.api`` facade, so the goldens also pin its behaviour.
+The goldens predate the shared-access fast path, the kernel layer and
+the calendar-queue engine, so every case runs with the fast path on/off
+crossed with the kernel layer on/off, on the production engine and on
+the binary-heap oracle (``tests/heap_oracle.py``) — proving production
+and the ordering reference both reproduce the pre-optimization
+simulated results exactly.  Runs go through the public ``repro.api``
+facade, so the goldens also pin its behaviour.
 
 Regenerate the goldens only when the simulation's *semantics* change
 intentionally (a protocol fix, a cost-model change):
@@ -22,14 +22,10 @@ intentionally (a protocol fix, a cost-model change):
 
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 
 from repro import api
-from repro import options as options_mod
-from repro.apps import kernels
-from repro.core import fastpath
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_engine.json"
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
@@ -47,47 +43,13 @@ def _run(golden):
     )
 
 
-@pytest.fixture(params=["calqueue", "noshard", "heap"])
-def queue_mode(request):
-    # "noshard" is the sharded scheduler's escape hatch (--no-shard):
-    # still the calendar queue, but without the per-shard cascade ring.
-    # The heap ignores the shard flag entirely, so three modes cover
-    # the whole scheduler matrix.
-    saved = options_mod.current()
-    replace(
-        saved,
-        calqueue=request.param != "heap",
-        shard=request.param == "calqueue",
-    ).apply()
-    yield request.param
-    saved.apply()
-
-
-@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
-def fastpath_mode(request, queue_mode):
-    # Depends on queue_mode so its set_enabled lands after (and its
-    # teardown before) the queue fixture's SimOptions.apply().
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(saved)
-
-
-@pytest.fixture(params=[True, False], ids=["kernels", "scalar"])
-def kernels_mode(request, fastpath_mode):
-    # The goldens predate the vectorized kernel layer too: every case
-    # must reproduce them with the app kernels on or off, in every
-    # queue/fastpath combination.
-    saved = kernels.ENABLED
-    kernels.set_enabled(request.param)
-    yield request.param
-    kernels.set_enabled(saved)
-
-
 @pytest.mark.parametrize(
     "golden",
     GOLDENS,
     ids=[f"{g['app']}-{g['variant']}-{g['nprocs']}p" for g in GOLDENS],
+)
+@pytest.mark.parametrize(
+    "engine_mode", ["calqueue", "noshard", "heap"], indirect=True
 )
 def test_run_matches_golden(golden, kernels_mode):
     result = _run(golden)

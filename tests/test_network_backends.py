@@ -4,9 +4,10 @@ Two layers of pinning for the pluggable network backends:
 
 * ``tests/golden_networks.json`` holds exec times, counters, and
   breakdowns for a protocol spread under every backend.  Each golden is
-  replayed over the full wall-clock mode matrix (calendar queue/heap x
-  fast path/legacy x kernels/scalar) and must reproduce *exactly* —
-  the backends are simulated semantics, the wall-clock modes are not.
+  replayed over the wall-clock mode matrix (fast path/legacy x
+  kernels/scalar, on the production engine and the binary-heap oracle)
+  and must reproduce *exactly* — the backends are simulated semantics,
+  the wall-clock modes are not.
 * ``tests/golden_cross_era_<backend>.txt`` pins the rendered cross-era
   study per backend at the same invocation CI diffs against.
 
@@ -23,17 +24,13 @@ intentionally:
 
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro import options as options_mod
-from repro.apps import kernels
 from repro.config import ClusterConfig, CostModel, NETWORK_BACKENDS, Transport
-from repro.core import fastpath
 from repro.cluster.network import NETWORK_MODELS, build_network
 from repro.harness import cross_era
 from repro.harness.runner import ExperimentContext
@@ -46,32 +43,7 @@ N_NODES = 4
 
 # --- golden replay over the wall-clock mode matrix ----------------------
 #
-# Same fixture chain as tests/test_engine_equivalence.py: each fixture
-# depends on the previous one so setup/teardown nest correctly.
-
-
-@pytest.fixture(params=[True, False], ids=["calqueue", "heap"])
-def queue_mode(request):
-    saved = options_mod.current()
-    replace(saved, calqueue=request.param).apply()
-    yield request.param
-    saved.apply()
-
-
-@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
-def fastpath_mode(request, queue_mode):
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(saved)
-
-
-@pytest.fixture(params=[True, False], ids=["kernels", "scalar"])
-def kernels_mode(request, fastpath_mode):
-    saved = kernels.ENABLED
-    kernels.set_enabled(request.param)
-    yield request.param
-    kernels.set_enabled(saved)
+# The fixture chain lives in tests/conftest.py.
 
 
 @pytest.mark.parametrize(
@@ -82,6 +54,7 @@ def kernels_mode(request, fastpath_mode):
         for g in GOLDENS
     ],
 )
+@pytest.mark.parametrize("engine_mode", ["calqueue", "heap"], indirect=True)
 def test_backend_golden_over_mode_matrix(golden, kernels_mode):
     result = api.run_point(
         golden["app"],

@@ -11,10 +11,11 @@ The scaling work promises three kinds of safety:
 * **Values equivalence** — knobs that legitimately re-time the run
   (fan-in choices at 64p, directory sharding on rdma) must still
   compute the same answer.
-* **Global-time monotonicity** — the sharded scheduler must never
-  deliver an event at a time earlier than a shard has already seen;
-  checked both on a full 256-processor application run and with
-  randomized raw-engine schedules (hypothesis).
+* **One event order at scale** — the production scheduler must
+  deliver exactly the binary-heap oracle's order (which moves time
+  forward by construction): a full 256-processor application run
+  digests and traces identically on both, and so do randomized
+  raw-engine schedules (hypothesis).
 
 Plus unit coverage of the supporting cast: ``cluster_for`` growth, the
 resolved ``RunConfig`` knobs, and the weak/strong scaling driver.
@@ -22,7 +23,6 @@ resolved ``RunConfig`` knobs, and the weak/strong scaling driver.
 
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro import options as options_mod
 from repro.apps import barnes, kernels
 from repro.apps.common import deterministic_rng
 from repro.config import (
@@ -45,12 +44,13 @@ from repro.config import (
 from repro.core import run_program
 from repro.core.intervals import IntervalRecord, IntervalStore
 from repro.core.lrc import LrcProtocolBase
-from repro.core.runtime import program as program_mod
 from repro.harness import scaling
 from repro.harness.configs import cluster_for
 from repro.harness.runner import ExperimentContext
 from repro.memory.address_space import AddressSpace
+from repro.serving.codec import result_digest
 from repro.sim import Engine
+from tests.heap_oracle import HeapEngine, heap_engine
 from tests.helpers import values_match
 
 TINY_SOR = dict(rows=24, cols=32, iters=4)
@@ -127,64 +127,40 @@ def test_dir_sharding_on_rdma_computes_identical_values():
     assert single.exec_time > 0 and sharded.exec_time > 0
 
 
-# -- global-time monotonicity across shards -----------------------------
+# -- one event order at scale -------------------------------------------
 
 
-def test_256p_run_never_moves_time_backwards(monkeypatch):
-    """A full 256-processor weak-scaled sor run on the sharded engine:
-    deliveries within every shard must be time-monotonic."""
-    captured = {}
-    real_build = program_mod.build_system
-
-    def spying_build(cfg, **kwargs):
-        system = real_build(cfg, **kwargs)
-        captured["engine"] = system.engine
-        system.engine.enable_shard_meter()
-        return system
-
-    monkeypatch.setattr(program_mod, "build_system", spying_build)
-
+def test_256p_run_never_moves_time_backwards():
+    """A full 256-processor weak-scaled sor run — where the same-time
+    ring and the whole-batch resume do the most work — equals the
+    binary-heap oracle result for result and, per processor, event for
+    event (both engines raise if a drain meets the past)."""
     from repro.apps import sor
 
     params = scaling.weak_params("sor", TINY_SOR, 8, 256)
     cfg = RunConfig(
-        variant=CSM_POLL, nprocs=256, cluster=cluster_for(256)
+        variant=CSM_POLL, nprocs=256, cluster=cluster_for(256), trace=True
     )
-    result = run_program(sor.program(), cfg, params)
-
-    engine = captured["engine"]
-    assert engine.sharded
-    meter = engine.enable_shard_meter()
-    active = [s for s, (fired, _last) in meter.items() if fired]
-    assert len(active) >= 2, "a 64-node run must exercise many shards"
-    assert engine.shard_violations == []
-    assert result.exec_time > 0
+    production = run_program(sor.program(), cfg, params)
+    with heap_engine():
+        oracle = run_program(sor.program(), cfg, params)
+    assert production.exec_time > 0
+    assert result_digest(production) == result_digest(oracle)
+    # The whole timeline, which implies every per-pid one.
+    assert production.trace.timeline() == oracle.trace.timeline()
 
 
 DELAYS = (0.0, 0.5, 1.0, 1.0, 2.0, 3.0)
 
-
-@st.composite
-def _sharded_schedules(draw):
-    n_shards = draw(st.integers(min_value=2, max_value=4))
-    nprocs = draw(st.integers(min_value=2, max_value=6))
-    return [
-        (
-            draw(st.integers(min_value=0, max_value=n_shards - 1)),
-            draw(st.lists(st.sampled_from(DELAYS), min_size=1, max_size=6)),
-        )
-        for _ in range(nprocs)
-    ]
+_schedules = st.lists(
+    st.lists(st.sampled_from(DELAYS), min_size=1, max_size=6),
+    min_size=2,
+    max_size=6,
+)
 
 
-def _trace(sharded: bool, schedules):
-    """Resume log (time, pid, step) for one schedule, plus the engine."""
-    if sharded:
-        opts = replace(options_mod.current(), calqueue=True, shard=True)
-    else:
-        opts = replace(options_mod.current(), calqueue=False)
-    engine = Engine(opts)
-    engine.enable_shard_meter()
+def _trace(engine, schedules):
+    """Resume log (time, pid, step) for one schedule, and its count."""
     log = []
 
     def worker(pid, delays):
@@ -192,22 +168,21 @@ def _trace(sharded: bool, schedules):
             yield float(delay)
             log.append((engine.now, pid, i))
 
-    for pid, (shard, delays) in enumerate(schedules):
-        engine.process(worker(pid, delays), name=f"p{pid}", shard=shard)
+    for pid, delays in enumerate(schedules):
+        engine.process(worker(pid, delays), name=f"p{pid}")
     engine.run()
-    return log, engine
+    return log, engine.events_fired
 
 
-@given(_sharded_schedules())
+@given(_schedules)
 @settings(max_examples=60, deadline=None)
 def test_random_sharded_schedules_are_monotonic_and_heap_identical(
     schedules,
 ):
-    sharded_log, engine = _trace(True, schedules)
-    assert engine.sharded
-    assert engine.shard_violations == []
-    heap_log, _heap_engine = _trace(False, schedules)
-    assert sharded_log == heap_log
+    log, fired = _trace(Engine(), schedules)
+    times = [t for t, _pid, _i in log]
+    assert times == sorted(times)
+    assert (log, fired) == _trace(HeapEngine(), schedules)
 
 
 # -- pinned complexity of the LRC barrier exchange ----------------------

@@ -242,9 +242,8 @@ def test_cache_tier_survives_service_restarts(tmp_path):
         {},
         {"fastpath": False},
         {"kernels": False},
-        {"shard": False},
     ],
-    ids=["default", "no-fastpath", "no-kernels", "no-shard"],
+    ids=["default", "no-fastpath", "no-kernels"],
 )
 def test_served_result_is_byte_identical_to_direct(tmp_path, options):
     request = dict(SOR)

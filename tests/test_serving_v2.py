@@ -14,6 +14,7 @@ queueing unboundedly.  Every payload stays byte-identical to direct
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 
@@ -21,6 +22,7 @@ import pytest
 
 from repro import api
 from repro.harness.cache import CacheStats, ResultCache
+from repro.options import SimOptions
 from repro.serving import (
     NegativeCache,
     ServingClient,
@@ -155,6 +157,26 @@ def test_negative_cache_memoises_deterministic_rejections(tmp_path):
         # First rejection validates and stores; the two repeats are
         # served from memory without touching decode or the pool.
         assert service.stats.negative_hits == 2
+        assert service.negative.as_dict()["stores"] == 1
+
+    _with_server(tmp_path, go)
+
+
+@pytest.mark.parametrize("retired", ["shard", "calqueue"])
+def test_retired_scheduler_options_are_negative_cached_400s(tmp_path, retired):
+    request = dict(SOR, options={retired: False})
+
+    async def go(server, host, port):
+        service = server.service
+        for _ in range(2):
+            with pytest.raises(ServingError) as exc_info:
+                await service.resolve(dict(request))
+            assert exc_info.value.status == 400
+        message = str(exc_info.value)
+        assert f"unknown options field(s) ['{retired}']" in message
+        fields = [f.name for f in dataclasses.fields(SimOptions)]
+        assert f"accepted: {fields}" in message
+        assert service.stats.negative_hits == 1
         assert service.negative.as_dict()["stores"] == 1
 
     _with_server(tmp_path, go)

@@ -10,23 +10,19 @@ Three guarantees, each locked in here:
 * **The default triple is the pre-policy simulator** — passing
   ``(page, none, first-touch)`` explicitly is byte-identical (times,
   counters, values) to not passing policy knobs at all, across the
-  whole fastpath x queue x kernels wall-clock matrix.
+  fastpath x kernels wall-clock matrix on the production engine and
+  the binary-heap oracle.
 * **The machinery actually engages** — prefetch and dynamic-homing
   runs bump their counters, sub-page units respect the per-message
   cost floor, and bad policy values fail loudly at config time.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
-from repro import options as options_mod
-from repro.apps import kernels
 from repro.config import CostModel, RunConfig, variant_by_name
-from repro.core import fastpath
 from repro.memory import policy
 
 VARIANTS = ("csm_poll", "tmk_mc_poll", "hlrc_poll")
@@ -97,38 +93,13 @@ def test_any_policy_combo_preserves_values(
 # -- default-triple bit-identity over the wall-clock mode matrix --------
 
 
-@pytest.fixture(params=["calqueue", "noshard", "heap"])
-def queue_mode(request):
-    saved = options_mod.current()
-    replace(
-        saved,
-        calqueue=request.param != "heap",
-        shard=request.param == "calqueue",
-    ).apply()
-    yield request.param
-    saved.apply()
-
-
-@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
-def fastpath_mode(request, queue_mode):
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(saved)
-
-
-@pytest.fixture(params=[True, False], ids=["kernels", "scalar"])
-def kernels_mode(request, fastpath_mode):
-    saved = kernels.ENABLED
-    kernels.set_enabled(request.param)
-    yield request.param
-    kernels.set_enabled(saved)
-
-
 @pytest.mark.parametrize("app,variant", [
     ("sor", "csm_poll"),
     ("irreg", "hlrc_poll"),
 ])
+@pytest.mark.parametrize(
+    "engine_mode", ["calqueue", "noshard", "heap"], indirect=True
+)
 def test_explicit_default_triple_is_byte_identical(
     app, variant, kernels_mode
 ):
