@@ -67,6 +67,12 @@ class DsmProtocol(abc.ABC):
                 at = proc.engine.now
             self.tracer.emit(at - dur, proc.pid, kind, dur=dur, **details)
 
+    @property
+    def tracing(self) -> bool:
+        """True while an enabled tracer is installed: the hottest trace
+        sites test it before building a :meth:`trace` call at all."""
+        return self.tracer is not None and self.tracer.enabled
+
     # -- page access ------------------------------------------------------
 
     @abc.abstractmethod

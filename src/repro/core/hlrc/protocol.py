@@ -384,23 +384,23 @@ class HlrcProtocol(LrcProtocolBase):
     # base-class hooks
     # ------------------------------------------------------------------
 
-    def _note_record(self, proc: Processor, record, at: float):
+    def _note_record(self, proc: Processor, record, at: float, run):
         pid = proc.pid
         pages = self.procs[pid].pages
         homes = self.homes
         mprotect = self.costs.mprotect
-        costs = []
         for page_idx in record.pages:
-            if homes.get(page_idx) == pid:
-                continue  # the home copy is always current
             page = pages.get(page_idx)
             if page is None or page.perm is Protection.NONE:
-                continue
+                continue  # most notices: nothing mapped to invalidate
+            if homes.get(page_idx) == pid:
+                continue  # the home copy is always current
             self._set_perm(pid, page_idx, page, Protection.NONE)
-            self.trace(proc, "invalidate", page=page_idx, at=at)
+            if self.tracing:
+                self.trace(proc, "invalidate", page=page_idx, at=at)
+            run.append(mprotect)
             at += mprotect
-            costs.append(mprotect)
-        return costs
+        return at
 
     def _serve_data(self, proc: Processor, request: Request) -> Generator:
         if request.kind == PAGE_FETCH:

@@ -12,7 +12,8 @@ hooks at the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ FLAG_WAIT = "lrc_flag_wait"
 # once this many interval records have accumulated.
 GC_RECORD_THRESHOLD = 4096
 GC_BARRIER_ID = -0x6C  # reserved internal barrier for the flush round
+
+_PAGES = attrgetter("pages")
 
 
 @dataclass
@@ -387,9 +390,7 @@ class LrcProtocolBase(DsmProtocol):
         full ``nprocs``-entry timestamp."""
         per = self.costs
         vts_bytes = per.vts_entry_bytes * self.nprocs
-        notices = 0
-        for record in records:
-            notices += len(record.pages)
+        notices = sum(map(len, map(_PAGES, records)))
         return (
             (per.interval_record_bytes + vts_bytes) * len(records)
             + per.write_notice_bytes * notices
@@ -434,30 +435,26 @@ class LrcProtocolBase(DsmProtocol):
         evaluated, which is the one-wake-per-occupancy schedule.
         """
         state = self._state(proc)
-        insert = state.store.insert
+        note = self._note_record
         vts = state.vts
         interval_process = self.costs.interval_process
         per_notice = self._dynamic_homing
         run: List[float] = []  # occupancies not yet slept through
         at = self.engine.now  # simulated time once ``run`` has elapsed
-        for record in records:
-            if not insert(record):
-                continue
+        # Only this processor reads its store, so the batch is admitted
+        # up front; the notices are then examined record by record.
+        for record in state.store.admit(records):
             run.append(interval_process)
             at += interval_process
             if record.iid > vts[record.proc]:
                 vts[record.proc] = record.iid
-            if per_notice:
-                units = [replace(record, pages=(p,)) for p in record.pages]
-            else:
-                units = (record,)
-            for unit in units:
-                if per_notice:
-                    yield from proc.busy_run(run, Category.PROTOCOL)
-                    run = []
-                for us in self._note_record(proc, unit, at):
-                    run.append(us)
-                    at += us
+            if not per_notice:
+                at = note(proc, record, at, run)
+                continue
+            for page_idx in record.pages:
+                yield from proc.busy_run(run, Category.PROTOCOL)
+                run = []
+                at = note(proc, replace(record, pages=(page_idx,)), at, run)
         yield from proc.busy_run(run, Category.PROTOCOL)
 
     # -- locks -------------------------------------------------------------
@@ -852,18 +849,25 @@ class LrcProtocolBase(DsmProtocol):
         yield  # pragma: no cover
 
     def _note_record(
-        self, proc: Processor, record: IntervalRecord, at: float
-    ) -> Sequence[float]:
+        self,
+        proc: Processor,
+        record: IntervalRecord,
+        at: float,
+        run: List[float],
+    ) -> float:
         """``record``'s write notices entered ``proc``'s past.
 
         Synchronous (the hottest hook: once per new record per
         incorporating processor).  Invalidates what the notices make
-        stale and returns the protocol occupancies, in order, that the
-        caller must sleep through and charge — one ``costs.mprotect``
-        per page invalidated, nothing for the common nothing-to-do
-        notice.  ``at`` is the simulated time at which the first notice
-        is examined (the wake itself comes later); trace events are
-        stamped from it, advancing by each occupancy returned.
+        stale and appends the protocol occupancies it costs, in order,
+        straight onto ``run`` — the merge's not-yet-slept run, which the
+        caller sleeps through and charges as one wake — one
+        ``costs.mprotect`` per page invalidated, nothing for the common
+        nothing-to-do notice.  ``at`` is the simulated time at which the
+        first notice is examined (the wake itself comes later); returns
+        ``at`` advanced by each occupancy appended, the left-to-right
+        float fold ``Processor.busy_run`` makes.  Trace events are
+        stamped from it, and built only while a tracer is enabled.
         """
         raise NotImplementedError
 

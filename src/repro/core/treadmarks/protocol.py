@@ -46,17 +46,19 @@ GC_RECORD_THRESHOLD = 4096
 class TmkPage:
     """One processor's view of one page.
 
-    ``pending`` holds write notices ``(writer, interval)`` not yet known
-    to be reflected in the local copy.  ``covered_iid[writer]`` is the
-    writer's highest interval whose writes have certainly been applied;
-    ``have_seq[writer]`` is the highest diff sequence number received
-    from that writer (writers number their diffs per page).
+    ``pending`` maps each writer with write notices not yet known to be
+    reflected in the local copy to its highest such interval — the only
+    one validation asks for, since a writer's diffs are cumulative.
+    ``covered_iid[writer]`` is the writer's highest interval whose
+    writes have certainly been applied; ``have_seq[writer]`` is the
+    highest diff sequence number received from that writer (writers
+    number their diffs per page).
     """
 
     perm: Protection = Protection.NONE
     copy: Optional[np.ndarray] = None
     twin: Optional[np.ndarray] = None
-    pending: List[Tuple[int, int]] = field(default_factory=list)
+    pending: Dict[int, int] = field(default_factory=dict)
     covered_iid: Dict[int, int] = field(default_factory=dict)
     have_seq: Dict[int, int] = field(default_factory=dict)
     # Per-page causal version (a Lamport tag): stands in for the interval
@@ -236,12 +238,12 @@ class TreadMarksProtocol(LrcProtocolBase):
         if page.copy is None:
             yield from self._fetch_base_copy(proc, page_idx, page)
         needed: Dict[int, int] = {}  # writer -> highest interval needed
-        for writer, iid in page.pending:
+        for writer, iid in page.pending.items():
             if writer == proc.pid:
                 continue
             if iid <= page.covered_iid.get(writer, 0):
                 continue
-            needed[writer] = max(needed.get(writer, 0), iid)
+            needed[writer] = iid
         page.pending.clear()
         if not needed:
             return
@@ -395,23 +397,26 @@ class TreadMarksProtocol(LrcProtocolBase):
     # base-class hooks
     # ------------------------------------------------------------------
 
-    def _note_record(self, proc: Processor, record, at: float):
-        state = self._state(proc)
+    def _note_record(self, proc: Processor, record, at: float, run):
+        pid = proc.pid
+        state = self.procs[pid]
         pages = state.pages
-        notice = (record.proc, record.iid)
+        writer, iid = record.proc, record.iid
         mprotect = self.costs.mprotect
-        costs = []
         for page_idx in record.pages:
             page = pages.get(page_idx)
             if page is None:
                 page = state.page(page_idx)
-            page.pending.append(notice)
+            # A writer's records are admitted only in interval order
+            # (``IntervalStore.admit``), so this keeps its highest.
+            page.pending[writer] = iid
             if page.perm is not Protection.NONE:
-                self._set_perm(proc.pid, page_idx, page, Protection.NONE)
-                self.trace(proc, "invalidate", page=page_idx, at=at)
+                self._set_perm(pid, page_idx, page, Protection.NONE)
+                if self.tracing:
+                    self.trace(proc, "invalidate", page=page_idx, at=at)
+                run.append(mprotect)
                 at += mprotect
-                costs.append(mprotect)
-        return costs
+        return at
 
     def _serve_data(self, proc: Processor, request: Request) -> Generator:
         if request.kind == PAGE_FETCH:

@@ -48,7 +48,7 @@ class _PerOccupancyMerge:
 class OracleTreadMarks(_PerOccupancyMerge, tmk_mod.TreadMarksProtocol):
     def _note_remote_write(self, proc, writer, iid, page_idx):
         page = self._state(proc).page(page_idx)
-        page.pending.append((writer, iid))
+        page.pending[writer] = iid
         if page.perm is not Protection.NONE:
             self._set_perm(proc.pid, page_idx, page, Protection.NONE)
             self.trace(proc, "invalidate", page=page_idx)

@@ -26,6 +26,31 @@ def run(worker, nprocs=2, variant=HLRC_POLL, **overrides):
     )
 
 
+def test_dynamic_homing_notice_units_carry_their_rank(monkeypatch):
+    """Under ``homing="dynamic"`` a merge copies each record once per
+    notice (``dataclasses.replace(record, pages=(p,))``): every copy
+    the hook sees must carry ``rank == sum(vts)``, not a stale value."""
+    from repro import api
+    from repro.core.hlrc.protocol import HlrcProtocol
+
+    units = []
+    real = HlrcProtocol._note_record
+
+    def spy(self, proc, record, at, run):
+        units.append(record)
+        return real(self, proc, record, at, run)
+
+    monkeypatch.setattr(HlrcProtocol, "_note_record", spy)
+    result = api.run_point(
+        "tsp", "hlrc_int", 8, scale="tiny", homing="dynamic"
+    )
+    assert result.counter("home_migrations") > 0
+    assert units and all(len(unit.pages) == 1 for unit in units)
+    for unit in units:
+        assert unit.rank == sum(unit.vts)
+        assert unit.order == unit.rank * len(unit.vts) + unit.proc
+
+
 def test_release_pushes_diff_to_home():
     """A non-home writer's release eagerly diffs to the home."""
 

@@ -43,11 +43,11 @@ class MetadataOnlyProtocol(LrcProtocolBase):
         return
         yield
 
-    def _note_record(self, proc, record, at):
+    def _note_record(self, proc, record, at, run):
         self.noted.setdefault(proc.pid, []).extend(
             (record.proc, record.iid, page_idx) for page_idx in record.pages
         )
-        return ()
+        return at
 
     def _serve_data(self, proc, request):
         raise RuntimeError(f"no data requests expected: {request.kind}")

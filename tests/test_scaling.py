@@ -233,9 +233,22 @@ class _CountingChain(list):
         return found
 
 
+class _CountingChains(list):
+    """The per-processor chain list, counting the chains visited."""
+
+    visited = 0
+
+    def __getitem__(self, index):
+        _CountingChains.visited += 1
+        return super().__getitem__(index)
+
+
 def test_records_after_costs_the_records_it_returns():
-    """No chain scan: on a 4,096-record store, asking for the last few
-    intervals of each processor touches exactly the records returned."""
+    """No chain scan and no walk over all P chains: on a 4,096-record
+    store, asking for the last few intervals of some processors touches
+    exactly the records returned, in exactly the chains that hold them.
+    The order is the happens-before rank by its definition,
+    ``(sum(vts), proc)``, so the pin checks the stored rank too."""
     nprocs, depth = 64, 64
     store = IntervalStore(nprocs)
     for iid in range(1, depth + 1):
@@ -244,22 +257,33 @@ def test_records_after_costs_the_records_it_returns():
             vts[proc] = iid
             store.insert(IntervalRecord(proc, iid, tuple(vts), (proc,)))
     assert store.record_count() == 4096
-    scan = {
-        behind: sorted(
-            (r for r in store.all_records() if r.iid > depth - behind),
-            key=IntervalRecord.sort_key,
-        )
+    # Every processor ``behind`` intervals back, or only every fourth.
+    queries = {
+        (behind, stride): [
+            depth - behind if proc % stride == 0 else depth
+            for proc in range(nprocs)
+        ]
         for behind in (0, 1, 3, depth, depth + 5)
+        for stride in (1, 4)
     }
-    store._records = {
-        proc: _CountingChain(chain) for proc, chain in store._records.items()
+    scan = {
+        key: sorted(
+            (r for r in store.all_records() if r.iid > vts[r.proc]),
+            key=lambda r: (sum(r.vts), r.proc),
+        )
+        for key, vts in queries.items()
     }
-    for behind, expected in scan.items():
-        _CountingChain.touched = 0
-        found = store.records_after([depth - behind] * nprocs)
-        assert found == expected
-        assert len(found) == nprocs * min(behind, depth)
+    store._records = _CountingChains(
+        _CountingChain(chain) for chain in store._records
+    )
+    for (behind, stride), vts in queries.items():
+        _CountingChain.touched = _CountingChains.visited = 0
+        found = store.records_after(vts)
+        assert found == scan[behind, stride]
+        lagging = len(range(0, nprocs, stride)) if behind else 0
+        assert len(found) == lagging * min(behind, depth)
         assert _CountingChain.touched == len(found)
+        assert _CountingChains.visited == lagging
 
 
 # -- pinned complexity of warm page memory -------------------------------

@@ -1,5 +1,7 @@
 """Unit and property tests for vector timestamps and interval records."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,7 +104,36 @@ def test_encoded_size():
 def test_sort_key_linearizes_comparable_vts():
     earlier = rec(0, 1, (1, 0))
     later = rec(1, 1, (1, 1))
-    assert earlier.sort_key() < later.sort_key()
+    assert earlier.order < later.order
+    assert (earlier.rank, earlier.proc) < (later.rank, later.proc)
+
+
+@given(
+    st.integers(0, 5),
+    st.lists(st.integers(0, 1000), min_size=6, max_size=6),
+    st.lists(st.integers(0, 99), max_size=4),
+)
+def test_rank_is_sum_vts_and_survives_replace_property(proc, vts, pages):
+    """``rank``/``order`` are computed at construction, and the one copy
+    site — HLRC's per-notice ``dataclasses.replace(record, pages=(p,))``
+    — recomputes rather than forgets them."""
+    record = rec(proc, vts[proc] + 1, vts, pages)
+    for unit in [record] + [replace(record, pages=(p,)) for p in pages]:
+        assert unit.rank == sum(unit.vts)
+        assert unit.order == unit.rank * len(unit.vts) + unit.proc
+        assert unit == rec(proc, record.iid, vts, unit.pages)
+
+
+def test_order_is_rank_then_proc():
+    """One int that sorts exactly as ``(sum(vts), proc)``."""
+    records = [
+        rec(p, 1, vts)
+        for p, vts in ((2, (0, 0, 3)), (0, (3, 0, 0)), (1, (1, 1, 0)),
+                       (0, (1, 0, 2)), (1, (0, 4, 0)))
+    ]
+    assert sorted(records, key=lambda r: r.order) == sorted(
+        records, key=lambda r: (sum(r.vts), r.proc)
+    )
 
 
 @given(

@@ -254,3 +254,118 @@ def test_warm_start_skips_cold_fetches():
     assert warm.stats.total("page_fetches") == 0
     assert cold.stats.total("page_fetches") > 0
     assert warm.exec_time < cold.exec_time
+
+
+# -- pending write notices: one writer -> its highest interval ------------
+
+
+def _spy_validations_and_fetches(monkeypatch):
+    """Record (pid, page, pending-before) per validation and (writer,
+    requester, payload) per served DIFF_FETCH."""
+    from repro.core.treadmarks.protocol import TreadMarksProtocol
+
+    validations, fetches = [], []
+    validate = TreadMarksProtocol._validate_page
+    serve = TreadMarksProtocol._serve_diff_fetch
+
+    def spy_validate(self, proc, page_idx, page):
+        validations.append((proc.pid, page_idx, page.pending.copy()))
+        return validate(self, proc, page_idx, page)
+
+    def spy_serve(self, proc, request):
+        fetches.append((proc.pid, request.requester.pid, request.payload))
+        return serve(self, proc, request)
+
+    monkeypatch.setattr(TreadMarksProtocol, "_validate_page", spy_validate)
+    monkeypatch.setattr(TreadMarksProtocol, "_serve_diff_fetch", spy_serve)
+    return validations, fetches
+
+
+def test_piled_up_notices_cost_one_fetch_of_the_highest_interval(monkeypatch):
+    """Rank 0 writes word 0 in three intervals (rank 2's reads retire
+    each twin, so every interval faults and raises a notice); rank 1
+    sleeps through all three barriers and then faults once.  Its pending
+    map holds one entry, the writer's highest interval, and the fault
+    sends exactly one DIFF_FETCH, to that writer, asking for it."""
+    validations, fetches = _spy_validations_and_fetches(monkeypatch)
+    pages = []
+
+    def worker(env, shared, params):
+        arr = shared["arr"]
+        if env.rank == 1:
+            pages.append(arr._base // env.protocol.space.page_size)
+            _ = yield from arr.get(env, 0)  # a copy, so notices invalidate
+        yield from env.barrier(99)
+        for it in range(3):
+            if env.rank == 0:
+                yield from arr.put(env, 0, float(it + 1))
+            yield from env.barrier(2 * it)
+            if env.rank == 2:
+                _ = yield from arr.get(env, 0)
+            yield from env.barrier(2 * it + 1)
+        value = None
+        if env.rank == 1:
+            del validations[:], fetches[:]
+            value = yield from arr.get(env, 0)
+        env.stop_timer()
+        return value
+
+    result = run(worker, nprocs=3)
+    assert result.values[1] == 3.0
+    (page,) = pages
+    assert validations == [(1, page, {0: 3})]
+    assert [(writer, requester, need) for writer, requester, (_p, _h, need)
+            in fetches] == [(0, 1, 3)]
+
+
+def _tmk_system(nprocs, n_pages=4):
+    from repro import api
+    from repro.config import ClusterConfig
+    from repro.memory import AddressSpace
+
+    space = AddressSpace(ClusterConfig().page_size)
+    space.alloc("r", n_pages * space.page_size)
+    return api.build_system("tmk_mc_poll", nprocs, space=space)
+
+
+def test_gc_flush_clears_pending_notices_on_pages_without_a_copy():
+    system = _tmk_system(2)
+    protocol, proc = system.protocol, system.cluster.proc(1)
+    state = protocol.procs[1]
+    state.page(2).pending[0] = 3  # page 2's manager is p0; p1 has no copy
+    system.engine.process(protocol._gc_flush_pages(proc), name="gc")
+    system.engine.run()
+    assert state.pages[2].pending == {}
+    assert state.pages[2].copy is None  # cleared, not fetched
+    # p1's own managed pages were validated so post-GC base fetches
+    # are complete.
+    assert state.pages[1].perm.allows_read()
+    assert state.pages[3].perm.allows_read()
+
+
+def test_lrc_oracle_keeps_the_pending_map_representation():
+    """The per-occupancy oracle and production fold the same notices
+    into equal writer -> highest-interval maps."""
+    from repro.core.intervals import IntervalRecord
+    from tests.lrc_oracle import per_occupancy
+
+    records = [
+        IntervalRecord(0, iid, (iid, 0, 0), (1, 2)) for iid in (1, 2, 3)
+    ] + [IntervalRecord(2, 1, (3, 0, 1), (2,))]
+
+    def pending_after_merge():
+        system = _tmk_system(3)
+        proc = system.cluster.proc(1)
+        system.engine.process(
+            system.protocol._incorporate(proc, records), name="merge"
+        )
+        system.engine.run()
+        return {
+            page_idx: page.pending
+            for page_idx, page in system.protocol.procs[1].pages.items()
+        }
+
+    production = pending_after_merge()
+    with per_occupancy():
+        oracle = pending_after_merge()
+    assert production == oracle == {1: {0: 3}, 2: {0: 3, 2: 1}}
