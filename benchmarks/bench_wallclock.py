@@ -1,6 +1,6 @@
 """Wall-clock benchmarks for the simulator's hot paths.
 
-Two modes:
+Four modes:
 
 **Default (PR2)** — times one fixed Figure-5 slice three ways:
 
@@ -14,42 +14,6 @@ any wall-clock difference is pure harness overhead.  Results land in
 ``BENCH_PR2.json`` together with host provenance — process-pool gains
 scale with physical cores, so absolute numbers are only comparable on
 the recorded host.
-
-**--pr3** — times the shared-access fast path (vectorized permission
-bitmaps + span batching) against the legacy per-page generator loop:
-
-1. **access path** — replays each application's characteristic access
-   pattern (LU's 8 KB block rows, Gauss's pivot-row reads and partial
-   row-segment writes, SOR's 34-page band reads and 32-page band
-   writes) against a prewarmed live protocol, with the fast path on
-   and off.  Every byte read is asserted identical across modes *and*
-   against the plain-numpy serial reference.
-2. **full runs** — end-to-end 8-processor simulations per app and
-   protocol, on vs off, asserting bit-identical simulated results
-   (``exec_time``, ``network_bytes``, every counter).
-
-Results land in ``BENCH_PR3.json``.  The access-path replays are the
-headline (that is the code the fast path targets); the full runs give
-honest end-to-end context — most of a full simulation is engine,
-messaging, and cold faults, which the fast path deliberately leaves
-untouched.
-
-**--pr5** — times the bulk-region API and the vectorized kernel layer:
-
-1. **region microbench** — region gathers/scatters (contiguous band,
-   interior block, scattered row gather) against the per-row/per-range
-   loops the apps used to issue, on a prewarmed live protocol, with
-   every byte asserted identical between the two shapes and against
-   the serial reference;
-2. **full runs** — lu/gauss/sor x csm/tmk at 8 processors with the
-   kernel layer on and off (``--no-kernels``), asserting bit-identical
-   simulated results; with ``--baseline-json`` (timings of the
-   ``.bench_seed`` reference tree from the same host) it also records
-   speedup against the seed.
-
-Results land in ``BENCH_PR5.json``.  The PR3 full-run section fans its
-points across the ``--jobs`` process pool (one mode of one point per
-worker); pass ``--jobs 1`` for minimum-noise serial timings.
 
 **--pr8** — load-tests the experiment-serving layer (asyncio front
 end with request coalescing, cold-point batching, and the sharded
@@ -106,10 +70,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py \
         [--jobs N] [--scale tiny] [--out BENCH_PR2.json]
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --pr3 \
-        [--reps N] [--jobs N] [--out BENCH_PR3.json]
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --pr5 \
-        [--reps N] [--baseline-json seed.json] [--out BENCH_PR5.json]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --pr8 \
         [--clients N] [--jobs N] [--out BENCH_PR8.json]
     PYTHONPATH=src python benchmarks/bench_wallclock.py --pr9 \
@@ -130,25 +90,11 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro import api
-from repro.apps import registry
-from repro.config import (
-    CSM_POLL,
-    TMK_MC_POLL,
-    ClusterConfig,
-    CostModel,
-    RunConfig,
-)
-from repro.core import fastpath
-from repro.core.runtime.program import Program, run_program
-from repro.core.runtime.shared import SharedArray
+from repro.config import CSM_POLL, TMK_MC_POLL
 from repro.harness import figure5
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import PointSpec, run_points
 from repro.harness.runner import ExperimentContext
-from repro.options import SimOptions
 
 APPS = ("sor", "water", "gauss")
 VARIANTS = (CSM_POLL, TMK_MC_POLL)
@@ -167,489 +113,6 @@ def _generate(scale: str, jobs: int, cache) -> tuple:
     )
     elapsed = time.perf_counter() - started
     return _curves_signature(curves), elapsed, ctx
-
-
-# ---------------------------------------------------------------------------
-# PR3: access-path fast-path benchmark
-# ---------------------------------------------------------------------------
-
-
-def _drive(gen):
-    """Exhaust an access generator outside the engine.
-
-    Hot accesses never yield (no simulated events), so plain ``next``
-    drives them to completion; the return value rides StopIteration.
-    Hot-path writes skip the generator frame entirely and return an
-    empty tuple — nothing to drive.
-    """
-    if isinstance(gen, tuple):
-        return None
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _captured_protocol(shape):
-    """Run a 1-processor program that maps every page READ_WRITE and
-    hands back the live env + array for direct access replay."""
-    captured = {}
-    rows, cols = shape
-
-    def setup(space, params):
-        arr = SharedArray.alloc(space, "bench", np.float64, shape)
-        arr.initialize(np.zeros(shape))
-        return {"arr": arr}
-
-    def worker(env, shared, params):
-        arr = shared["arr"]
-        ref = np.arange(rows * cols, dtype=np.float64).reshape(shape)
-        # One full write pass faults every page up to READ_WRITE, so
-        # the replayed accesses below are pure hit-path.
-        for row in range(rows):
-            yield from arr.write_rows(env, row, ref[row : row + 1])
-        captured["env"] = env
-        captured["arr"] = arr
-        captured["ref"] = ref
-
-    run_program(
-        Program("bench-capture", setup, worker),
-        RunConfig(variant=TMK_MC_POLL, nprocs=1),
-        {},
-    )
-    return captured
-
-
-def _lu_replay(env, arr, ref):
-    """LU's granularity: 8 KB block rows (one page per 32x32 block).
-
-    Returns ``(got, expected)`` pairs for every read; writes put the
-    same values back so the pattern is idempotent across repetitions.
-    """
-    pairs = []
-    for row in range(0, 64, 2):
-        block = _drive(arr.read_rows(env, row, row + 1))
-        pairs.append((block, ref[row : row + 1]))
-        _drive(arr.write_rows(env, row, block))
-    return pairs
-
-
-def _gauss_replay(env, arr, ref):
-    """Gauss's granularity: one pivot-row read per elimination round,
-    then partial row-segment writes of the live columns."""
-    width = arr.shape[1]
-    k = 64
-    pairs = [(_drive(arr.read_rows(env, k, k + 1)), ref[k : k + 1])]
-    seg = ref[0, k : k + 256]
-    for row in range(k + 1, k + 33):
-        _drive(arr.write_range(env, row * width + k, seg))
-        pairs.append(
-            (_drive(arr.read_range(env, row * width + k, 256)), seg)
-        )
-    return pairs
-
-
-def _sor_replay(env, arr, ref):
-    """SOR's granularity: a 34-row band read (halo included) and a
-    32-row band write, each row one page."""
-    band = _drive(arr.read_rows(env, 0, 34))
-    _drive(arr.write_rows(env, 1, band[1:33]))
-    return [(band, ref[0:34])]
-
-
-_REPLAYS = {
-    "lu": (_lu_replay, "32 block-row reads + writes, 8 KB / 1 page each"),
-    "gauss": (
-        _gauss_replay,
-        "pivot-row read + 32 x (2 KB row-segment write + read-back)",
-    ),
-    "sor": (
-        _sor_replay,
-        "34-page / 272 KB band read + 32-page / 256 KB band write",
-    ),
-}
-
-
-def _time_replay(replay, env, arr, ref, reps: int) -> float:
-    """Best-of-``reps`` seconds for one full replay pattern."""
-    best = float("inf")
-    for _ in range(reps):
-        started = time.perf_counter()
-        replay(env, arr, ref)
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def _bench_access_path(reps: int) -> dict:
-    results = {}
-    for app, (replay, pattern) in _REPLAYS.items():
-        cap = _captured_protocol((256, 1024))
-        env, arr, ref = cap["env"], cap["arr"], cap["ref"]
-        outputs = {}
-        timings = {}
-        saved = fastpath.ENABLED
-        for label, enabled in (("on", True), ("off", False)):
-            fastpath.set_enabled(enabled)
-            try:
-                outputs[label] = replay(env, arr, ref)
-                timings[label] = _time_replay(replay, env, arr, ref, reps)
-            finally:
-                fastpath.set_enabled(saved)
-        # Identity: both modes return the same bytes, and they match
-        # the plain-numpy serial reference the worker wrote.
-        assert len(outputs["on"]) == len(outputs["off"])
-        for (got_on, expected), (got_off, _) in zip(
-            outputs["on"], outputs["off"]
-        ):
-            assert np.array_equal(got_on, got_off), f"{app}: on != off"
-            assert np.array_equal(
-                got_on.reshape(expected.shape), expected
-            ), f"{app}: fast-path read != serial reference"
-        on_us = timings["on"] * 1e6
-        off_us = timings["off"] * 1e6
-        results[app] = {
-            "pattern": pattern,
-            "fastpath_us": round(on_us, 2),
-            "legacy_us": round(off_us, 2),
-            "speedup": round(off_us / on_us, 2),
-        }
-        print(
-            f"  access path {app:6s}: fastpath {on_us:9.2f}us  "
-            f"legacy {off_us:9.2f}us  ({off_us / on_us:4.2f}x)  [{pattern}]",
-            file=sys.stderr,
-        )
-    return results
-
-
-def _run_point(app: str, variant, nprocs: int, options=None):
-    started = time.perf_counter()
-    result = api.run_point(
-        app, variant, nprocs, scale="small", options=options
-    )
-    elapsed = time.perf_counter() - started
-    return result, elapsed
-
-
-def _bench_full_runs(jobs: int = 1) -> dict:
-    """8p full runs, fast path on vs off, fanned across the ``--jobs``
-    process pool (each mode of each point is one pooled worker).
-
-    Pool workers pick the mode up from ``PointSpec.options`` — the
-    toggles are wall-clock-only, so the identity asserts below hold
-    whatever the fan-out.  Pooled timings share cores; use ``--jobs 1``
-    when the wall-clock numbers themselves are the point.
-    """
-    from dataclasses import replace
-
-    defaults = SimOptions()
-    points = [
-        (app, variant)
-        for app in ("lu", "gauss", "sor")
-        for variant in (TMK_MC_POLL, CSM_POLL)
-    ]
-    specs = []
-    for app, variant in points:
-        params = registry.load(app).default_params("small")
-        for enabled in (True, False):
-            specs.append(
-                PointSpec(
-                    app=app,
-                    variant_name=variant.name,
-                    nprocs=8,
-                    params=params,
-                    cluster=ClusterConfig(),
-                    costs=CostModel(),
-                    options=replace(defaults, fastpath=enabled),
-                )
-            )
-    outcomes = run_points(specs, jobs=jobs, timed=True)
-    defaults.apply()  # jobs=1 runs in-process: undo the last toggle
-    results = {}
-    for (app, variant), (res_on, s_on), (res_off, s_off) in zip(
-        points, outcomes[0::2], outcomes[1::2]
-    ):
-        key = f"{app}/{variant.name}/8p"
-        assert res_on.exec_time == res_off.exec_time, key
-        assert res_on.network_bytes == res_off.network_bytes, key
-        assert res_on.stats.as_dict() == res_off.stats.as_dict(), key
-        results[key] = {
-            "fastpath_s": round(s_on, 3),
-            "legacy_s": round(s_off, 3),
-            "speedup": round(s_off / s_on, 2),
-            "identical_simulated_results": True,
-        }
-        print(
-            f"  full run {key:24s}: fastpath {s_on:7.3f}s  "
-            f"legacy {s_off:7.3f}s  ({s_off / s_on:4.2f}x)",
-            file=sys.stderr,
-        )
-    return results
-
-
-def pr3_main(args) -> int:
-    print(
-        "benchmarking the shared-access fast path (on vs --no-fastpath)",
-        file=sys.stderr,
-    )
-    access = _bench_access_path(args.reps)
-    full = _bench_full_runs(args.jobs)
-    report = {
-        "benchmark": (
-            "shared-access fast path: vectorized permission bitmaps + "
-            "span-level fault batching vs legacy per-page generator loop"
-        ),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "access_path": access,
-        "full_runs_8p_small": full,
-        "identical_results": True,
-        "notes": (
-            "access_path replays each app's real access granularity "
-            "against a prewarmed protocol — the code the fast path "
-            "targets; every byte read is asserted identical across "
-            "modes and against the serial numpy reference.  full_runs "
-            "are end-to-end context: engine/messaging/cold-fault time "
-            "dominates there and is deliberately untouched, so modest "
-            "ratios are expected.  Simulated results (exec_time, "
-            "network_bytes, all counters) are asserted bit-identical "
-            "in both modes."
-        ),
-    }
-    out = args.out or str(
-        Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
-    )
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
-
-
-def _point_key(app, variant) -> str:
-    return f"{app}/{variant.name}/8p"
-
-
-# ---------------------------------------------------------------------------
-# PR5: bulk-region API + vectorized kernel layer benchmark
-# ---------------------------------------------------------------------------
-
-PR5_POINTS = tuple(
-    (app, variant)
-    for app in ("lu", "gauss", "sor")
-    for variant in (TMK_MC_POLL, CSM_POLL)
-)
-
-
-def _bench_region_micro(reps: int) -> dict:
-    """Region-shaped access vs the per-row/per-range loops the apps
-    used to issue, on a prewarmed live protocol (pure hit path)."""
-    cap = _captured_protocol((256, 1024))
-    env, arr, ref = cap["env"], cap["arr"], cap["ref"]
-    gather_rows = list(range(1, 200, 6))
-    band = arr.region_rows(64, 96)
-    block = arr.region_block(32, 64, 128, 384)
-    gather = arr.region_row_gather(gather_rows, 64, 320)
-    w_payload = ref[32:64, 128:384]
-
-    def loop_band():
-        return np.concatenate(
-            [_drive(arr.read_rows(env, r, r + 1)) for r in range(64, 96)]
-        )
-
-    def loop_block():
-        return np.stack(
-            [
-                _drive(arr.read_range(env, r * 1024 + 128, 256))
-                for r in range(32, 64)
-            ]
-        )
-
-    def loop_gather():
-        return np.stack(
-            [
-                _drive(arr.read_range(env, r * 1024 + 64, 256))
-                for r in gather_rows
-            ]
-        )
-
-    def region_scatter():
-        _drive(arr.write_region(env, block, w_payload))
-
-    def loop_scatter():
-        for i, r in enumerate(range(32, 64)):
-            _drive(arr.write_range(env, r * 1024 + 128, w_payload[i]))
-
-    patterns = {
-        "band_rows": (
-            "32-row / 256 KB contiguous band read",
-            lambda: _drive(arr.read_region(env, band)),
-            loop_band,
-            ref[64:96],
-        ),
-        "block": (
-            "32x256 interior block read (one 2 KB segment per row)",
-            lambda: _drive(arr.read_region(env, block)),
-            loop_block,
-            ref[32:64, 128:384],
-        ),
-        "row_gather": (
-            "34 scattered rows x 256 cols read",
-            lambda: _drive(arr.read_region(env, gather)),
-            loop_gather,
-            ref[gather_rows, 64:320],
-        ),
-        "block_scatter": (
-            "32x256 interior block write",
-            region_scatter,
-            loop_scatter,
-            None,
-        ),
-    }
-    results = {}
-    for name, (pattern, region_fn, loop_fn, expected) in patterns.items():
-        if expected is not None:
-            got_region = np.asarray(region_fn()).reshape(expected.shape)
-            got_loop = np.asarray(loop_fn()).reshape(expected.shape)
-            assert np.array_equal(got_region, got_loop), name
-            assert np.array_equal(got_region, expected), name
-        else:
-            # Scatter identity: both shapes land the same bytes.
-            region_fn()
-            after_region = _drive(arr.read_region(env, block))
-            loop_fn()
-            after_loop = _drive(arr.read_region(env, block))
-            assert np.array_equal(after_region, after_loop), name
-            assert np.array_equal(after_loop, w_payload), name
-        region_s = loop_s = float("inf")
-        for _ in range(reps):
-            started = time.perf_counter()
-            region_fn()
-            region_s = min(region_s, time.perf_counter() - started)
-            started = time.perf_counter()
-            loop_fn()
-            loop_s = min(loop_s, time.perf_counter() - started)
-        results[name] = {
-            "pattern": pattern,
-            "region_us": round(region_s * 1e6, 2),
-            "loop_us": round(loop_s * 1e6, 2),
-            "speedup": round(loop_s / region_s, 2),
-        }
-        print(
-            f"  region micro {name:13s}: region {region_s * 1e6:9.2f}us  "
-            f"loop {loop_s * 1e6:9.2f}us  ({loop_s / region_s:5.2f}x)  "
-            f"[{pattern}]",
-            file=sys.stderr,
-        )
-    return results
-
-
-def _bench_pr5_full_runs(reps: int, baseline: dict) -> tuple:
-    """8p full runs with the kernel layer on vs off (the retained
-    scalar reference loops), and — when seed-tree timings are supplied
-    — speedup against the ``.bench_seed`` reference tree."""
-    from dataclasses import replace
-
-    defaults = SimOptions()
-    scalar = replace(defaults, kernels=False)
-    results = {}
-    speedups = []
-    for app, variant in PR5_POINTS:
-        key = _point_key(app, variant)
-        kern_s = scal_s = float("inf")
-        res_kern = res_scal = None
-        for _ in range(reps):
-            res_kern, elapsed = _run_point(app, variant, 8, options=defaults)
-            kern_s = min(kern_s, elapsed)
-        for _ in range(reps):
-            res_scal, elapsed = _run_point(app, variant, 8, options=scalar)
-            scal_s = min(scal_s, elapsed)
-        defaults.apply()
-        assert res_kern.exec_time == res_scal.exec_time, key
-        assert res_kern.network_bytes == res_scal.network_bytes, key
-        assert res_kern.stats.as_dict() == res_scal.stats.as_dict(), key
-        entry = {
-            "seconds": round(kern_s, 3),
-            "scalar_seconds": round(scal_s, 3),
-            "kernel_speedup": round(scal_s / kern_s, 2),
-            "identical_simulated_results": True,
-        }
-        line = (
-            f"  full run {key:24s}: {kern_s:7.3f}s  "
-            f"scalar {scal_s:7.3f}s"
-        )
-        base_s = baseline.get(key)
-        if base_s is not None:
-            entry["seed_seconds"] = round(base_s, 3)
-            entry["speedup_vs_seed"] = round(base_s / kern_s, 2)
-            speedups.append(base_s / kern_s)
-            line += f"  seed {base_s:7.3f}s ({base_s / kern_s:4.2f}x)"
-        results[key] = entry
-        print(line, file=sys.stderr)
-    geomean = None
-    if speedups:
-        geomean = round(float(np.exp(np.mean(np.log(speedups)))), 3)
-        print(f"  geomean speedup vs seed: {geomean:.3f}x", file=sys.stderr)
-    return results, geomean
-
-
-def pr5_main(args) -> int:
-    print(
-        "benchmarking the bulk-region API + vectorized kernel layer "
-        "(kernels on vs --no-kernels)",
-        file=sys.stderr,
-    )
-    baseline = {}
-    baseline_meta = {}
-    if args.baseline_json:
-        data = json.loads(Path(args.baseline_json).read_text())
-        baseline = data.get("points", data)
-        baseline_meta = {k: v for k, v in data.items() if k != "points"}
-    micro = _bench_region_micro(args.reps)
-    full, geomean = _bench_pr5_full_runs(args.reps, baseline)
-    report = {
-        "benchmark": (
-            "bulk SharedArray region API + vectorized app kernels: "
-            "one permission probe and one gather/scatter per region, "
-            "numpy inner loops with identical flop charging, vs the "
-            "retained scalar per-row/per-element paths"
-        ),
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "region_microbench": micro,
-        "full_runs_8p_small": full,
-        "identical_results": True,
-        "notes": (
-            "region_microbench replays region-shaped accesses against "
-            "a prewarmed protocol — the hit path the region API "
-            "collapses to a single probe + gather; every byte is "
-            "asserted identical across shapes and against the serial "
-            "reference.  full_runs compare the kernel layer against "
-            "its in-tree scalar escape hatch (--no-kernels) and assert "
-            "bit-identical simulated results; seed_seconds/"
-            "speedup_vs_seed fields appear when --baseline-json "
-            "supplies wall-clock timings of the .bench_seed reference "
-            "tree measured on the same host.  Kernel wins concentrate "
-            "where app math leads the flat profile (gauss above all); "
-            "lu/sor full runs are dominated by protocol-event "
-            "simulation, which the app layer must replay exactly, so "
-            "their headroom is structurally smaller."
-        ),
-    }
-    if geomean is not None:
-        report["speedup_vs_seed_geomean"] = geomean
-    if baseline_meta:
-        report["baseline"] = baseline_meta
-    out = args.out or str(
-        Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
-    )
-    Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
 
 
 def pr8_main(args) -> int:
@@ -868,7 +331,6 @@ def pr9_main(args) -> int:
 
 
 def pr10_main(args) -> int:
-    from repro import api
     from repro.harness.policies import _values_equal
 
     app, nprocs, network = "irreg", 8, "rdma"
@@ -984,19 +446,6 @@ def main(argv=None) -> int:
         "--scale", default="tiny", choices=("tiny", "small", "large")
     )
     parser.add_argument(
-        "--pr3",
-        action="store_true",
-        help="benchmark the shared-access fast path instead of the harness",
-    )
-    parser.add_argument(
-        "--pr5",
-        action="store_true",
-        help=(
-            "benchmark the bulk-region API + vectorized kernel layer "
-            "(region microbench + 8p full runs kernels on/off)"
-        ),
-    )
-    parser.add_argument(
         "--pr8",
         action="store_true",
         help=(
@@ -1057,28 +506,9 @@ def main(argv=None) -> int:
         default=3,
         help="--pr8: requests for the subprocess-per-request baseline",
     )
-    parser.add_argument(
-        "--reps",
-        type=int,
-        default=7,
-        help="best-of repetitions for the --pr3/--pr5 measurements",
-    )
-    parser.add_argument(
-        "--baseline-json",
-        default=None,
-        help=(
-            "JSON with seed-tree wall-clock timings "
-            "({'points': {'app/variant/8p': seconds}}) measured on this "
-            "host; enables the speedup_vs_seed fields of --pr5"
-        ),
-    )
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
-    if args.pr3:
-        return pr3_main(args)
-    if args.pr5:
-        return pr5_main(args)
     if args.pr8:
         return pr8_main(args)
     if args.pr9:

@@ -4,16 +4,9 @@
 Figure 5 of the paper plots how the protocols scale as processors are
 added.  This example reproduces a slice of that sweep through the
 stable :func:`repro.api.run_experiment` facade — no harness internals —
-and uses it to exercise the vectorized kernel layer at every scale:
-the same sweep is run twice, kernels on and off
-(``SimOptions(kernels=False)``, the scalar per-element escape hatch),
-and the rendered figures are asserted byte-identical before the
-wall-clock cost of the scalar paths is reported.
-
-Simulated results never depend on the kernel layer; only the time the
-*simulation itself* takes does.  The gap widens with processor count:
-more processors mean more bands/blocks whose inner loops the kernels
-collapse into single numpy sweeps.
+and reports two kinds of scaling: the *simulated* speedups the figure
+renders, and the wall-clock time the simulator itself took to produce
+them.
 
 Usage::
 
@@ -24,27 +17,11 @@ import argparse
 import time
 
 from repro.api import run_experiment
-from repro.options import SimOptions
+from repro.config import variant_by_name
 
 DEFAULT_APPS = ("sor", "gauss", "lu")
 VARIANTS = ("csm_poll", "tmk_mc_poll")
 COUNTS = (2, 4, 8, 16, 32)
-
-
-def sweep(apps, jobs, options):
-    from repro.config import variant_by_name
-
-    started = time.perf_counter()
-    result = run_experiment(
-        "figure5",
-        scale="small",
-        jobs=jobs,
-        options=options,
-        apps=list(apps),
-        variants=[variant_by_name(v) for v in VARIANTS],
-        counts=list(COUNTS),
-    )
-    return result, time.perf_counter() - started
 
 
 def main() -> None:
@@ -53,25 +30,22 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    kernel, kernel_s = sweep(args.apps, args.jobs, SimOptions())
-    scalar, scalar_s = sweep(
-        args.apps, args.jobs, SimOptions(kernels=False)
+    started = time.perf_counter()
+    result = run_experiment(
+        "figure5",
+        scale="small",
+        jobs=args.jobs,
+        apps=list(args.apps),
+        variants=[variant_by_name(v) for v in VARIANTS],
+        counts=list(COUNTS),
     )
-    assert kernel.text == scalar.text, (
-        "kernel layer changed simulated results"
-    )
-    SimOptions().apply()
+    wall_s = time.perf_counter() - started
 
-    print(kernel.text)
-    print("\nScaling of the simulator itself (same simulated results):")
-    print(f"  vectorized kernels : {kernel_s:7.2f} s wall clock")
-    print(f"  scalar loops       : {scalar_s:7.2f} s wall clock")
-    print(f"  kernel-layer speedup {scalar_s / kernel_s:.2f}x over "
+    print(result.text)
+    print(f"\nSimulator wall clock: {wall_s:.2f} s for "
           f"{len(args.apps)} apps x {len(VARIANTS)} variants x "
-          f"{len(COUNTS)} counts")
-    print("\nRendered figures are byte-identical with kernels on and "
-          "off: the layer\nchanges how fast the simulation runs, "
-          "never what it simulates.")
+          f"{len(COUNTS)} counts ({result.provenance['simulations']} "
+          f"points, --jobs {args.jobs}).")
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ driver and protocol internals:
     :class:`~repro.harness.results.DriverResult` envelope (typed rows +
     counters + breakdown + provenance + rendered text).
 
-Wall-clock toggles travel as a :class:`~repro.options.SimOptions`
-(CLI: ``--no-fastpath``, ``--debug-checks``, ``--no-kernels``); every
-combination is simulated-result bit-identical.  The exception is
-``SimOptions.network`` (CLI: ``--network {memch,rdma,ethernet}``),
+Run options travel as a :class:`~repro.options.SimOptions`.  There is
+one shared-access path and one body per app (their retired twins are
+oracles in ``tests/access_oracle.py`` and ``tests/app_oracle.py``);
+``--debug-checks`` only adds checking, so results are bit-identical
+with it on or off.  The exception is ``SimOptions.network`` (CLI: ``--network {memch,rdma,ethernet}``),
 which selects the simulated interconnect backend and *changes
 simulated results* — see ``docs/NETWORKS.md``.  The full reference
 with a migration table from the old entry points lives in

@@ -238,9 +238,9 @@ def worker(env, shared: Dict, params: Dict):
     ws = WorkingSet(primary=0)
     # Bulk regions over this rank's interleaved bodies, built once: the
     # acceleration columns (one segment per body), and the pos/vel
-    # columns as *two* segments per body so the batched write replays
-    # the scalar path's two write calls — and their per-span protocol
-    # charges — exactly.
+    # columns as *two* segments per body so the batched write takes the
+    # per-span protocol charges of two writes per body (position, then
+    # velocity), in body order.
     acc_region = bodies.region_row_gather(mine, 6, 9)
     posvel_region = Region(
         bodies,
@@ -302,11 +302,7 @@ def worker(env, shared: Dict, params: Dict):
         done = np.zeros(len(mine), dtype=bool)
         seen_blocks = 0
         for i, body in enumerate(mine):
-            if (
-                kernels.ENABLED
-                and not done[i]
-                and len(cell_cache) > seen_blocks
-            ):
+            if not done[i] and len(cell_cache) > seen_blocks:
                 seen_blocks = len(cell_cache)
                 todo = i + np.flatnonzero(~done[i:])
                 spec_force[todo], spec_inter[todo], done[todo] = (
@@ -329,33 +325,20 @@ def worker(env, shared: Dict, params: Dict):
             yield from env.compute(
                 inter * US_PER_INTERACTION, polls=max(inter, 1), ws=ws
             )
-        if kernels.ENABLED and mine:
+        if mine:
             acc_block = np.stack([new_acc[b] for b in mine])
             yield from bodies.write_region(env, acc_region, acc_block)
-        else:
-            for body in mine:
-                yield from bodies.write_range(
-                    env, body * BODY_FIELDS + 6, new_acc[body]
-                )
         yield from env.barrier(0)
 
         # Phase 3: position/velocity update for assigned bodies.
         all_bodies = yield from bodies.read_all(env)
         yield from env.compute(len(mine) * 1.0, polls=len(mine))
-        if kernels.ENABLED and mine:
+        if mine:
             pos_block, vel_block = kernels.barnes_integrate(
                 all_bodies, mine, DT
             )
             posvel = np.concatenate([pos_block, vel_block], axis=1)
             yield from bodies.write_region(env, posvel_region, posvel)
-        else:
-            for body in mine:
-                vel = all_bodies[body, 3:6] + all_bodies[body, 6:9] * DT
-                pos = all_bodies[body, 0:3] + vel * DT
-                yield from bodies.write_range(env, body * BODY_FIELDS, pos)
-                yield from bodies.write_range(
-                    env, body * BODY_FIELDS + 3, vel
-                )
         yield from env.barrier(0)
     env.stop_timer()
     if env.rank == 0:

@@ -94,26 +94,11 @@ def worker(env, shared: Dict, params: Dict):
             if not inside_mask.all():
                 full = yield from other.read_range(env, 0, n)
             yield from env.compute(edges * US_PER_EDGE, polls=edges, ws=ws)
-            if kernels.ENABLED:
-                gathered = kernels.em3d_gather(
-                    window, full, my_targets, inside_mask, rlo, rhi
-                )
-            else:
-                source = full if full is not None else None
-                gathered = np.where(
-                    inside_mask,
-                    window[np.clip(my_targets - rlo, 0, rhi - rlo - 1)],
-                    0.0,
-                )
-                if source is not None:
-                    gathered = np.where(
-                        inside_mask, gathered, source[my_targets]
-                    )
+            gathered = kernels.em3d_gather(
+                window, full, my_targets, inside_mask, rlo, rhi
+            )
             current = yield from mine.read_range(env, lo, n_mine)
-            if kernels.ENABLED:
-                updated = kernels.em3d_update(current, my_weights, gathered)
-            else:
-                updated = current - (my_weights * gathered).sum(axis=1)
+            updated = kernels.em3d_update(current, my_weights, gathered)
             yield from mine.write_range(env, lo, updated)
             yield from env.barrier(0)
     env.stop_timer()

@@ -159,30 +159,28 @@ def worker(env, shared: Dict, params: Dict):
             polls=elems,
             ws=_ws(n, k, rank_rows, row_bytes),
         )
-        if kernels.ENABLED:
-            if mirror is None:
-                # One hot gather of my full remaining rows seeds the
-                # mirror.  A miss (cold page, or fastpath disabled)
-                # leaves it unseeded and this round runs the scalar
-                # loop below — bit-identical fault replay — until a
-                # later round gathers hot.
-                got = matrix.region_view(env, gather.region(next_idx))
-                if got is not None:
-                    mirror = np.array(got)  # writable copy
-                    mirror_rows = my_rows
-            if mirror is not None:
-                # One kernel call over a strided slice of the mirror,
-                # then one region write of the live columns — same
-                # per-row [k, n] segments, same row order, as the
-                # scalar loop's write_range calls.
-                i0 = len(mirror_rows) - rank_rows
-                block = mirror[i0:, k : n + 1]
-                updated = kernels.gauss_eliminate(block, pivot, k, n)
-                yield from matrix.write_region(
-                    env, gather.region(next_idx, k, n + 1), updated
-                )
-                block[:] = updated
-                continue
+        if mirror is None:
+            # One hot gather of my full remaining rows seeds the mirror.
+            # A miss (a cold page) leaves it unseeded and this round
+            # runs the row loop below — bit-identical fault replay —
+            # until a later round gathers hot.
+            got = matrix.region_view(env, gather.region(next_idx))
+            if got is not None:
+                mirror = np.array(got)  # writable copy
+                mirror_rows = my_rows
+        if mirror is not None:
+            # One kernel call over a strided slice of the mirror, then
+            # one region write of the live columns — same per-row [k, n]
+            # segments, same row order, as the row loop's write_range
+            # calls.
+            i0 = len(mirror_rows) - rank_rows
+            block = mirror[i0:, k : n + 1]
+            updated = kernels.gauss_eliminate(block, pivot, k, n)
+            yield from matrix.write_region(
+                env, gather.region(next_idx, k, n + 1), updated
+            )
+            block[:] = updated
+            continue
         for r in my_rows:
             current = matrix.rows(env, r, r + 1)
             if current is None:

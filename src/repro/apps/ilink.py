@@ -88,44 +88,26 @@ def worker(env, shared: Dict, params: Dict):
             row = row[0]
             values = row[my_slots]
             n_updates += len(my_slots)
-            if kernels.ENABLED:
-                updated = kernels.ilink_update(values, it)
-                reg = scatter_regions.get(a)
-                if reg is None:
-                    reg = Region(
-                        pool,
-                        [(a * elems + int(s), 1) for s in my_slots],
-                        (len(my_slots),),
-                    )
-                    scatter_regions[a] = reg
-                yield from pool.write_region(env, reg, updated)
-            else:
-                updated = (
-                    0.25 * values + 0.5 * values * values + 0.01 * (it + 1)
+            updated = kernels.ilink_update(values, it)
+            reg = scatter_regions.get(a)
+            if reg is None:
+                reg = scatter_regions[a] = Region(
+                    pool,
+                    [(a * elems + int(s), 1) for s in my_slots],
+                    (len(my_slots),),
                 )
-                # Scatter the sparse writes element by element within runs
-                # of contiguous slots, touching only a few words per page.
-                for slot, value in zip(my_slots, updated):
-                    yield from pool.write_range(
-                        env, a * elems + int(slot), [value]
-                    )
+            yield from pool.write_region(env, reg, updated)
         yield from env.compute(
             max(n_updates, 1) * US_PER_UPDATE, polls=max(n_updates, 1), ws=ws
         )
         yield from env.barrier(0)
         # Serial component: the master sums all contributions.
         if rank == 0:
-            if kernels.ENABLED:
-                pool_rows = []
-                for a in range(arrays):
-                    row = yield from pool.read_rows(env, a, a + 1)
-                    pool_rows.append(row[0])
-                total = kernels.ilink_reduce(pool_rows)
-            else:
-                total = np.zeros(arrays)
-                for a in range(arrays):
-                    row = yield from pool.read_rows(env, a, a + 1)
-                    total[a] = row[0].sum()
+            pool_rows = []
+            for a in range(arrays):
+                row = yield from pool.read_rows(env, a, a + 1)
+                pool_rows.append(row[0])
+            total = kernels.ilink_reduce(pool_rows)
             yield from env.compute(
                 arrays * elems * US_PER_SUM_ELEM, polls=arrays * elems
             )

@@ -11,14 +11,15 @@ half (``SharedArray.read_region`` / ``write_region`` / ``region_view``)
 that moves the same bytes with one gather/scatter.
 
 **Bitwise contract.**  Every kernel produces *bit-identical* output to
-the scalar reference loop retained in its app module: the same IEEE
-operations in the same per-element order, only batched across rows
-instead of dispatched per row.  This is load-bearing, not cosmetic —
-kernel output is written back into DSM shared memory, where TreadMarks
-diffs it byte-by-byte against twins; a single differing low bit would
-change diff sizes, message bytes, and therefore simulated times.  The
-equivalence tests in ``tests/test_app_kernels.py`` pin kernel-vs-scalar
-equality with ``==``, never ``allclose``.  Four rules the batched barnes
+the scalar reference loop it replaced, kept as a test oracle in
+``tests/app_oracle.py``: the same IEEE operations in the same
+per-element order, only batched across rows instead of dispatched per
+row.  This is load-bearing, not cosmetic — kernel output is written
+back into DSM shared memory, where TreadMarks diffs it byte-by-byte
+against twins; a single differing low bit would change diff sizes,
+message bytes, and therefore simulated times.  The equivalence tests in
+``tests/test_app_kernels.py`` pin kernel-vs-scalar equality with ``==``,
+never ``allclose``.  Four rules the batched barnes
 traversal had to learn (mismatches against the scalar expression,
 measured on one host over uniform random inputs; EXPERIMENTS.md):
 
@@ -37,22 +38,14 @@ measured on one host over uniform random inputs; EXPERIMENTS.md):
 
 Barnes ``values`` go through BLAS ``ddot``, so their last bits (and
 ``result_digest``) are a function of the BLAS build: the batched path
-calls the same routine, so kernels on and off agree on every host, but
-two hosts need not.
+calls the same routine as the scalar walk, so the two agree on every
+host, but two hosts need not.
 
 **Flop charging.**  Simulated compute time is charged through one hook,
 :func:`flop_cost`: a kernel invocation costs ``flops * us_per_flop``
 microseconds, with the flop count given by the ``*_flops`` helpers
 below — the exact expressions the scalar loops charged, so charge
-totals (and hence simulated results) are identical with the kernel
-layer on or off.
-
-**Escape hatch.**  ``SimOptions(kernels=False)`` — the CLI's
-``--no-kernels`` flag — restores the per-element scalar reference
-loops in every app.
-Simulated stats, counters, and traces are bit-identical either way
-(locked in by ``tests/test_engine_equivalence.py``); only wall clock
-differs.
+totals (and hence simulated results) are those of the scalar loops.
 """
 
 from __future__ import annotations
@@ -60,20 +53,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from repro import options as _options
-
-#: Module-level switch, mirrored from :mod:`repro.options` exactly like
-#: ``repro.core.fastpath.ENABLED`` — the app workers probe a plain
-#: global per phase instead of consulting the options object.
-_initial = _options.current()
-ENABLED = _initial.kernels
-
-
-def set_enabled(flag: bool) -> None:
-    """Toggle the kernel layer in-process (benchmarks and tests)."""
-    global ENABLED
-    ENABLED = bool(flag)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +104,14 @@ def sor_cells(rows: int, half: int) -> int:
 # (``col[:, None] * row``) instead of ``np.outer``'s
 # asarray/ravel/reshape detour, and the copy taken once up front.  The
 # multiplies, divides, and subtracts are the same IEEE ops on the same
-# operands in the same order as the scalar references in ``apps/lu.py``.
+# operands in the same order as the scalar references in
+# ``tests/app_oracle.py``.
 
 
 def lu_factor_diag(a: np.ndarray) -> np.ndarray:
     """Unpivoted LU of one block, L and U packed together.
 
-    Bit-identical to ``repro.apps.lu._factor_diag``.
+    Bit-identical to the scalar ``factor_diag`` in ``tests/app_oracle.py``.
     """
     lu = np.array(a)  # fresh writable copy (a may be a read-only view)
     n = lu.shape[0]
@@ -143,7 +123,7 @@ def lu_factor_diag(a: np.ndarray) -> np.ndarray:
 
 
 def lu_solve_col(a: np.ndarray, diag_lu: np.ndarray) -> np.ndarray:
-    """A := A @ U^-1 — bit-identical to ``apps.lu._solve_col``."""
+    """A := A @ U^-1 — bit-identical to the scalar ``solve_col``."""
     out = np.array(a)
     n = out.shape[0]
     for j in range(n):
@@ -154,7 +134,7 @@ def lu_solve_col(a: np.ndarray, diag_lu: np.ndarray) -> np.ndarray:
 
 
 def lu_solve_row(a: np.ndarray, diag_lu: np.ndarray) -> np.ndarray:
-    """A := L^-1 @ A — bit-identical to ``apps.lu._solve_row``."""
+    """A := L^-1 @ A — bit-identical to the scalar ``solve_row``."""
     out = np.array(a)
     n = out.shape[0]
     for i in range(n):
@@ -207,8 +187,12 @@ def gauss_back_substitute(aug: np.ndarray) -> np.ndarray:
 
 
 def sor_phase_update(other_halo: np.ndarray) -> np.ndarray:
-    """One red/black half-sweep for a band (bit-identical to
-    ``apps.sor._phase_update``)."""
+    """One red/black half-sweep for a band.
+
+    ``other_halo`` holds the other color's rows for the band plus one
+    halo row above and below.  The first and last grid rows are boundary
+    rows and stay fixed, so every updated row has in-range halos.
+    """
     up = other_halo[:-2]
     mid = other_halo[1:-1]
     down = other_halo[2:]
@@ -231,7 +215,7 @@ def water_pair_forces(
 ) -> np.ndarray:
     """Forces from pairs (i, j) with i in my chunk and j > i.
 
-    Bit-identical to ``apps.water._pair_forces``.
+    Bit-identical to the scalar ``pair_forces`` in ``tests/app_oracle.py``.
     """
     n = len(all_pos)
     contrib = np.zeros_like(all_pos)
@@ -414,16 +398,17 @@ def ilink_reduce(pool_rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # TSP — branch-and-bound search (inherently scalar: data-dependent
 # control flow).  The kernel layer hosts the search so all compute
-# implementations live in one place; the app module retains the scalar
-# reference these are pinned against.
+# implementations live in one place; ``apps/tsp.py`` keeps the DFS its
+# exact ``reference`` uses, and ``tests/app_oracle.py`` the scalar bound.
 # ---------------------------------------------------------------------------
 
 
 def tsp_lower_bound(d: np.ndarray, path: List[int], length: float) -> float:
     """Partial length plus the cheapest continuation edge per open city.
 
-    Bit-identical to ``apps.tsp._lower_bound``: ``min`` is exact, and
-    the accumulation order over cities is preserved.
+    Bit-identical to the scalar ``lower_bound`` in ``tests/app_oracle.py``:
+    ``min`` is exact, and the accumulation order over cities is
+    preserved.
     """
     c = len(d)
     remaining = [i for i in range(c) if i not in path]

@@ -83,28 +83,14 @@ def worker(env, shared: Dict, params: Dict):
     nb = n // block
     matrix = shared["matrix"]
     ws = _working_set(block)
-    if kernels.ENABLED:
-        # The kernels are bit-identical to the scalar helpers below
-        # (same IEEE ops, same order) with ``np.outer``'s
-        # asarray/ravel detour replaced by direct broadcasting, and
-        # they copy their input up front, so they accept the read-only
-        # zero-copy block views from ``region_view``.
-        factor_diag = kernels.lu_factor_diag
-        solve_col = kernels.lu_solve_col
-        solve_row = kernels.lu_solve_row
-        interior_update = kernels.lu_interior_update
-    else:
-        factor_diag = _factor_diag
-        solve_col = _solve_col
-        solve_row = _solve_row
-        interior_update = _interior_update
-
+    # The kernels copy their input up front, so they accept the
+    # read-only zero-copy block views from ``region_view``.
     block_regions = {}  # row -> Region, page spans computed once
     view_missed = set()  # rows whose region_view probe missed once
 
     def read_block(bi, bj):
         row = _block_row(nb, bi, bj)
-        if kernels.ENABLED and row not in view_missed:
+        if row not in view_missed:
             # Hot hit: a read-only zero-copy view of the block's page
             # (one block is page-contiguous).  Blocks are only written
             # in a *different* phase from every read of them, with
@@ -140,7 +126,7 @@ def worker(env, shared: Dict, params: Dict):
                 polls=block * block,
                 ws=ws,
             )
-            lu = factor_diag(diag)
+            lu = kernels.lu_factor_diag(diag)
             yield from write_block(k, k, lu)
         yield from env.barrier(0)
 
@@ -158,7 +144,9 @@ def worker(env, shared: Dict, params: Dict):
                     polls=block * block,
                     ws=ws,
                 )
-                yield from write_block(bi, k, solve_col(mine, diag))
+                yield from write_block(
+                    bi, k, kernels.lu_solve_col(mine, diag)
+                )
             if _owner(k, bi, nb, env.nprocs) == env.rank:
                 if diag is None:
                     diag = yield from read_block(k, k)
@@ -170,7 +158,9 @@ def worker(env, shared: Dict, params: Dict):
                     polls=block * block,
                     ws=ws,
                 )
-                yield from write_block(k, bi, solve_row(mine, diag))
+                yield from write_block(
+                    k, bi, kernels.lu_solve_row(mine, diag)
+                )
         yield from env.barrier(0)
 
         # Phase 3: interior update A[i][j] -= L[i][k] @ U[k][j].
@@ -192,7 +182,9 @@ def worker(env, shared: Dict, params: Dict):
                     polls=block * block,
                     ws=ws,
                 )
-                updated = interior_update(mine, col_cache[bi], row_cache[bj])
+                updated = kernels.lu_interior_update(
+                    mine, col_cache[bi], row_cache[bj]
+                )
                 yield from write_block(bi, bj, updated)
         yield from env.barrier(0)
     env.stop_timer()
@@ -200,42 +192,6 @@ def worker(env, shared: Dict, params: Dict):
         final = yield from matrix.read_all(env)
         return final
     return None
-
-
-def _factor_diag(a: np.ndarray) -> np.ndarray:
-    """Unpivoted LU of one block, L and U packed together."""
-    lu = a.copy()
-    n = len(lu)
-    for i in range(n):
-        lu[i + 1 :, i] /= lu[i, i]
-        lu[i + 1 :, i + 1 :] -= np.outer(lu[i + 1 :, i], lu[i, i + 1 :])
-    return lu
-
-
-def _solve_col(a: np.ndarray, diag_lu: np.ndarray) -> np.ndarray:
-    """A := A @ U^-1 (column-perimeter triangular solve)."""
-    n = len(a)
-    out = a.copy()
-    for j in range(n):
-        out[:, j] /= diag_lu[j, j]
-        out[:, j + 1 :] -= np.outer(out[:, j], diag_lu[j, j + 1 :])
-    return out
-
-
-def _solve_row(a: np.ndarray, diag_lu: np.ndarray) -> np.ndarray:
-    """A := L^-1 @ A (row-perimeter triangular solve)."""
-    n = len(a)
-    out = a.copy()
-    for i in range(n):
-        out[i + 1 :, :] -= np.outer(diag_lu[i + 1 :, i], out[i, :])
-    return out
-
-
-def _interior_update(
-    mine: np.ndarray, col: np.ndarray, row: np.ndarray
-) -> np.ndarray:
-    """A[i][j] -= L[i][k] @ U[k][j] (the dgemm phase)."""
-    return mine - col @ row
 
 
 def program() -> Program:

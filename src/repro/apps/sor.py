@@ -43,20 +43,6 @@ def default_params(scale: str = "small") -> Dict:
     return pick_scale(sizes, scale)
 
 
-def _phase_update(other_halo: np.ndarray) -> np.ndarray:
-    """One red/black half-sweep for a band.
-
-    ``other_halo`` holds the other color's rows for the band plus one
-    halo row above and below.  The first and last grid rows are boundary
-    rows and stay fixed, so every updated row has in-range halos.
-    """
-    up = other_halo[:-2]
-    mid = other_halo[1:-1]
-    down = other_halo[2:]
-    right = np.roll(mid, -1, axis=1)
-    return 0.25 * (up + down + mid + right)
-
-
 def setup(space, params: Dict) -> Dict:
     rows, cols = params["rows"], params["cols"]
     half = cols // 2
@@ -81,14 +67,14 @@ def worker(env, shared: Dict, params: Dict):
     # paper attributes SOR's Cashmere overhead purely to the doubled
     # write instructions).
     ws = WorkingSet(primary=0)
-    # Band mirrors (kernel layer): this rank is the only writer of rows
-    # [ulo, uhi) of either color, so those rows — once read or written —
-    # always match shared memory bitwise, and re-gathering them per phase
-    # only repeats event-free hot reads.  Each buffer holds the mirrored
-    # band in [1:-1]; only the two halo rows [0] / [-1] are refreshed
-    # from shared memory each phase.  Any cold halo page falls back to
-    # the full-range read below, which faults the same pages in the same
-    # ascending order the scalar path does.
+    # Band mirrors: this rank is the only writer of rows [ulo, uhi) of
+    # either color, so those rows — once read or written — always match
+    # shared memory bitwise, and re-gathering them per phase only
+    # repeats event-free hot reads.  Each buffer holds the mirrored band
+    # in [1:-1]; only the two halo rows [0] / [-1] are refreshed from
+    # shared memory each phase.  Any cold interior page falls back to
+    # the full-range read below, which faults the band's pages in
+    # ascending order.
     halo_buf: Dict[int, np.ndarray] = {}
     # Loop-invariant regions, hoisted out of the iteration loop (ROADMAP
     # "profiled micro-levers", the lu block-map idiom): every phase
@@ -108,63 +94,48 @@ def worker(env, shared: Dict, params: Dict):
         for color, source in ((red, black), (black, red)):
             if cells:
                 band_reg, top_reg, bot_reg, _ = regions[id(source)]
-                halo = None
-                if kernels.ENABLED:
-                    buf = halo_buf.get(id(source))
-                    if buf is not None and source.rows_hot(env, ulo, uhi):
-                        # The mirrored interior is provably current
-                        # (single writer) and its pages are all hot, so
-                        # only the two halo rows can be cold.  Fetching
-                        # them alone faults exactly the pages the
-                        # full-band read would — the cold subset of the
-                        # top row's span, then of the bottom row's, both
-                        # ascending, with any page shared between the
-                        # two spans faulted once by the first read —
-                        # so the event stream is identical.
-                        top = source.region_view(env, top_reg)
-                        if top is None:
-                            top = yield from source.read_region(
-                                env, top_reg
-                            )
-                        bot = source.region_view(env, bot_reg)
-                        if bot is None:
-                            bot = yield from source.read_region(
-                                env, bot_reg
-                            )
-                        buf[0] = top[0]
-                        buf[-1] = bot[0]
-                        halo = buf
-                if halo is None:
+                buf = halo_buf.get(id(source))
+                if buf is not None and source.rows_hot(env, ulo, uhi):
+                    # The mirrored interior is provably current (single
+                    # writer) and its pages are all hot, so only the two
+                    # halo rows can be cold.  Fetching them alone faults
+                    # exactly the pages the full-band read would — the
+                    # cold subset of the top row's span, then of the
+                    # bottom row's, both ascending, with any page shared
+                    # between the two spans faulted once by the first
+                    # read — so the event stream is identical.
+                    top = source.region_view(env, top_reg)
+                    if top is None:
+                        top = yield from source.read_region(env, top_reg)
+                    bot = source.region_view(env, bot_reg)
+                    if bot is None:
+                        bot = yield from source.read_region(env, bot_reg)
+                    buf[0] = top[0]
+                    buf[-1] = bot[0]
+                else:
                     halo = source.region_view(env, band_reg)
                     if halo is None:
                         halo = yield from source.read_region(
                             env, band_reg
                         )
-                    if kernels.ENABLED:
-                        buf = halo_buf.get(id(source))
-                        if buf is None:
-                            buf = np.array(halo)
-                            halo_buf[id(source)] = buf
-                        else:
-                            buf[:] = halo
-                        halo = buf
+                    if buf is None:
+                        buf = halo_buf[id(source)] = np.array(halo)
+                    else:
+                        buf[:] = halo
             yield from env.compute(
                 cells * US_PER_CELL, polls=cells * POLLS_PER_CELL, ws=ws
             )
             if cells:
-                if kernels.ENABLED:
-                    updated = kernels.sor_phase_update(halo)
-                else:
-                    updated = _phase_update(halo)
+                updated = kernels.sor_phase_update(buf)
                 yield from color.write_region(
                     env, regions[id(color)][3], updated
                 )
-                if kernels.ENABLED:
-                    cbuf = halo_buf.get(id(color))
-                    if cbuf is None:
-                        cbuf = np.empty((uhi - ulo + 2, half))
-                        halo_buf[id(color)] = cbuf
-                    cbuf[1:-1] = updated
+                cbuf = halo_buf.get(id(color))
+                if cbuf is None:
+                    cbuf = halo_buf[id(color)] = np.empty(
+                        (uhi - ulo + 2, half)
+                    )
+                cbuf[1:-1] = updated
             yield from env.barrier(0)
     env.stop_timer()
     if env.rank == 0:

@@ -18,7 +18,7 @@ verify.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -78,7 +78,7 @@ def setup(space, params: Dict) -> Dict:
     # unpruned subtrees.
     greedy_len, greedy_path = _greedy_tour(d)
     root = np.zeros(record)
-    root[0] = _lower_bound(d, [0], 0.0)
+    root[0] = kernels.tsp_lower_bound(d, [0], 0.0)
     root[1] = 0.0
     root[2] = 1.0
     root[3] = 0.0  # tour starts at city 0
@@ -126,18 +126,6 @@ def _greedy_tour(d: np.ndarray):
     return total, path
 
 
-def _lower_bound(d: np.ndarray, path: List[int], length: float) -> float:
-    """Partial length plus the cheapest continuation edge per open city."""
-    c = len(d)
-    remaining = [i for i in range(c) if i not in path]
-    bound = length
-    for city in remaining + [path[-1]]:
-        choices = [d[city][j] for j in remaining + [path[0]] if j != city]
-        if choices:
-            bound += min(choices)
-    return bound
-
-
 def _dfs_solve(d, path, length, best_len):
     """Branch-and-bound DFS under a node.
 
@@ -183,11 +171,8 @@ def worker(env, shared: Dict, params: Dict):
     best_path_arr = shared["best_path"]
     record = shared["record"]
     # The search is data-dependent scalar control flow; the kernel layer
-    # hosts the (bit-identical) bound and DFS implementations.
-    if kernels.ENABLED:
-        lower_bound, dfs_solve = kernels.tsp_lower_bound, kernels.tsp_dfs_solve
-    else:
-        lower_bound, dfs_solve = _lower_bound, _dfs_solve
+    # hosts the bound and DFS implementations.
+    lower_bound, dfs_solve = kernels.tsp_lower_bound, kernels.tsp_dfs_solve
 
     def read_control():
         vals = yield from control.read_range(env, 0, 4)

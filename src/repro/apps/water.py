@@ -55,23 +55,6 @@ def setup(space, params: Dict) -> Dict:
     return {"pos": positions, "vel": velocities, "force": forces}
 
 
-def _pair_forces(my_pos: np.ndarray, lo: int, all_pos: np.ndarray):
-    """Forces from pairs (i, j) with i in my chunk and j > i."""
-    n = len(all_pos)
-    contrib = np.zeros_like(all_pos)
-    for local_i, i in enumerate(range(lo, lo + len(my_pos))):
-        if i + 1 >= n:
-            continue
-        delta = all_pos[i + 1 :] - my_pos[local_i]
-        r2 = np.maximum((delta * delta).sum(axis=1), 0.25)
-        inv6 = 1.0 / (r2 * r2 * r2)
-        magnitude = (24.0 * inv6 * (2.0 * inv6 - 1.0) / r2)[:, np.newaxis]
-        pair = magnitude * delta
-        contrib[i + 1 :] += pair
-        contrib[i] -= pair.sum(axis=0)
-    return contrib
-
-
 def worker(env, shared: Dict, params: Dict):
     n, steps = params["n_mols"], params["steps"]
     pos, vel, force = shared["pos"], shared["vel"], shared["force"]
@@ -93,10 +76,7 @@ def worker(env, shared: Dict, params: Dict):
         # Force phase: all positions against my chunk.
         all_pos = yield from pos.read_rows(env, 0, n)
         yield from env.compute(pairs * US_PER_PAIR, polls=pairs, ws=ws)
-        if kernels.ENABLED:
-            contrib = kernels.water_pair_forces(all_pos[lo:hi], lo, all_pos)
-        else:
-            contrib = _pair_forces(all_pos[lo:hi], lo, all_pos)
+        contrib = kernels.water_pair_forces(all_pos[lo:hi], lo, all_pos)
 
         # Migratory accumulation under per-processor locks.
         for victim in range(nprocs):
@@ -106,17 +86,15 @@ def worker(env, shared: Dict, params: Dict):
                 continue
             yield from env.lock_acquire(target)
             updated = None
-            if kernels.ENABLED:
-                reg = accum_regions.get(target)
-                if reg is None:
-                    reg = force.region_rows(vlo, vhi)
-                    accum_regions[target] = reg
-                current = force.region_view(env, reg)
-                if current is not None:
-                    # Consume the (possibly zero-copy) view before the
-                    # next yield; the add snapshots the same bytes the
-                    # scalar path's read copied.
-                    updated = current + contrib[vlo:vhi]
+            reg = accum_regions.get(target)
+            if reg is None:
+                reg = accum_regions[target] = force.region_rows(vlo, vhi)
+            current = force.region_view(env, reg)
+            if current is not None:
+                # Consume the (possibly zero-copy) view before the next
+                # yield; the add snapshots the same bytes the cold
+                # path's read copies.
+                updated = current + contrib[vlo:vhi]
             if updated is None:
                 current = yield from force.read_rows(env, vlo, vhi)
             yield from env.compute(
@@ -139,13 +117,9 @@ def worker(env, shared: Dict, params: Dict):
             yield from env.compute(
                 n_mine * US_PER_MOL_UPDATE, polls=n_mine, ws=ws
             )
-            if kernels.ENABLED:
-                new_vel, new_pos = kernels.water_integrate(
-                    my_pos, my_vel, my_force, DT
-                )
-            else:
-                new_vel = my_vel + my_force * DT
-                new_pos = my_pos + new_vel * DT
+            new_vel, new_pos = kernels.water_integrate(
+                my_pos, my_vel, my_force, DT
+            )
             yield from vel.write_rows(env, lo, new_vel)
             yield from pos.write_rows(env, lo, new_pos)
         yield from env.barrier(0)

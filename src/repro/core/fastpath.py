@@ -21,11 +21,10 @@ transition (fault upgrades, invalidations, release/barrier downgrades).
 ``tests/test_fastpath_invariants.py`` drives that assertion through
 fault/invalidate/downgrade sequences for all three protocols.
 
-Escape hatch: ``SimOptions(fastpath=False)`` — the CLI's
-``--no-fastpath`` flag — disables the fast path entirely and restores
-the per-page generator loop.  Simulated times, counters, and traces are
-bit-identical either way (locked in by
-``tests/test_engine_equivalence.py``); only wall clock differs.
+This is the one access path.  The per-page generator loop it replaced
+survives only as a test oracle, ``tests/access_oracle.py``
+(``per_page_access()``); simulated times, counters, and traces are
+bit-identical to it (locked in by ``tests/test_engine_equivalence.py``).
 
 With ``SimOptions(debug_checks=True)`` (``--debug-checks``), the
 runtime additionally re-checks bitmap/perm coherence at every barrier
@@ -41,18 +40,11 @@ import numpy as np
 from repro import options as _options
 from repro.memory.page import Protection
 
-#: Module-level switches, mirrored from :mod:`repro.options` — the hit
-#: paths probe plain globals instead of calling into the options object.
-#: ``SimOptions.apply`` keeps them in sync; tests flip them directly.
-_initial = _options.current()
-ENABLED = _initial.fastpath
-DEBUG = _initial.debug_checks
-
-
-def set_enabled(flag: bool) -> None:
-    """Toggle the fast path in-process (benchmarks and tests)."""
-    global ENABLED
-    ENABLED = bool(flag)
+#: Module-level switch, mirrored from :mod:`repro.options` — the
+#: barrier hook probes a plain global instead of calling into the
+#: options object.  ``SimOptions.apply`` keeps it in sync; tests flip it
+#: directly.
+DEBUG = _options.current().debug_checks
 
 
 #: perm -> (readable, writable), resolved once instead of two enum

@@ -11,9 +11,9 @@ resolved by one vectorized permission-bitmap check and a direct
 gather/scatter, entering no protocol generator at all.  Cold spans fall
 into the protocol's ``ensure_read_span`` / ``ensure_write_span`` batch
 fault loops, which preserve per-page event order, counters, and traces
-exactly.  ``SimOptions(fastpath=False)`` (``--no-fastpath``) restores
-the original per-page generator loop; simulated results are
-bit-identical either way.
+exactly.  This is the one access path; the per-page generator loop it
+replaced is a test oracle in ``tests/access_oracle.py``
+(``per_page_access()``), and simulated results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Generator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import fastpath
 from repro.memory.address_space import SharedRegion
 
 Index = Union[int, Tuple[int, ...]]
@@ -280,8 +279,6 @@ class SharedArray:
 
     def try_read(self, env, start_elem: int, count: int):
         """Hit-path read: the elements if every page is hot, else None."""
-        if not fastpath.ENABLED:
-            return None
         if start_elem < 0 or count < 0 or start_elem + count > self.size:
             self._byte_range(start_elem, count)  # raises IndexError
         item = self._item
@@ -303,7 +300,7 @@ class SharedArray:
         apply, so don't pay for the attempt.
         """
         protocol = env.protocol
-        if not fastpath.ENABLED or not protocol.free_writes:
+        if not protocol.free_writes:
             return False
         item = self._item
         count = raw.nbytes // item
@@ -335,13 +332,13 @@ class SharedArray:
         offset, nbytes = self._byte_range(start_elem, count)
         space = self.region.space
         protocol = env.protocol
-        if fastpath.ENABLED:
-            lo, hi = space.span_bounds(offset, nbytes)
-            yield from protocol.ensure_read_span(env.proc, lo, hi)
-            data = protocol.fast_read(env.proc, space, offset, nbytes)
-            if data is not None:
-                return data.view(self.dtype)
-            # No bitmaps on this protocol: fall through to the loop.
+        lo, hi = space.span_bounds(offset, nbytes)
+        yield from protocol.ensure_read_span(env.proc, lo, hi)
+        data = protocol.fast_read(env.proc, space, offset, nbytes)
+        if data is not None:
+            return data.view(self.dtype)
+        # No bitmaps on this protocol, or a page went cold again while
+        # the span faulted: the per-page loop.
         out = np.empty(nbytes, np.uint8)
         pos = 0
         for page, start, length in space.page_spans(offset, nbytes):
@@ -369,28 +366,13 @@ class SharedArray:
         nbytes = count * item
         space = self._space
         protocol = env.protocol
-        if fastpath.ENABLED:
-            if protocol.free_writes and protocol.fast_write(
-                env.proc, space, offset, raw
-            ):
-                return ()  # every page hot and writes are free: done
-            return protocol.ensure_write_span(
-                env.proc, space.page_spans_list(offset, nbytes), raw
-            )
-        return self._write_range_slow(env, space, offset, nbytes, raw)
-
-    def _write_range_slow(
-        self, env, space, offset: int, nbytes: int, raw
-    ) -> Generator:
-        """Legacy per-page fault loop (fastpath disabled)."""
-        protocol = env.protocol
-        pos = 0
-        for page, start, length in space.page_spans(offset, nbytes):
-            yield from protocol.ensure_write(env.proc, page)
-            yield from protocol.apply_write(
-                env.proc, page, start, raw[pos : pos + length]
-            )
-            pos += length
+        if protocol.free_writes and protocol.fast_write(
+            env.proc, space, offset, raw
+        ):
+            return ()  # every page hot and writes are free: done
+        return protocol.ensure_write_span(
+            env.proc, space.page_spans_list(offset, nbytes), raw
+        )
 
     # -- convenience views ------------------------------------------------------
 
@@ -418,8 +400,6 @@ class SharedArray:
             if block is None:
                 block = yield from matrix.read_rows(env, r0, r1)
         """
-        if not fastpath.ENABLED:
-            return None
         if not 0 <= row0 < self.shape[0]:
             raise IndexError(f"row {row0} out of range")
         stride = self._stride
@@ -442,13 +422,11 @@ class SharedArray:
         """Event-free probe: True when every page holding rows
         ``[row0, row1)`` is already mapped readable at this processor.
 
-        False means "unknown", not "cold" — without the fast path (or a
-        protocol that keeps permission bitmaps) there is nothing cheap
-        to consult, so callers must treat False as "take the safe
-        path".  The probe itself never touches protocol state.
+        False means "unknown", not "cold" — a protocol that keeps no
+        permission bitmaps has nothing cheap to consult, so callers must
+        treat False as "take the safe path".  The probe itself never
+        touches protocol state.
         """
-        if not fastpath.ENABLED:
-            return False
         perms = env.protocol.perms
         if perms is None:
             return False
@@ -497,8 +475,7 @@ class SharedArray:
     # shape when everything is hot, and the *exact* per-segment
     # fault/charge replay when anything is cold.  ``read_region`` /
     # ``write_region`` are bit-identical to the equivalent per-row loop
-    # under every protocol, on both engines, and fastpath on/off —
-    # hot reads are event-free everywhere, hot writes are event-free
+    # under every protocol, and to the per-page oracle — hot reads are event-free everywhere, hot writes are event-free
     # only under ``free_writes`` (the scatter is gated on it), and cold
     # segments run ``ensure_read_span`` / ``ensure_write_span`` in
     # segment order, preserving Cashmere's per-page doubled-write
@@ -582,8 +559,6 @@ class SharedArray:
         may mutate the page copy it aliases — so consume it immediately
         or take a copy.
         """
-        if not fastpath.ENABLED:
-            return None
         protocol = env.protocol
         perms = protocol.perms
         segs = region.segs
@@ -615,42 +590,31 @@ class SharedArray:
         """
         protocol = env.protocol
         space = self._space
-        total_bytes = region.nbytes
-        if fastpath.ENABLED:
-            data = protocol.region_gather(env.proc, space, region)
-            if data is None:
-                out = np.empty(total_bytes, np.uint8)
-                pos = 0
-                for offset, nbytes in region.segs:
+        data = protocol.region_gather(env.proc, space, region)
+        if data is None:
+            out = np.empty(region.nbytes, np.uint8)
+            pos = 0
+            for offset, nbytes in region.segs:
+                data = protocol.fast_read(env.proc, space, offset, nbytes)
+                if data is None:
+                    lo, hi = space.span_bounds(offset, nbytes)
+                    yield from protocol.ensure_read_span(env.proc, lo, hi)
                     data = protocol.fast_read(env.proc, space, offset, nbytes)
-                    if data is None:
-                        lo, hi = space.span_bounds(offset, nbytes)
-                        yield from protocol.ensure_read_span(env.proc, lo, hi)
-                        data = protocol.fast_read(env.proc, space, offset, nbytes)
-                    if data is None:
-                        # No bitmaps on this protocol: per-page gather.
-                        for page, start, length in space.page_spans(
-                            offset, nbytes
-                        ):
-                            page_bytes = protocol.page_data(env.proc, page)
-                            out[pos : pos + length] = page_bytes[
-                                start : start + length
-                            ]
-                            pos += length
-                        continue
-                    out[pos : pos + nbytes] = data
-                    pos += nbytes
-                data = out
-            return data.view(self.dtype).reshape(region.shape)
-        out = np.empty(total_bytes, np.uint8)
-        pos = 0
-        for offset, nbytes in region.segs:
-            for page, start, length in space.page_spans(offset, nbytes):
-                yield from protocol.ensure_read(env.proc, page)
-                data = protocol.page_data(env.proc, page)
-                out[pos : pos + length] = data[start : start + length]
-                pos += length
-        return out.view(self.dtype).reshape(region.shape)
+                if data is None:
+                    # No bitmaps on this protocol: per-page gather.
+                    for page, start, length in space.page_spans(
+                        offset, nbytes
+                    ):
+                        page_bytes = protocol.page_data(env.proc, page)
+                        out[pos : pos + length] = page_bytes[
+                            start : start + length
+                        ]
+                        pos += length
+                    continue
+                out[pos : pos + nbytes] = data
+                pos += nbytes
+            data = out
+        return data.view(self.dtype).reshape(region.shape)
 
     def write_region(self, env, region: Region, values):
         """Write ``values`` (region-shaped) across a region.
@@ -668,27 +632,11 @@ class SharedArray:
                 f"({region.shape})"
             )
         protocol = env.protocol
-        space = self._space
-        if fastpath.ENABLED:
-            if protocol.region_scatter(env.proc, space, region, raw):
-                return ()  # every page hot and writes are free: done
-            # One batched ensure_write_span over the whole region: the
-            # flattened span list keeps segments in order and ``raw`` is
-            # consumed sequentially, so fault/apply interleaving (and
-            # Cashmere's per-span doubled-write charge) replays exactly
-            # as the per-segment loop — minus one generator frame per
-            # segment.
-            return protocol.ensure_write_span(
-                env.proc, region.page_spans(), raw
-            )
-        return self._write_region_slow(env, region, raw)
-
-    def _write_region_slow(self, env, region: Region, raw) -> Generator:
-        """Legacy per-page fault loop (fastpath disabled)."""
-        space = self._space
-        pos = 0
-        for offset, nbytes in region.segs:
-            yield from self._write_range_slow(
-                env, space, offset, nbytes, raw[pos : pos + nbytes]
-            )
-            pos += nbytes
+        if protocol.region_scatter(env.proc, self._space, region, raw):
+            return ()  # every page hot and writes are free: done
+        # One batched ensure_write_span over the whole region: the
+        # flattened span list keeps segments in order and ``raw`` is
+        # consumed sequentially, so fault/apply interleaving (and
+        # Cashmere's per-span doubled-write charge) replays exactly as
+        # the per-segment loop — minus one generator frame per segment.
+        return protocol.ensure_write_span(env.proc, region.page_spans(), raw)

@@ -107,25 +107,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="recompute every point and overwrite any cached results",
     )
     parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help=(
-            "disable the vectorized shared-access fast path (restores "
-            "the per-page generator loop; bit-identical results)"
-        ),
-    )
-    parser.add_argument(
         "--debug-checks",
         action="store_true",
         help="re-verify permission-bitmap coherence at every barrier",
-    )
-    parser.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help=(
-            "run the per-element scalar reference loops instead of the "
-            "vectorized app kernels (bit-identical results)"
-        ),
     )
     parser.add_argument(
         "--network",
@@ -191,9 +175,7 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
             refresh=args.refresh,
         )
     options = SimOptions.from_flags(
-        no_fastpath=args.no_fastpath,
         debug_checks=args.debug_checks,
-        no_kernels=args.no_kernels,
         network=args.network,
         granularity=args.granularity,
         prefetch=args.prefetch,

@@ -13,7 +13,7 @@ built on?*
 Each backend's simulated results are pinned bit-identically by
 ``tests/golden_cross_era_<backend>.txt`` (rendered output, diffed in
 CI's backend matrix) and ``tests/golden_networks.json`` (raw exec
-times/counters, replayed over the wall-clock mode matrix).  The
+times/counters, replayed on production and the test oracles).  The
 methodology writeup lives in EXPERIMENTS.md; the backend constants and
 their sources in docs/NETWORKS.md.
 """

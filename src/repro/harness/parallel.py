@@ -47,10 +47,11 @@ class PointSpec:
     warm_start: bool = True
     trace: bool = False
     overrides: Dict[str, Any] = field(default_factory=dict)
-    # Wall-clock toggles only (fast path, kernels, debug checks):
-    # every combination is bit-identical, so options never enter cache
-    # keys.  Shipping them in the spec makes worker processes honour the
-    # CLI flags under both fork and spawn start methods.
+    # Run options: debug checks never change results, and network and
+    # the policies reach the RunConfig through ``overrides``, so options
+    # never enter cache keys.  Shipping them in the spec makes worker
+    # processes honour the CLI flags under both fork and spawn start
+    # methods.
     options: Optional[SimOptions] = None
 
     @property

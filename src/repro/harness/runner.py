@@ -72,7 +72,7 @@ class ExperimentContext:
     # no per-batch pool is constructed or torn down.  The caller owns
     # the pool's lifetime; ``jobs`` is ignored while it is set.
     pool: Optional[Any] = None
-    # Wall-clock toggles (fast path, kernels, debug checks) shipped
+    # Run options (debug checks, network, policies) shipped
     # to worker processes inside every PointSpec.  None inherits the
     # process-wide repro.options.current().
     options: Optional[SimOptions] = None

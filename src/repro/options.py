@@ -1,14 +1,15 @@
 """Typed simulation options: the one place runtime toggles live.
 
 :class:`SimOptions` is a single dataclass that the CLI plumbs from
-flags (``--no-fastpath``, ``--debug-checks``, ``--no-kernels``, ...)
-and that the parallel harness ships to worker processes inside each
-:class:`~repro.harness.parallel.PointSpec`.  Every toggle is a
-wall-clock lever only — simulated results are bit-identical in every
-combination (locked in by ``tests/test_engine_equivalence.py``) — with
-one documented exception: ``network`` selects the simulated
-interconnect backend (docs/NETWORKS.md) and therefore *changes
-simulated results*.  It rides in SimOptions because it is plumbed the
+flags (``--debug-checks``, ``--network``, the policy flags) and that
+the parallel harness ships to worker processes inside each
+:class:`~repro.harness.parallel.PointSpec`.  There is one shared-access
+path and one body per app: the per-page access loop and the scalar app
+helpers they replaced are test oracles (``tests/access_oracle.py``,
+``tests/app_oracle.py``), not options.  ``debug_checks`` is a checking
+lever only — simulated results are bit-identical with it on or off.
+``network`` selects the simulated interconnect backend
+(docs/NETWORKS.md) and therefore *changes simulated results*.  It rides in SimOptions because it is plumbed the
 same way (CLI flag -> context -> workers), but the authoritative copy
 is :attr:`repro.config.RunConfig.network`, which enters the
 result-cache key; each backend's results are pinned by their own
@@ -23,18 +24,10 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Runtime toggles for one simulation (all default to the fast,
-    production configuration; every field is A/B-verified bit-identical).
+    """Runtime options for one simulation.
 
-    ``fastpath``
-        Vectorized permission-bitmap hit path for shared accesses
-        (PR 3).  Off restores the per-page generator loop.
     ``debug_checks``
         Re-verify bitmap/permission coherence at every barrier.
-    ``kernels``
-        Vectorized application kernels over the bulk region API
-        (PR 5).  Off restores the per-element scalar reference loops
-        in every app — the A/B escape hatch for the kernel layer.
     ``network``
         Interconnect backend name (``memch``, ``rdma``, ``ethernet``;
         see docs/NETWORKS.md).  **Not** a wall-clock toggle: it changes
@@ -52,9 +45,7 @@ class SimOptions:
         simulator bit-for-bit.
     """
 
-    fastpath: bool = True
     debug_checks: bool = False
-    kernels: bool = True
     network: str = "memch"
     granularity: str = "page"
     prefetch: str = "none"
@@ -63,9 +54,7 @@ class SimOptions:
     @classmethod
     def from_flags(
         cls,
-        no_fastpath: bool = False,
         debug_checks: bool = False,
-        no_kernels: bool = False,
         network: Optional[str] = None,
         granularity: Optional[str] = None,
         prefetch: Optional[str] = None,
@@ -73,12 +62,8 @@ class SimOptions:
     ) -> "SimOptions":
         """Build options from CLI flag values over the defaults."""
         options = cls()
-        if no_fastpath:
-            options = replace(options, fastpath=False)
         if debug_checks:
             options = replace(options, debug_checks=True)
-        if no_kernels:
-            options = replace(options, kernels=False)
         if network is not None:
             options = replace(options, network=network)
         if granularity is not None:
@@ -92,25 +77,20 @@ class SimOptions:
     def apply(self) -> "SimOptions":
         """Install these options as the process-wide current set.
 
-        Mirrors the toggles into the modules that consume them
-        (``repro.core.fastpath`` and ``repro.apps.kernels`` keep
-        ``ENABLED``/``DEBUG`` module globals the hot paths probe).
-        Returns self for chaining.
+        Mirrors ``debug_checks`` into ``repro.core.fastpath.DEBUG``, the
+        module global the barrier hook probes.  Returns self for
+        chaining.
         """
         global _current
         _current = self
         from repro.core import fastpath
 
-        fastpath.ENABLED = self.fastpath
         fastpath.DEBUG = self.debug_checks
-        from repro.apps import kernels
-
-        kernels.ENABLED = self.kernels
         return self
 
 
-#: The process-wide options; the fast path and the kernel layer read
-#: this at import.  ``SimOptions.apply`` replaces it.
+#: The process-wide options; ``repro.core.fastpath`` reads this at
+#: import.  ``SimOptions.apply`` replaces it.
 _current: Optional[SimOptions] = None
 
 

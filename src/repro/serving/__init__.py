@@ -26,11 +26,7 @@ semantics, and deployment knobs.
 """
 
 from repro.serving.batcher import ColdPointBatcher
-from repro.serving.client import (
-    HttpClient,
-    InProcessClient,
-    ServingClient,
-)
+from repro.serving.client import ServingClient
 from repro.serving.codec import (
     WIRE_VERSION,
     NegativeCache,
@@ -57,8 +53,6 @@ __all__ = [
     "ColdPointBatcher",
     "ExperimentServer",
     "ExperimentService",
-    "HttpClient",
-    "InProcessClient",
     "NegativeCache",
     "ServeStats",
     "ServerConfig",

@@ -17,12 +17,6 @@
     background event-loop thread, so synchronous callers get the same
     persistent session.
 
-:class:`HttpClient` / :class:`InProcessClient`
-    Deprecated PR 8 names, now thin aliases over :class:`ServingClient`
-    (per-request connections / in-process respectively).  Each warns
-    once per process on first construction, mirroring the ``SimOptions``
-    env-alias pattern.
-
 All transports speak the same request objects (see
 :mod:`repro.serving.codec`) and return the same payload dicts.
 """
@@ -31,29 +25,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 import threading
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.serving.codec import ServingError
-
-_warned_aliases: set = set()
-
-
-def _warn_once(name: str, replacement: str) -> None:
-    if name in _warned_aliases:
-        return
-    _warned_aliases.add(name)
-    print(
-        f"repro-dsm: {name} is deprecated; use {replacement}",
-        file=sys.stderr,
-    )
-
-
-def reset_deprecation_warnings() -> None:
-    """Test hook: make the next alias construction warn again."""
-    _warned_aliases.clear()
-
 
 def _request(app: str, variant=None, nprocs: int = 1, **fields) -> Dict:
     request: Dict[str, Any] = {"app": app, "nprocs": nprocs}
@@ -438,25 +413,3 @@ class ServingClient:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-
-class InProcessClient(ServingClient):
-    """Deprecated alias: ``ServingClient(service=service)``."""
-
-    def __init__(self, service) -> None:
-        _warn_once("InProcessClient", "ServingClient(service=...)")
-        super().__init__(service=service)
-
-
-class HttpClient(ServingClient):
-    """Deprecated alias: per-request-connection :class:`ServingClient`.
-
-    Keeps the PR 8 transport (one fresh connection per request) so
-    existing call sites and benchmarks measure what they always did;
-    new code should construct :class:`ServingClient` and get the
-    keep-alive session.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8377) -> None:
-        _warn_once("HttpClient", "ServingClient(host, port)")
-        super().__init__(host, port, keepalive=False)

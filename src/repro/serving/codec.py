@@ -4,7 +4,7 @@ A request is a plain JSON object naming one experiment point::
 
     {"app": "sor", "variant": "csm_poll", "nprocs": 4,
      "scale": "tiny", "params": {...}, "warm_start": true,
-     "options": {"fastpath": false}, "overrides": {"network": "rdma"}}
+     "options": {"debug_checks": true}, "overrides": {"network": "rdma"}}
 
 Only ``app`` is required.  :func:`decode_request` funnels the request
 through :func:`repro.api.point_spec` — the exact builder behind

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from repro.apps import kernels
 from repro.config import ClusterConfig, CostModel
-from repro.core import fastpath
+from tests.access_oracle import per_page_access
 from tests.heap_oracle import heap_engine
 
 
@@ -52,38 +53,48 @@ def built_systems(monkeypatch):
     return systems
 
 
-# -- golden replays over the wall-clock mode matrix ----------------------
+# -- production against the retired implementations --------------------
 #
-# One fixture chain, engine -> fast path -> kernels, each depending on
-# the previous so setup and teardown nest.  A replay requests
-# ``kernels_mode`` and picks its engine ids with
-# ``pytest.mark.parametrize("engine_mode", [...], indirect=True)``.
+# The per-page access loop (tests/access_oracle.py) and the binary-heap
+# engine (tests/heap_oracle.py) are the references production must
+# match.  Test ids keep the names of the mode matrix these replaced:
+# ``legacy`` is the per-page oracle and ``fastpath``/``fast`` production's
+# access path; ``heap`` is the heap oracle and ``calqueue``/``noshard``
+# production's engine; ``kernels``/``scalar`` both run the one app body.
 
 
-@pytest.fixture
-def engine_mode(request):
-    """The engine a replay runs on.  ``heap`` is the binary-heap oracle
-    (tests/heap_oracle.py); every other id is the production engine —
-    ``calqueue``/``noshard`` named retired scheduler modes and are kept
-    so the replayed cases keep their ids."""
-    if request.param == "heap":
-        with heap_engine():
+@pytest.fixture(params=["fastpath", "legacy"])
+def access_path(request):
+    """Production's shared-access path, or the per-page oracle."""
+    if request.param == "legacy":
+        with per_page_access():
             yield request.param
     else:
         yield request.param
 
 
-@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
-def fastpath_mode(request, engine_mode):
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(saved)
+@pytest.fixture(scope="session")
+def _replays():
+    return {}
 
 
-@pytest.fixture(params=[True, False], ids=["kernels", "scalar"])
-def kernels_mode(request, fastpath_mode):
-    saved = kernels.ENABLED
-    kernels.set_enabled(request.param)
-    yield request.param
-    kernels.set_enabled(saved)
+@pytest.fixture
+def replay(request, _replays):
+    """``replay(key, run)``: ``run()`` on the column this case's id
+    (``tests.helpers.replay_ids``) names — production, the heap engine,
+    the per-page access path, or both oracles.  Ids that name the same
+    column share one run per session, keyed by ``key``."""
+    _body, access, engine = request.param.split("-")
+    column = (engine == "heap", access == "legacy")
+
+    def replay_once(key, run):
+        if (column, key) not in _replays:
+            with contextlib.ExitStack() as stack:
+                if column[0]:
+                    stack.enter_context(heap_engine())
+                if column[1]:
+                    stack.enter_context(per_page_access())
+                _replays[column, key] = run()
+        return _replays[column, key]
+
+    return replay_once

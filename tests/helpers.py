@@ -17,6 +17,19 @@ from repro.config import (
 from repro.core import Program, SharedArray, run_program, run_sequential
 
 
+def replay_ids(engines):
+    """Ids of a golden replay over ``engines``: ``kernels``/``scalar``
+    x ``fastpath``/``legacy`` x ``engines``.  Pass them with
+    ``pytest.mark.parametrize("replay", ..., indirect=True)``; the
+    ``replay`` fixture (tests/conftest.py) reads them."""
+    return [
+        f"{body}-{access}-{engine}"
+        for body in ("kernels", "scalar")
+        for access in ("fastpath", "legacy")
+        for engine in engines
+    ]
+
+
 def values_match(a, b, rtol=1e-9, atol=1e-9) -> bool:
     """Compare worker return values (scalars, arrays, or tuples)."""
     if isinstance(a, (tuple, list)):

@@ -4,8 +4,8 @@ Writes two kinds of pinned artifacts:
 
 * ``tests/golden_networks.json`` — raw per-point outcomes (exec time,
   network bytes, counters, breakdown) for a protocol spread under every
-  network backend; ``tests/test_network_backends.py`` replays them over
-  the wall-clock mode matrix and requires exact equality.
+  network backend; ``tests/test_network_backends.py`` replays them on
+  production and the test oracles and requires exact equality.
 * ``tests/golden_cross_era_<backend>.txt`` — the rendered cross-era
   study for one backend at a pinned invocation (scale=tiny, sor+water,
   counts 1 2 4 8).  The same file is diffed against live CLI output by

@@ -4,8 +4,9 @@ DSM machinery)."""
 import numpy as np
 import pytest
 
-from repro.apps import barnes, gauss, lu, sor, tsp, water, em3d, ilink
+from repro.apps import barnes, gauss, tsp, water, em3d, ilink
 from repro.apps.common import band, cyclic_rows, deterministic_rng
+from tests import app_oracle
 
 
 # --- common helpers -----------------------------------------------------
@@ -47,7 +48,7 @@ def test_deterministic_rng_reproducible():
 def test_lu_factor_diag_reconstructs():
     rng = deterministic_rng(3)
     a = rng.random((16, 16)) + np.eye(16) * 16
-    packed = lu._factor_diag(a)
+    packed = app_oracle.factor_diag(a)
     lower = np.tril(packed, -1) + np.eye(16)
     upper = np.triu(packed)
     assert np.allclose(lower @ upper, a)
@@ -55,12 +56,12 @@ def test_lu_factor_diag_reconstructs():
 
 def test_lu_solve_col_row_inverses():
     rng = deterministic_rng(4)
-    diag = lu._factor_diag(rng.random((8, 8)) + np.eye(8) * 8)
+    diag = app_oracle.factor_diag(rng.random((8, 8)) + np.eye(8) * 8)
     lower = np.tril(diag, -1) + np.eye(8)
     upper = np.triu(diag)
     a = rng.random((8, 8))
-    assert np.allclose(lu._solve_col(a, diag) @ upper, a)
-    assert np.allclose(lower @ lu._solve_row(a, diag), a)
+    assert np.allclose(app_oracle.solve_col(a, diag) @ upper, a)
+    assert np.allclose(lower @ app_oracle.solve_row(a, diag), a)
 
 
 # --- Gauss ----------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_tsp_dfs_matches_brute_force():
 def test_tsp_lower_bound_is_admissible():
     d = tsp.distances(dict(cities=7, seed=2))
     optimum, _, _ = tsp._dfs_solve(d, [0], 0.0, np.inf)
-    assert tsp._lower_bound(d, [0], 0.0) <= optimum + 1e-9
+    assert app_oracle.lower_bound(d, [0], 0.0) <= optimum + 1e-9
 
 
 def test_tsp_dfs_respects_incumbent():
@@ -138,18 +139,18 @@ def test_water_pair_forces_newton_third_law():
     total = np.zeros(3)
     for rank in range(4):
         lo, hi = band(rank, 4, 12)
-        total += water._pair_forces(pos[lo:hi], lo, pos).sum(axis=0)
+        total += app_oracle.pair_forces(pos[lo:hi], lo, pos).sum(axis=0)
     assert np.allclose(total, 0.0, atol=1e-9)
 
 
 def test_water_pair_forces_partition_invariant():
     rng = deterministic_rng(7)
     pos = rng.random((10, 3)) * 3.0
-    whole = water._pair_forces(pos, 0, pos)
+    whole = app_oracle.pair_forces(pos, 0, pos)
     split = np.zeros_like(whole)
     for rank in range(5):
         lo, hi = band(rank, 5, 10)
-        split += water._pair_forces(pos[lo:hi], lo, pos)
+        split += app_oracle.pair_forces(pos[lo:hi], lo, pos)
     assert np.allclose(whole, split)
 
 
@@ -197,7 +198,7 @@ def test_barnes_chunks_cover_all_bodies():
 
 def test_sor_phase_update_shape():
     halo = np.arange(50, dtype=np.float64).reshape(5, 10)
-    out = sor._phase_update(halo)
+    out = app_oracle.phase_update(halo)
     assert out.shape == (3, 10)
     assert np.all(np.isfinite(out))
 
@@ -224,9 +225,10 @@ def test_ilink_sparse_slots_sorted_unique():
 # --- kernel-vs-scalar bitwise equality -------------------------------------
 #
 # The kernel layer's contract is *bit* identity with the scalar
-# reference loops retained in the app modules: kernel output is written
-# back into DSM shared memory, where TreadMarks diffs it byte-by-byte
-# against twins, so these pin exact equality (never ``allclose``).
+# reference loops it replaced (tests/app_oracle.py): kernel output is
+# written back into DSM shared memory, where TreadMarks diffs it
+# byte-by-byte against twins, so these pin exact equality (never
+# ``allclose``).
 
 from repro.apps import kernels
 
@@ -234,24 +236,34 @@ from repro.apps import kernels
 def test_kernel_lu_factor_diag_bitwise():
     rng = deterministic_rng(20)
     a = rng.random((16, 16)) + np.eye(16) * 16
-    assert np.array_equal(kernels.lu_factor_diag(a), lu._factor_diag(a))
+    assert np.array_equal(
+        kernels.lu_factor_diag(a), app_oracle.factor_diag(a)
+    )
 
 
 def test_kernel_lu_solves_bitwise():
     rng = deterministic_rng(21)
-    diag = lu._factor_diag(rng.random((8, 8)) + np.eye(8) * 8)
+    diag = app_oracle.factor_diag(rng.random((8, 8)) + np.eye(8) * 8)
     a = rng.random((8, 8))
-    assert np.array_equal(kernels.lu_solve_col(a, diag), lu._solve_col(a, diag))
-    assert np.array_equal(kernels.lu_solve_row(a, diag), lu._solve_row(a, diag))
+    assert np.array_equal(
+        kernels.lu_solve_col(a, diag), app_oracle.solve_col(a, diag)
+    )
+    assert np.array_equal(
+        kernels.lu_solve_row(a, diag), app_oracle.solve_row(a, diag)
+    )
 
 
 def test_kernel_lu_solves_accept_readonly_views():
     rng = deterministic_rng(22)
-    diag = lu._factor_diag(rng.random((8, 8)) + np.eye(8) * 8)
+    diag = app_oracle.factor_diag(rng.random((8, 8)) + np.eye(8) * 8)
     a = rng.random((8, 8))
     a.flags.writeable = False
-    assert np.array_equal(kernels.lu_factor_diag(a), lu._factor_diag(a))
-    assert np.array_equal(kernels.lu_solve_col(a, diag), lu._solve_col(a, diag))
+    assert np.array_equal(
+        kernels.lu_factor_diag(a), app_oracle.factor_diag(a)
+    )
+    assert np.array_equal(
+        kernels.lu_solve_col(a, diag), app_oracle.solve_col(a, diag)
+    )
 
 
 def test_kernel_lu_interior_update_bitwise():
@@ -259,7 +271,8 @@ def test_kernel_lu_interior_update_bitwise():
     mine = rng.random((8, 8))
     col, row = rng.random((8, 8)), rng.random((8, 8))
     assert np.array_equal(
-        kernels.lu_interior_update(mine, col, row), lu._interior_update(mine, col, row)
+        kernels.lu_interior_update(mine, col, row),
+        app_oracle.interior_update(mine, col, row),
     )
 
 
@@ -296,7 +309,9 @@ def test_kernel_gauss_back_substitute_bitwise():
 def test_kernel_sor_phase_update_bitwise():
     rng = deterministic_rng(26)
     halo = rng.random((9, 32))
-    assert np.array_equal(kernels.sor_phase_update(halo), sor._phase_update(halo))
+    assert np.array_equal(
+        kernels.sor_phase_update(halo), app_oracle.phase_update(halo)
+    )
 
 
 def test_kernel_water_pair_forces_bitwise():
@@ -306,7 +321,7 @@ def test_kernel_water_pair_forces_bitwise():
         lo, hi = band(rank, 4, 20)
         assert np.array_equal(
             kernels.water_pair_forces(pos[lo:hi], lo, pos),
-            water._pair_forces(pos[lo:hi], lo, pos),
+            app_oracle.pair_forces(pos[lo:hi], lo, pos),
         )
 
 
@@ -372,26 +387,12 @@ def test_kernel_ilink_update_reduce_bitwise():
 
 def test_kernel_tsp_matches_scalar():
     d = tsp.distances(dict(cities=8, seed=5))
-    assert kernels.tsp_lower_bound(d, [0, 3], d[0][3]) == tsp._lower_bound(
+    assert kernels.tsp_lower_bound(d, [0, 3], d[0][3]) == app_oracle.lower_bound(
         d, [0, 3], d[0][3]
     )
     got = kernels.tsp_dfs_solve(d, [0], 0.0, np.inf)
     ref = tsp._dfs_solve(d, [0], 0.0, np.inf)
     assert got == ref  # (best, path, nodes) — including the node count
-
-
-def test_sim_options_sync_kernels_flag():
-    from dataclasses import replace
-    from repro import options as options_mod
-
-    saved = options_mod.current()
-    try:
-        replace(saved, kernels=False).apply()
-        assert kernels.ENABLED is False
-        replace(saved, kernels=True).apply()
-        assert kernels.ENABLED is True
-    finally:
-        saved.apply()
 
 
 # --- batched Barnes-Hut traversals vs the scalar walk -----------------------

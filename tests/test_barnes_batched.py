@@ -1,15 +1,14 @@
 """Batched Barnes-Hut traversals: nothing simulated can tell.
 
-With the kernel layer on, barnes speculates the walks that stay inside
-the cell blocks a processor has already fetched
-(``kernels.barnes_forces``) and runs only the walks that fault through
-the scalar ``_force_on``.  With it off every walk is scalar — the
-schedule before the change — so the off side is the oracle: result
-digests and per-processor trace timelines must be equal.  (The kernel
-itself is pinned against ``_force_on`` in ``tests/test_app_kernels.py``.)
+Barnes speculates the walks that stay inside the cell blocks a
+processor has already fetched (``kernels.barnes_forces``) and runs only
+the walks that fault through the scalar ``_force_on``.  Inside
+``all_scalar_walks()`` (tests/app_oracle.py) the speculation finishes no
+walk, so every walk is scalar — the schedule before the change — and
+that side is the oracle: result digests and per-processor trace
+timelines must be equal.  (The kernel itself is pinned against
+``_force_on`` in ``tests/test_app_kernels.py``.)
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,25 +18,15 @@ from repro.apps import barnes, kernels
 from repro.config import RunConfig, variant_by_name
 from repro.core import Program, run_program
 from repro.serving.codec import result_digest
+from tests.app_oracle import all_scalar_walks
 from tests.helpers import timelines
 
 VARIANTS = ["csm_poll", "tmk_mc_poll", "tmk_udp_int", "hlrc_poll"]
 
 
-@contextmanager
-def _kernels(flag):
-    saved = kernels.ENABLED
-    kernels.set_enabled(flag)
-    try:
-        yield
-    finally:
-        kernels.set_enabled(saved)
-
-
 def _assert_on_equals_off(run, nprocs):
-    with _kernels(True):
-        batched = run()
-    with _kernels(False):
+    batched = run()
+    with all_scalar_walks():
         scalar = run()
     assert result_digest(batched) == result_digest(scalar)
     assert timelines(batched.trace, nprocs) == timelines(scalar.trace, nprocs)

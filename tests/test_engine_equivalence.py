@@ -7,12 +7,14 @@ require *exact* equality — the optimizations must change wall-clock
 time only, never a single simulated microsecond or counter.
 
 The goldens predate the shared-access fast path, the kernel layer and
-the calendar-queue engine, so every case runs with the fast path on/off
-crossed with the kernel layer on/off, on the production engine and on
-the binary-heap oracle (``tests/heap_oracle.py``) — proving production
-and the ordering reference both reproduce the pre-optimization
-simulated results exactly.  Runs go through the public ``repro.api``
-facade, so the goldens also pin its behaviour.
+the calendar-queue engine, so every case runs on production, on the
+per-page access oracle (``tests/access_oracle.py``), on the binary-heap
+engine oracle (``tests/heap_oracle.py``) and on both oracles at once —
+proving production and the references all reproduce the
+pre-optimization simulated results exactly.  The case ids keep the
+names of the retired mode matrix (``tests/conftest.py``).  Runs go
+through the public ``repro.api`` facade, so the goldens also pin its
+behaviour.
 
 Regenerate the goldens only when the simulation's *semantics* change
 intentionally (a protocol fix, a cost-model change):
@@ -26,6 +28,7 @@ import pathlib
 import pytest
 
 from repro import api
+from tests.helpers import replay_ids
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_engine.json"
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
@@ -49,10 +52,10 @@ def _run(golden):
     ids=[f"{g['app']}-{g['variant']}-{g['nprocs']}p" for g in GOLDENS],
 )
 @pytest.mark.parametrize(
-    "engine_mode", ["calqueue", "noshard", "heap"], indirect=True
+    "replay", replay_ids(["calqueue", "noshard", "heap"]), indirect=True
 )
-def test_run_matches_golden(golden, kernels_mode):
-    result = _run(golden)
+def test_run_matches_golden(golden, replay):
+    result = replay(json.dumps(golden, sort_keys=True), lambda: _run(golden))
     assert result.exec_time == golden["exec_time"]
     assert result.network_bytes == golden["network_bytes"]
     agg = result.stats.aggregate_counters()

@@ -111,25 +111,21 @@ def test_bitmaps_coherent_through_random_sharing(rounds, data):
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-@pytest.mark.parametrize("fast_on", [True, False], ids=["fast", "legacy"])
-def test_bitmaps_coherent_dense_schedule(variant, fast_on):
+@pytest.mark.parametrize("access_path", ["fast", "legacy"], indirect=True)
+def test_bitmaps_coherent_dense_schedule(variant, access_path):
     """A fixed dense migratory schedule: every slot is written by a
     rotating owner each round, forcing upgrade/invalidate/downgrade
-    churn on every page — checked at every barrier, in both modes
-    (the bitmaps are maintained even when the fast path is off)."""
+    churn on every page — checked at every barrier, on production's
+    access path and on the per-page oracle (the bitmaps are maintained
+    even when nothing reads them)."""
     rounds = [
         [(slot, (slot + r) % 4, float(100 * r + slot)) for slot in
          range(0, SLOTS, 3)]
         for r in range(4)
     ]
     program = _sharing_program(rounds)
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(fast_on)
-    try:
-        with force_debug():
-            run_program(program, RunConfig(variant=variant, nprocs=4), {})
-    finally:
-        fastpath.set_enabled(saved)
+    with force_debug():
+        run_program(program, RunConfig(variant=variant, nprocs=4), {})
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)

@@ -4,10 +4,9 @@ Two layers of pinning for the pluggable network backends:
 
 * ``tests/golden_networks.json`` holds exec times, counters, and
   breakdowns for a protocol spread under every backend.  Each golden is
-  replayed over the wall-clock mode matrix (fast path/legacy x
-  kernels/scalar, on the production engine and the binary-heap oracle)
-  and must reproduce *exactly* — the backends are simulated semantics,
-  the wall-clock modes are not.
+  replayed on production and on the per-page access and binary-heap
+  oracles (``tests/conftest.py``) and must reproduce *exactly* — the
+  backends are simulated semantics, the oracles are not.
 * ``tests/golden_cross_era_<backend>.txt`` pins the rendered cross-era
   study per backend at the same invocation CI diffs against.
 
@@ -34,6 +33,7 @@ from repro.config import ClusterConfig, CostModel, NETWORK_BACKENDS, Transport
 from repro.cluster.network import NETWORK_MODELS, build_network
 from repro.harness import cross_era
 from repro.harness.runner import ExperimentContext
+from tests.helpers import replay_ids
 
 HERE = pathlib.Path(__file__).parent
 GOLDENS = json.loads((HERE / "golden_networks.json").read_text())
@@ -41,9 +41,7 @@ GOLDENS = json.loads((HERE / "golden_networks.json").read_text())
 N_NODES = 4
 
 
-# --- golden replay over the wall-clock mode matrix ----------------------
-#
-# The fixture chain lives in tests/conftest.py.
+# --- golden replay on production and the oracles ------------------------
 
 
 @pytest.mark.parametrize(
@@ -54,14 +52,19 @@ N_NODES = 4
         for g in GOLDENS
     ],
 )
-@pytest.mark.parametrize("engine_mode", ["calqueue", "heap"], indirect=True)
-def test_backend_golden_over_mode_matrix(golden, kernels_mode):
-    result = api.run_point(
-        golden["app"],
-        golden["variant"],
-        golden["nprocs"],
-        scale=golden["scale"],
-        network=golden["network"],
+@pytest.mark.parametrize(
+    "replay", replay_ids(["calqueue", "heap"]), indirect=True
+)
+def test_backend_golden_over_mode_matrix(golden, replay):
+    result = replay(
+        json.dumps(golden, sort_keys=True),
+        lambda: api.run_point(
+            golden["app"],
+            golden["variant"],
+            golden["nprocs"],
+            scale=golden["scale"],
+            network=golden["network"],
+        ),
     )
     assert result.exec_time == golden["exec_time"]
     assert result.network_bytes == golden["network_bytes"]

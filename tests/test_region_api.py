@@ -3,8 +3,9 @@
 Shape construction, page-straddling and non-contiguous gathers and
 scatters, bounds checking, and the hit-path ``region_view`` semantics.
 Protocol-level bit-identity of region access is covered by
-``test_engine_equivalence.py`` (kernels on/off golden runs); these are
-the plumbing tests.
+``test_engine_equivalence.py`` (golden runs on production and the
+per-page oracle); these are the plumbing tests, run on both access
+paths where they move bytes.
 """
 
 import numpy as np
@@ -12,17 +13,9 @@ import pytest
 
 from repro.core.fastpath import PermBitmaps
 from repro.core.runtime.shared import Region, SharedArray
-from repro.core import fastpath
 
+from tests.access_oracle import per_page_access
 from tests.test_shared_array import drive, make_env
-
-
-@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
-def fastpath_mode(request):
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(saved)
 
 
 def _matrix(page_size=1024, shape=(16, 16)):
@@ -134,7 +127,7 @@ def test_write_region_size_mismatch():
 # --- roundtrips -------------------------------------------------------------
 
 
-def test_region_rows_roundtrip_across_pages(fastpath_mode):
+def test_region_rows_roundtrip_across_pages(access_path):
     engine, env, arr, init = _matrix(page_size=256)  # 2 rows per page
     region = arr.region_rows(3, 9)
     payload = np.arange(96, dtype=np.float64).reshape(6, 16) * -1.0
@@ -150,7 +143,7 @@ def test_region_rows_roundtrip_across_pages(fastpath_mode):
     assert np.array_equal(after, payload)
 
 
-def test_region_block_roundtrip_noncontiguous(fastpath_mode):
+def test_region_block_roundtrip_noncontiguous(access_path):
     engine, env, arr, init = _matrix(page_size=256)
     region = arr.region_block(2, 10, 4, 12)
     payload = np.full((8, 8), 0.5)
@@ -171,7 +164,7 @@ def test_region_block_roundtrip_noncontiguous(fastpath_mode):
     assert np.array_equal(whole, expect)
 
 
-def test_region_row_gather_roundtrip(fastpath_mode):
+def test_region_row_gather_roundtrip(access_path):
     engine, env, arr, init = _matrix(page_size=256)
     rows = [1, 4, 13, 6]
     region = arr.region_row_gather(rows, 2, 14)
@@ -192,7 +185,7 @@ def test_region_row_gather_roundtrip(fastpath_mode):
     assert np.array_equal(whole, expect)
 
 
-def test_single_element_segments_scatter(fastpath_mode):
+def test_single_element_segments_scatter(access_path):
     engine, env, arr, init = _matrix(page_size=256)
     flat = [3, 40, 41, 200]
     region = Region(arr, [(i, 1) for i in flat], (4,))
@@ -211,7 +204,7 @@ def test_single_element_segments_scatter(fastpath_mode):
     assert np.array_equal(whole, expect)
 
 
-def test_empty_region_roundtrip(fastpath_mode):
+def test_empty_region_roundtrip(access_path):
     engine, env, arr, _ = _matrix()
     region = arr.region_row_gather([], 0, 16)
 
@@ -234,13 +227,13 @@ def test_region_view_returns_data_when_hot():
 
 
 def test_region_view_none_without_fastpath():
+    """The per-page oracle really bypasses the hit path (so the
+    ``legacy`` cases are not production twice), and only inside the
+    block."""
     engine, env, arr, _ = _matrix()
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(False)
-    try:
+    with per_page_access():
         assert arr.region_view(env, arr.region_rows(0, 2)) is None
-    finally:
-        fastpath.set_enabled(saved)
+    assert arr.region_view(env, arr.region_rows(0, 2)) is not None
 
 
 def test_region_view_single_page_is_readonly_alias():

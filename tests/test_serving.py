@@ -23,7 +23,7 @@ from repro.harness.cache import ResultCache, key_for_spec, run_key
 from repro.harness.runner import BatchPoint, ExperimentContext
 from repro.serving import (
     ColdPointBatcher,
-    HttpClient,
+    ServingClient,
     ServingError,
     SingleFlight,
     encode_result,
@@ -238,12 +238,8 @@ def test_cache_tier_survives_service_restarts(tmp_path):
 
 @pytest.mark.parametrize(
     "options",
-    [
-        {},
-        {"fastpath": False},
-        {"kernels": False},
-    ],
-    ids=["default", "no-fastpath", "no-kernels"],
+    [{}],
+    ids=["default"],
 )
 def test_served_result_is_byte_identical_to_direct(tmp_path, options):
     request = dict(SOR)
@@ -299,7 +295,7 @@ def test_http_roundtrip_streaming_and_errors(tmp_path):
     async def go():
         server = ExperimentServer(config=_config(tmp_path, port=0))
         host, port = await server.start()
-        client = HttpClient(host, port)
+        client = ServingClient(host, port, keepalive=False)
         try:
             assert (await client.healthz())["status"] == "ok"
 
@@ -335,7 +331,7 @@ def test_http_stream_reports_per_point_errors(tmp_path):
     async def go():
         server = ExperimentServer(config=_config(tmp_path, port=0))
         host, port = await server.start()
-        client = HttpClient(host, port)
+        client = ServingClient(host, port, keepalive=False)
         try:
             lines = []
             async for line in client.stream_points(

@@ -33,11 +33,6 @@ from repro.serving import (
     upconvert_request,
     validate_request,
 )
-from repro.serving.client import (
-    HttpClient,
-    InProcessClient,
-    reset_deprecation_warnings,
-)
 from repro.serving.server import (
     ExperimentServer,
     ExperimentService,
@@ -127,23 +122,6 @@ def test_max_requests_per_conn_rotates_the_session(tmp_path):
     _with_server(tmp_path, go, max_requests_per_conn=2)
 
 
-def test_deprecated_aliases_warn_once_and_serve(tmp_path, capsys):
-    async def go(server, host, port):
-        reset_deprecation_warnings()
-        old = HttpClient(host, port)
-        HttpClient(host, port)  # second construction must stay silent
-        payload = await old.point("sor", "csm_poll", 4, scale="tiny")
-        inproc = InProcessClient(server.service)
-        InProcessClient(server.service)
-        direct = await inproc.resolve(dict(SOR))
-        assert payload["digest"] == direct["digest"]
-
-    _with_server(tmp_path, go)
-    err = capsys.readouterr().err
-    assert err.count("HttpClient is deprecated") == 1
-    assert err.count("InProcessClient is deprecated") == 1
-
-
 # -- negative-result cache ---------------------------------------------
 
 
@@ -162,7 +140,9 @@ def test_negative_cache_memoises_deterministic_rejections(tmp_path):
     _with_server(tmp_path, go)
 
 
-@pytest.mark.parametrize("retired", ["shard", "calqueue"])
+@pytest.mark.parametrize(
+    "retired", ["shard", "calqueue", "fastpath", "kernels"]
+)
 def test_retired_scheduler_options_are_negative_cached_400s(tmp_path, retired):
     request = dict(SOR, options={retired: False})
 

@@ -191,20 +191,10 @@ def test_range_roundtrip_property(start, count):
     assert np.array_equal(drive(engine, work()), payload)
 
 
-# -- edge cases, exercised with the fast path on and off --------------------
+# -- edge cases, on production's access path and the per-page oracle -------
 
 
-@pytest.fixture(params=[True, False], ids=["fastpath", "legacy"])
-def fastpath_mode(request):
-    from repro.core import fastpath
-
-    saved = fastpath.ENABLED
-    fastpath.set_enabled(request.param)
-    yield request.param
-    fastpath.set_enabled(saved)
-
-
-def test_get_put_at_page_boundary(fastpath_mode):
+def test_get_put_at_page_boundary(access_path):
     """Single elements straddling a page edge: the last element of one
     page and the first of the next."""
     engine, space, env = make_env(page_size=1024)  # 128 f64 per page
@@ -224,7 +214,7 @@ def test_get_put_at_page_boundary(fastpath_mode):
     ]
 
 
-def test_write_range_multipage_noncontiguous_input(fastpath_mode):
+def test_write_range_multipage_noncontiguous_input(access_path):
     """A strided (non-contiguous) values array written across several
     pages must land exactly as its contiguous copy would."""
     engine, space, env = make_env(page_size=256)  # 32 f64 per page
@@ -244,7 +234,7 @@ def test_write_range_multipage_noncontiguous_input(fastpath_mode):
     assert np.array_equal(out, expected)
 
 
-def test_write_rows_2d_noncontiguous_input(fastpath_mode):
+def test_write_rows_2d_noncontiguous_input(access_path):
     engine, space, env = make_env(page_size=256)
     arr = SharedArray.alloc(space, "m", np.float64, (16, 16))
     arr.initialize(np.zeros((16, 16)))
@@ -263,7 +253,7 @@ def test_write_rows_2d_noncontiguous_input(fastpath_mode):
     [(-1, 0), (0, -1), (4, 0), (0, 4), (3, 99)],
     ids=["neg-row", "neg-col", "row-over", "col-over", "col-way-over"],
 )
-def test_get_put_out_of_bounds(fastpath_mode, index):
+def test_get_put_out_of_bounds(access_path, index):
     engine, space, env = make_env()
     arr = SharedArray.alloc(space, "m", np.float64, (4, 4))
     arr.initialize(np.zeros((4, 4)))
@@ -285,7 +275,7 @@ def test_get_put_out_of_bounds(fastpath_mode, index):
     [(-1, 2), (8, 3), (10, 1), (0, 11)],
     ids=["neg-start", "tail-over", "at-end", "count-over"],
 )
-def test_range_out_of_bounds(fastpath_mode, start, count):
+def test_range_out_of_bounds(access_path, start, count):
     engine, space, env = make_env()
     arr = SharedArray.alloc(space, "v", np.float64, (10,))
     arr.initialize(np.zeros(10))
@@ -307,7 +297,7 @@ def test_range_out_of_bounds(fastpath_mode, start, count):
         drive(engine, write())
 
 
-def test_zero_length_range_at_end(fastpath_mode):
+def test_zero_length_range_at_end(access_path):
     """A zero-length range at the end is legal, not out of bounds."""
     engine, space, env = make_env()
     arr = SharedArray.alloc(space, "v", np.float64, (10,))

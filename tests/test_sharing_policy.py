@@ -9,9 +9,8 @@ Three guarantees, each locked in here:
   bit-for-bit.
 * **The default triple is the pre-policy simulator** — passing
   ``(page, none, first-touch)`` explicitly is byte-identical (times,
-  counters, values) to not passing policy knobs at all, across the
-  fastpath x kernels wall-clock matrix on the production engine and
-  the binary-heap oracle.
+  counters, values) to not passing policy knobs at all, on production
+  and on the per-page access and binary-heap oracles.
 * **The machinery actually engages** — prefetch and dynamic-homing
   runs bump their counters, sub-page units respect the per-message
   cost floor, and bad policy values fail loudly at config time.
@@ -24,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import api
 from repro.config import CostModel, RunConfig, variant_by_name
 from repro.memory import policy
+from tests.helpers import replay_ids
 
 VARIANTS = ("csm_poll", "tmk_mc_poll", "hlrc_poll")
 APPS = ("sor", "gauss", "irreg")
@@ -90,7 +90,7 @@ def test_any_policy_combo_preserves_values(
     )
 
 
-# -- default-triple bit-identity over the wall-clock mode matrix --------
+# -- default-triple bit-identity on production and the oracles ----------
 
 
 @pytest.mark.parametrize("app,variant", [
@@ -98,23 +98,27 @@ def test_any_policy_combo_preserves_values(
     ("irreg", "hlrc_poll"),
 ])
 @pytest.mark.parametrize(
-    "engine_mode", ["calqueue", "noshard", "heap"], indirect=True
+    "replay", replay_ids(["calqueue", "noshard", "heap"]), indirect=True
 )
-def test_explicit_default_triple_is_byte_identical(
-    app, variant, kernels_mode
-):
-    """In every wall-clock mode, spelling out the default triple must
-    reconstruct the pre-policy simulation exactly — times, counters,
-    and values, not just values."""
-    implicit = api.run_point(app, variant, NPROCS, scale="tiny")
-    explicit = api.run_point(
-        app,
-        variant,
-        NPROCS,
-        scale="tiny",
-        granularity="page",
-        prefetch="none",
-        homing="first-touch",
+def test_explicit_default_triple_is_byte_identical(app, variant, replay):
+    """On production and on every oracle, spelling out the default
+    triple must reconstruct the pre-policy simulation exactly — times,
+    counters, and values, not just values."""
+    implicit = replay(
+        ("implicit", app, variant),
+        lambda: api.run_point(app, variant, NPROCS, scale="tiny"),
+    )
+    explicit = replay(
+        ("explicit", app, variant),
+        lambda: api.run_point(
+            app,
+            variant,
+            NPROCS,
+            scale="tiny",
+            granularity="page",
+            prefetch="none",
+            homing="first-touch",
+        ),
     )
     assert explicit.exec_time == implicit.exec_time
     assert explicit.network_bytes == implicit.network_bytes
