@@ -16,7 +16,7 @@ from conftest import run_once
 def test_first_touch_beats_round_robin_on_sor(benchmark, ctx):
     def measure():
         first_touch = ctx.run("sor", CSM_POLL, 8)
-        round_robin = ctx.run("sor", CSM_POLL, 8, first_touch_homes=False)
+        round_robin = ctx.run("sor", CSM_POLL, 8, homing="round-robin")
         return first_touch, round_robin
 
     first_touch, round_robin = run_once(benchmark, measure)

@@ -159,7 +159,7 @@ def run_point(
     :func:`run_experiment` / ``ExperimentContext``, matching the
     long-standing ``run_program`` behaviour).  Extra keyword arguments
     become :class:`~repro.config.RunConfig` overrides
-    (``first_touch_homes=False``, ``weak_state=True``, ...).
+    (``homing="round-robin"``, ``weak_state=True``, ...).
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) makes the
     call serving-aware: hits skip the simulation, misses store their

@@ -263,7 +263,6 @@ class RunConfig:
     # the cross-era what-if fabrics.  Changes simulated results, so it
     # enters the result-cache key.
     network: str = "memch"
-    first_touch_homes: bool = True  # Cashmere home placement policy
     exclusive_mode: bool = True  # Cashmere exclusive-mode optimisation
     write_double_dummy: bool = False  # paper's dummy-address diagnostic
     # A hypothetical Memory Channel with *hardware remote reads* (the
@@ -366,17 +365,6 @@ class RunConfig:
         result-cache key: ``granularity="page"`` and an explicit unit
         of the same byte count share an entry)."""
         return self.unit_bytes or self.cluster.page_size
-
-    @property
-    def resolved_homing(self) -> str:
-        """Homing mode after the legacy ``first_touch_homes`` ablation
-        flag (PR 0's Cashmere knob) is folded in: switching first-touch
-        off demotes the default to round-robin, exactly the behaviour
-        the first-touch ablation always had.  An explicit non-default
-        ``homing`` wins over the legacy flag."""
-        if self.homing == "first-touch" and not self.first_touch_homes:
-            return "round-robin"
-        return self.homing
 
     def make_prefetcher(self):
         """A fresh per-run prefetcher, or ``None`` for demand fetch."""

@@ -115,12 +115,12 @@ class CashmereProtocol(DsmProtocol):
         }
         self.master: Dict[int, np.ndarray] = {}
         self.perms = PermBitmaps(cluster.nprocs, space.n_pages)
-        self._next_home_rr = 0  # used when first-touch homing is disabled
+        self._next_home_rr = 0  # next node under round-robin homing
         self.prefetcher = run_cfg.make_prefetcher()
         # Dynamic re-homing state (docs/POLICIES.md): per-unit remote
         # fetch counts by node since the unit's last (re-)homing, and
         # per-unit migration counts bounding ping-pong.
-        self._dynamic_homing = run_cfg.resolved_homing == "dynamic"
+        self._dynamic_homing = run_cfg.homing == "dynamic"
         self._fetch_counts: Dict[int, Dict[int, int]] = {}
         self._migrations: Dict[int, int] = {}
 
@@ -368,7 +368,7 @@ class CashmereProtocol(DsmProtocol):
         (the paper), round-robin over active nodes in assignment order,
         or dynamic (first-touch now, re-homed later on a remote-fetch
         majority — see :meth:`_maybe_migrate_home`)."""
-        if self.cfg.resolved_homing == "round-robin":
+        if self.cfg.homing == "round-robin":
             active = [n.nid for n in self.cluster.nodes if n.processors]
             home = active[self._next_home_rr % len(active)]
             self._next_home_rr += 1

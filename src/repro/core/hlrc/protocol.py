@@ -88,7 +88,7 @@ class HlrcProtocol(LrcProtocolBase):
         # Dynamic re-homing state (docs/POLICIES.md): per-unit remote
         # fetch counts by processor since the unit's last (re-)homing,
         # and per-unit migration counts bounding ping-pong.
-        self._dynamic_homing = self.cfg.resolved_homing == "dynamic"
+        self._dynamic_homing = self.cfg.homing == "dynamic"
         self._fetch_counts: Dict[int, Dict[int, int]] = {}
         self._migrations: Dict[int, int] = {}
 
@@ -108,7 +108,7 @@ class HlrcProtocol(LrcProtocolBase):
         re-homing later), broadcast like a Cashmere directory update."""
         if page_idx in self.homes:
             return
-        if self.cfg.resolved_homing == "round-robin":
+        if self.cfg.homing == "round-robin":
             home = page_idx % self.nprocs
         else:  # first-touch and dynamic both start at the toucher
             home = proc.pid

@@ -112,7 +112,6 @@ def run_key(
         "costs": _canonical(asdict(cfg.costs)),
         "flags": {
             "network": cfg.network,
-            "first_touch_homes": cfg.first_touch_homes,
             "exclusive_mode": cfg.exclusive_mode,
             "write_double_dummy": cfg.write_double_dummy,
             "remote_reads": cfg.remote_reads,
@@ -131,11 +130,10 @@ def run_key(
             "node_mem_pages": cfg.node_mem_pages,
             # Sharing-policy knobs (PR 10): granularity by resolved unit
             # bytes (``page`` and an explicit unit of the same size
-            # share an entry), homing with the legacy first-touch
-            # ablation flag folded in.
+            # share an entry).
             "granularity": cfg.resolved_unit_bytes,
             "prefetch": cfg.prefetch,
-            "homing": cfg.resolved_homing,
+            "homing": cfg.homing,
         },
     }
     return _digest(payload)

@@ -518,94 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest point count one POST /v1/sweep may expand to",
     )
 
-    bs = sub.add_parser(
-        "bench-serve",
-        help="load-test the serving layer: boot a server, fire "
-        "concurrent synthetic clients over a zipf point "
-        "distribution, verify byte-identity vs direct api.run_point, "
-        "report throughput/latency/coalesce/hit rates",
-    )
-    bs.add_argument("--clients", type=int, default=500)
-    bs.add_argument(
-        "--requests",
-        type=int,
-        default=2,
-        metavar="N",
-        help="requests issued sequentially by each client",
-    )
-    bs.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        help="server worker processes (default min(8, cores))",
-    )
-    bs.add_argument("--batch-window-ms", type=float, default=5.0)
-    bs.add_argument(
-        "--point-scale",
-        default="tiny",
-        choices=("tiny", "small"),
-        help="problem-size tier of the served point set",
-    )
-    bs.add_argument("--zipf", type=float, default=1.2)
-    bs.add_argument("--seed", type=int, default=1234)
-    bs.add_argument(
-        "--in-process",
-        action="store_true",
-        help="drive the service without sockets (isolates resolution "
-        "cost from HTTP overhead)",
-    )
-    bs.add_argument(
-        "--naive-requests",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also time N naive one-subprocess-per-request calls and "
-        "report speedup_over_naive",
-    )
-    bs.add_argument(
-        "--assert-coalesce",
-        action="store_true",
-        help="exit nonzero unless coalesce rate > 0 and no request "
-        "failed (the CI serve-smoke gate)",
-    )
-    bs.add_argument(
-        "--per-request",
-        action="store_true",
-        help="open a fresh connection per request (the PR 8 transport) "
-        "instead of the default keep-alive sessions",
-    )
-    bs.add_argument(
-        "--compare-connections",
-        action="store_true",
-        help="run the identical schedule over per-request connections "
-        "AND keep-alive sessions; report keepalive_speedup",
-    )
-    bs.add_argument(
-        "--bad-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="replace every Nth request with a known-invalid body to "
-        "exercise the negative cache (its 400s are not failures)",
-    )
-    bs.add_argument(
-        "--cache-max-entries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="bound the server's result cache to N entries (evictions "
-        "land in the report's server.cache stats)",
-    )
-    bs.add_argument(
-        "--cache-max-bytes",
-        type=int,
-        default=0,
-        metavar="B",
-        help="bound the server's result cache to B bytes",
-    )
-    bs.add_argument("--out", metavar="PATH", default=None)
-
     ca = sub.add_parser(
         "cache",
         help="inspect or trim the on-disk result cache "
@@ -785,58 +697,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench_serve(args: argparse.Namespace) -> int:
-    """The ``bench-serve`` subcommand: synthetic load + verification."""
-    import json
-
-    from repro.serving.loadgen import bench_serve
-
-    report = bench_serve(
-        clients=args.clients,
-        requests_per_client=args.requests,
-        jobs=args.jobs,
-        window_ms=args.batch_window_ms,
-        scale=args.point_scale,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        naive_requests=args.naive_requests,
-        http=not args.in_process,
-        keepalive=not args.per_request,
-        compare_connections=args.compare_connections,
-        bad_every=args.bad_every,
-        cache_max_entries=args.cache_max_entries,
-        cache_max_bytes=args.cache_max_bytes,
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"[bench-serve] wrote {args.out}", file=sys.stderr)
-    if not report["identical_results"]:
-        print(
-            "[bench-serve] FAIL: served results diverge from direct "
-            "api.run_point",
-            file=sys.stderr,
-        )
-        return 1
-    if args.assert_coalesce:
-        if report["failed_requests"]:
-            print(
-                f"[bench-serve] FAIL: {report['failed_requests']} "
-                f"request(s) failed",
-                file=sys.stderr,
-            )
-            return 1
-        if report["coalesce_rate"] <= 0 and report["cache_hit_rate"] <= 0:
-            print(
-                "[bench-serve] FAIL: no request coalesced or hit the "
-                "cache",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
 def _run_cache(args: argparse.Namespace) -> int:
     """The ``cache`` subcommand: stats / prune / clear as JSON."""
     import json
@@ -859,8 +719,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
         return _run_serve(args)
-    if args.command == "bench-serve":
-        return _run_bench_serve(args)
     if args.command == "cache":
         return _run_cache(args)
     if args.profile:

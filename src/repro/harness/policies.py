@@ -14,8 +14,8 @@ policies move costs, never values).
 The interesting subject is the false-sharing-prone extension workload
 ``irreg`` on the ``rdma`` backend at 8 processors — the configuration
 where fine-grained coherence pays off hardest against page-grained
-invalidation churn (and the configuration CI's policy gate pins via
-``benchmarks/bench_wallclock.py --pr10``).
+invalidation churn (and the configuration CI's ``policy-matrix`` job
+pins: block256+seq >= 1.2x with identical values).
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def generate(
 
 
 def best_non_default(cells: List[PolicyCell]) -> Optional[PolicyCell]:
-    """The fastest non-default policy row across every variant — the
-    row the ISSUE's >=1.2x acceptance gate reads."""
+    """The fastest non-default policy row across every variant (the
+    row the rendered study names as its best non-default policy)."""
     contenders = [c for c in cells if not c.is_baseline]
     if not contenders:
         return None

@@ -38,7 +38,6 @@ from repro.serving.codec import (
     request_kwargs,
     result_digest,
     result_payload,
-    upconvert_request,
     validate_request,
 )
 from repro.serving.server import (
@@ -67,6 +66,5 @@ __all__ = [
     "request_kwargs",
     "result_digest",
     "result_payload",
-    "upconvert_request",
     "validate_request",
 ]

@@ -31,14 +31,12 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config import RunConfig
 from repro.harness.cache import Encoded
 from repro.options import SimOptions
 
-#: The current wire-schema version.  v2 requests carry ``"v": 2``;
-#: bodies without a ``v`` field (or with ``"v": 1``) are the PR 8
-#: schema and are up-converted in :func:`upconvert_request` — the one
-#: place v1 acceptance lives, shared by the point, batch, and sweep
-#: routes.
+#: The wire-schema version.  A request's ``"v"`` field may be absent
+#: (meaning "current") or equal to this; anything else is a 400.
 WIRE_VERSION = 2
 
 #: Top-level request fields the decoder accepts.
@@ -57,6 +55,14 @@ REQUEST_FIELDS = (
 #: ``options`` sub-object fields: exactly the SimOptions dataclass, so
 #: the wire surface cannot drift from it.
 OPTION_FIELDS = tuple(field.name for field in dataclasses.fields(SimOptions))
+
+#: ``overrides`` sub-object fields: the RunConfig knobs, less the ones
+#: the request itself names (variant, processor count, machine, costs).
+OVERRIDE_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(RunConfig)
+    if field.name not in ("variant", "nprocs", "cluster", "costs")
+)
 
 #: Sharing-policy fields (docs/POLICIES.md), validated eagerly wherever
 #: they appear — in ``options`` or in ``overrides`` — so an unknown
@@ -97,27 +103,6 @@ class ServingError(Exception):
         self.retry_after = retry_after
 
 
-def upconvert_request(request: Any) -> Dict[str, Any]:
-    """Normalise any accepted wire version to the v2 schema.
-
-    The one place v1 bodies are accepted: a request without ``v`` (or
-    with ``"v": 1``) is the PR 8 shape, which is a strict subset of
-    v2, so up-conversion just stamps ``"v": 2``.  Unknown versions are
-    rejected here, before any field validation.
-    """
-    if not isinstance(request, dict):
-        raise ServingError("request must be a JSON object")
-    version = request.get("v", 1)
-    if version not in (1, WIRE_VERSION):
-        raise ServingError(
-            f"unsupported wire version {version!r}; this server speaks "
-            f"v1 (implicit) and v{WIRE_VERSION}"
-        )
-    upgraded = dict(request)
-    upgraded["v"] = WIRE_VERSION
-    return upgraded
-
-
 def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a request and return ``api.run_point`` keyword args.
 
@@ -127,7 +112,13 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     never "whatever the previous request left applied in a pool
     worker".
     """
-    request = upconvert_request(request)
+    if not isinstance(request, dict):
+        raise ServingError("request must be a JSON object")
+    if request.get("v", WIRE_VERSION) != WIRE_VERSION:
+        raise ServingError(
+            f"unsupported wire version {request['v']!r}; "
+            f"this server speaks v{WIRE_VERSION}"
+        )
     unknown = set(request) - set(REQUEST_FIELDS)
     if unknown:
         raise ServingError(
@@ -152,7 +143,7 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
         except (KeyError, ValueError) as exc:
             raise ServingError(f"unknown variant {variant!r}") from exc
     nprocs = request.get("nprocs", 1)
-    if not isinstance(nprocs, int) or nprocs < 1:
+    if isinstance(nprocs, bool) or not isinstance(nprocs, int) or nprocs < 1:
         raise ServingError("'nprocs' must be a positive integer")
     raw_options = request.get("options") or {}
     unknown = set(raw_options) - set(OPTION_FIELDS)
@@ -169,6 +160,12 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     overrides = request.get("overrides") or {}
     if not isinstance(overrides, dict):
         raise ServingError("'overrides' must be an object")
+    unknown = set(overrides) - set(OVERRIDE_FIELDS)
+    if unknown:
+        raise ServingError(
+            f"unknown overrides field(s) {sorted(unknown)}; "
+            f"accepted: {list(OVERRIDE_FIELDS)}"
+        )
     _validate_policy_fields(overrides, "overrides")
     kwargs: Dict[str, Any] = {
         "app": app,
@@ -336,7 +333,10 @@ def _sweep_counts(counts, default):
     if (
         not isinstance(counts, list)
         or not counts
-        or not all(isinstance(n, int) and n >= 1 for n in counts)
+        or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1
+            for n in counts
+        )
     ):
         raise ServingError(
             "'counts' must be a non-empty list of positive integers"
@@ -357,7 +357,13 @@ def expand_sweep(
     each expanded point then flows through the ordinary
     ``validate_request`` → cache → coalesce → batch path.
     """
-    request = upconvert_request(request)
+    if not isinstance(request, dict):
+        raise ServingError("request must be a JSON object")
+    if request.get("v", WIRE_VERSION) != WIRE_VERSION:
+        raise ServingError(
+            f"unsupported wire version {request['v']!r}; "
+            f"this server speaks v{WIRE_VERSION}"
+        )
     unknown = set(request) - set(SWEEP_FIELDS)
     if unknown:
         raise ServingError(

@@ -73,7 +73,6 @@ def run_metadata(result, scale: Optional[str] = None) -> Dict[str, Any]:
         "costs": asdict(cfg.costs),
         "flags": {
             "warm_start": cfg.warm_start,
-            "first_touch_homes": cfg.first_touch_homes,
             "exclusive_mode": cfg.exclusive_mode,
             "write_double_dummy": cfg.write_double_dummy,
             "remote_reads": cfg.remote_reads,

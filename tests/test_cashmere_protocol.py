@@ -63,7 +63,7 @@ def test_round_robin_homes_when_first_touch_disabled():
         env.stop_timer()
         return None
 
-    run(worker, first_touch_homes=False)
+    run(worker, homing="round-robin")
     assert len(set(captured["homes"])) > 1  # spread, not all-local
 
 

@@ -280,9 +280,15 @@ def test_bad_requests_are_400s(tmp_path):
         with pytest.raises(ServingError) as unknown_field:
             await service.resolve(dict(SOR, bogus_knob=1))
         assert unknown_field.value.status == 400
-        with pytest.raises(ServingError) as bad_nprocs:
-            await service.resolve(dict(SOR, nprocs=-1))
-        assert bad_nprocs.value.status == 400
+        for bad in (
+            dict(SOR, nprocs=-1),
+            dict(SOR, nprocs=True),
+            dict(SOR, v=1),
+            dict(SOR, overrides={"first_touch_homes": False}),
+        ):
+            with pytest.raises(ServingError) as refused:
+                await service.resolve(bad)
+            assert refused.value.status == 400, bad
         assert service.stats.errors == 0  # decode errors aren't computes
 
     _serve(tmp_path, go)

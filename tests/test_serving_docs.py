@@ -73,7 +73,7 @@ def test_doc_cross_references_exist():
         "src/repro/serving/server.py",
         "tests/test_serving.py",
         "tests/test_serving_docs.py",
-        "benchmarks/bench_wallclock.py",
+        "benchmarks/suite/README.md",
         ".github/workflows/ci.yml",
         "docs/NETWORKS.md",
     ):

@@ -30,7 +30,6 @@ from repro.serving import (
     encode_result,
     expand_sweep,
     request_kwargs,
-    upconvert_request,
     validate_request,
 )
 from repro.serving.server import (
@@ -179,16 +178,45 @@ def test_eviction_under_concurrent_load_respects_bound(tmp_path):
         {"app": "sor", "variant": "csm_poll", "nprocs": n, "scale": "tiny"}
         for n in (1, 2, 4)
     ] + [{"app": "water", "variant": "csm_poll", "nprocs": 1, "scale": "tiny"}]
+    # Every point plus a salted known-invalid body, fired concurrently
+    # by both transports: one keep-alive session and one client that
+    # opens a fresh connection per request.
+    schedule = points[:2] + [BAD] + points[2:] + [BAD]
+
+    async def fire(client, request):
+        try:
+            return (await client.resolve(dict(request)))["digest"]
+        except ServingError as exc:
+            return exc.status
 
     async def go(server, host, port):
         service = server.service
-        client = ServingClient(service=service)
-        await asyncio.gather(*(client.resolve(dict(p)) for p in points))
+        session = ServingClient(host, port)
+        per_request = ServingClient(host, port, keepalive=False)
+        outcomes = await asyncio.gather(
+            *(
+                fire(client, request)
+                for client in (session, per_request)
+                for request in schedule
+            )
+        )
+        await session.close()
+        half = len(schedule)
+        by_session, by_request = outcomes[:half], outcomes[half:]
+        assert by_session == by_request  # same digests on both transports
+        for request, outcome in zip(schedule, by_session):
+            if request is BAD:
+                assert outcome == 400
+            else:
+                assert isinstance(outcome, str), (request, outcome)
+        assert service.stats.negative_hits >= 1
+        assert server.http_stats()["reused"] > 0
         summary = service.cache.summary()
         assert summary["entries"] <= 2
         assert service.cache.stats.evictions >= 2
         # The hot payload tier is independent of disk eviction: every
         # point answers as a cache hit even though only 2 remain on disk.
+        client = ServingClient(service=service)
         before = service.stats.cache_hits
         for point in points:
             payload = await client.resolve(dict(point))
@@ -269,28 +297,6 @@ def test_http_429_carries_retry_after_header(tmp_path):
     _with_server(tmp_path, go, max_inflight=1)
 
 
-# -- wire versioning ----------------------------------------------------
-
-
-def test_v1_bodies_upconvert_and_match_v2(tmp_path):
-    assert upconvert_request(dict(SOR))["v"] == 2
-    assert upconvert_request(dict(SOR, v=1))["v"] == 2
-    with pytest.raises(ServingError):
-        upconvert_request(dict(SOR, v=3))
-    # validate_request is the one shared validator: the kwargs never
-    # leak the version field.
-    assert "v" not in validate_request(dict(SOR, v=1))
-
-    async def go(server, host, port):
-        client = ServingClient(host, port)
-        v1 = await client.resolve(dict(SOR))
-        v2 = await client.resolve(dict(SOR, v=2))
-        await client.close()
-        assert v1["digest"] == v2["digest"]
-
-    _with_server(tmp_path, go)
-
-
 # -- server-side sweeps -------------------------------------------------
 
 
@@ -313,6 +319,10 @@ def test_expand_sweep_validates_and_caps():
     assert exc_info.value.status == 413
     with pytest.raises(ServingError):
         expand_sweep({"kind": "nope"})
+    with pytest.raises(ServingError):
+        expand_sweep(
+            {"kind": "figure5", "apps": ["sor"], "counts": [True, 2]}
+        )
 
 
 def test_sweep_streams_preamble_then_points_in_completion_order(tmp_path):

@@ -211,23 +211,6 @@ def test_bad_policy_values_fail_at_config_time(field, value):
         )
 
 
-def test_legacy_first_touch_ablation_resolves_to_round_robin():
-    cfg = RunConfig(
-        variant=variant_by_name("csm_poll"),
-        nprocs=2,
-        first_touch_homes=False,
-    )
-    assert cfg.resolved_homing == "round-robin"
-    # An explicit non-default homing wins over the legacy flag.
-    cfg = RunConfig(
-        variant=variant_by_name("csm_poll"),
-        nprocs=2,
-        first_touch_homes=False,
-        homing="dynamic",
-    )
-    assert cfg.resolved_homing == "dynamic"
-
-
 def test_unit_size_resolution():
     assert policy.resolve_unit_size("page", 8192) is None
     assert policy.resolve_unit_size("block256", 8192) == 256

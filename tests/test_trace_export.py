@@ -79,7 +79,7 @@ def test_run_metadata_is_self_describing(traced_results):
     assert meta["cluster"]["page_size"] > 0
     assert meta["costs"]  # full cost-model constants
     assert set(meta["flags"]) == {
-        "warm_start", "first_touch_homes", "exclusive_mode",
+        "warm_start", "exclusive_mode",
         "write_double_dummy", "remote_reads", "weak_state",
     }
     assert meta["exec_time_us"] > 0
