@@ -47,22 +47,24 @@ from repro.core.runtime.program import (
     System,
     build_system as _build_system,
 )
+from repro.harness import cross_era, figure5, figure6, policies, scaling
+from repro.harness import sweep, table1, table2, table3
+from repro.harness.declaration import resolve
 from repro.harness.parallel import SEQUENTIAL, PointSpec, execute_point
 from repro.harness.results import DriverResult
 from repro.options import SimOptions
 
+#: The experiment drivers, in the CLI's order.  Each module declares
+#: its parameters (``PARAMS``) and may add ``chart(rows)`` and
+#: ``points(ctx, ...)``; see :mod:`repro.harness.declaration`.
+DRIVERS = {
+    module.__name__.rsplit(".", 1)[1]: module
+    for module in (table1, table2, table3, figure5, figure6, sweep)
+    + (cross_era, scaling, policies)
+}
+
 #: Drivers ``run_experiment`` accepts, in the CLI's order.
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "figure5",
-    "figure6",
-    "sweep",
-    "cross_era",
-    "scaling",
-    "policies",
-)
+EXPERIMENTS = tuple(DRIVERS)
 
 VariantLike = Union[str, Variant, None]
 
@@ -313,14 +315,16 @@ def run_experiment(
     spin-up; the caller owns its lifetime).  ``options`` (when given)
     is applied process-wide and shipped to worker processes.
     Driver-specific parameters (``apps=``, ``variants=``, ``counts=``,
-    ``nprocs=``, ``knob=``...) pass through.
+    ``nprocs=``, ``knob=``...) are checked against the driver's
+    declaration (``PARAMS``), which also supplies their defaults;
+    keywords it does not declare pass through to the driver.
     """
-    import importlib
-
-    if driver not in EXPERIMENTS:
+    if driver not in DRIVERS:
         raise ValueError(
             f"unknown experiment {driver!r}; known: {EXPERIMENTS}"
         )
+    module = DRIVERS[driver]
+    kwargs = resolve(module.PARAMS, driver_kwargs)
     if options is not None:
         options.apply()
     if ctx is None:
@@ -334,11 +338,11 @@ def run_experiment(
             pool=pool,
             options=options,
         )
-    module = importlib.import_module(f"repro.harness.{driver}")
-    return module.run(ctx=ctx, **driver_kwargs)
+    return module.run(ctx=ctx, **kwargs)
 
 
 __all__ = [
+    "DRIVERS",
     "EXPERIMENTS",
     "DriverResult",
     "RunResult",

@@ -23,14 +23,14 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import api
-from repro.config import (
-    ALL_VARIANTS,
-    EXTENSION_VARIANTS,
-    NETWORK_BACKENDS,
-    variant_by_name,
+from repro.config import NETWORK_BACKENDS, variant_by_name
+from repro.harness.declaration import (
+    APP_CHOICES,
+    LIST_KINDS,
+    VARIANT_CHOICES,
+    Param,
+    positive_int,
 )
-from repro.apps import registry
-from repro.harness import figure5
 from repro.memory.policy import GRANULARITIES, HOMINGS, PREFETCHES
 from repro.harness.cache import ResultCache
 from repro.harness.runner import ExperimentContext
@@ -191,10 +191,33 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
     )
 
 
-def _parse_variants(names: Optional[List[str]]):
-    if not names:
-        return None
-    return [variant_by_name(name) for name in names]
+def _positive_int(text: str) -> int:
+    """argparse type for processor counts (the counts/procs kind)."""
+    try:
+        return positive_int(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer"
+        ) from None
+
+
+def _add_param(parser: argparse.ArgumentParser, param: Param) -> None:
+    """The CLI option of one declared driver parameter.
+
+    Every option defaults to None, which ``run_experiment`` reads as
+    "the declared default".
+    """
+    options = {"dest": param.name, "help": param.help}
+    if param.kind == "bool":
+        options["action"] = "store_true"
+    else:
+        if param.kind in LIST_KINDS:
+            options["nargs"] = "+"
+        if param.kind in ("counts", "procs"):
+            options["type"] = _positive_int
+        else:
+            options["choices"] = param.values
+    parser.add_argument(param.option, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,190 +229,40 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    shared = vars(common.parse_args([]))
 
-    p1 = sub.add_parser("table1", help="basic operation costs")
-    _add_common(p1)
-
-    p2 = sub.add_parser("table2", help="data sets and sequential times")
-    _add_common(p2)
-
-    p3 = sub.add_parser("table3", help="detailed statistics (polling)")
-    _add_common(p3)
-    p3.add_argument("--apps", nargs="+", choices=registry.ALL_APP_NAMES)
-    p3.add_argument("--procs", type=int, help="override processor count")
-
-    f5 = sub.add_parser("figure5", help="speedup curves")
-    _add_common(f5)
-    f5.add_argument("--apps", nargs="+", choices=registry.ALL_APP_NAMES)
-    f5.add_argument(
-        "--variants",
-        nargs="+",
-        choices=[v.name for v in ALL_VARIANTS + EXTENSION_VARIANTS],
-    )
-    f5.add_argument(
-        "--counts",
-        nargs="+",
-        type=int,
-        help="processor counts (default 1 2 4 8 16 32)",
-    )
-    f5.add_argument(
-        "--full",
-        action="store_true",
-        help="use the paper's full sweep (adds 12 and 24 processors)",
-    )
-    f5.add_argument(
-        "--chart",
-        action="store_true",
-        help="render ASCII speedup charts (one per application)",
-    )
-
-    f6 = sub.add_parser("figure6", help="execution-time breakdown")
-    _add_common(f6)
-    f6.add_argument("--apps", nargs="+", choices=registry.ALL_APP_NAMES)
-    f6.add_argument("--procs", type=int, help="override processor count")
-    f6.add_argument(
-        "--chart",
-        action="store_true",
-        help="render ASCII stacked breakdown bars",
-    )
-
-    ce = sub.add_parser(
-        "cross_era",
-        help="Cashmere-vs-TreadMarks matrix across network backends "
-        "(memch / rdma / ethernet; see docs/NETWORKS.md)",
-    )
-    _add_common(ce)
-    ce.add_argument("--apps", nargs="+", choices=registry.ALL_APP_NAMES)
-    ce.add_argument(
-        "--variants",
-        nargs="+",
-        choices=[v.name for v in ALL_VARIANTS + EXTENSION_VARIANTS],
-        help="protocol variants (default: csm_poll tmk_mc_poll)",
-    )
-    ce.add_argument(
-        "--counts",
-        nargs="+",
-        type=int,
-        help="processor counts (default 1 2 4 8 16 32)",
-    )
-    ce.add_argument(
-        "--networks",
-        nargs="+",
-        choices=NETWORK_BACKENDS,
-        help="backends to include (default: all three)",
-    )
-    ce.add_argument(
-        "--chart",
-        action="store_true",
-        help="render ASCII speedup charts (one per application, "
-        "overlaying all backends)",
-    )
-
-    sc = sub.add_parser(
-        "scaling",
-        help="weak/strong scaling past the paper (64-1024 processors; "
-        "see EXPERIMENTS.md 'Scaling past the paper')",
-    )
-    _add_common(sc)
-    sc.add_argument(
-        "--mode",
-        default="weak",
-        choices=("weak", "strong"),
-        help="grow the problem with the machine (weak) or hold it "
-        "fixed (strong)",
-    )
-    sc.add_argument("--app", default="sor", choices=registry.ALL_APP_NAMES)
-    sc.add_argument(
-        "--counts",
-        nargs="+",
-        type=int,
-        help="processor counts (default 8 64 256; the first is the "
-        "reference point)",
-    )
-    sc.add_argument(
-        "--variants",
-        nargs="+",
-        choices=[v.name for v in ALL_VARIANTS + EXTENSION_VARIANTS],
-        help="protocol variants (default: csm_poll tmk_mc_poll)",
-    )
-    sc.add_argument(
-        "--fanin",
-        type=int,
-        default=None,
-        metavar="K",
-        help="tree-barrier fan-in (default: auto — binary at <=32p, "
-        "4-ary past; CHANGES simulated results)",
-    )
-    sc.add_argument(
-        "--dir-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="Cashmere directory shards (default: auto — replicated "
-        "at <=32p, one per node past; CHANGES simulated results on "
-        "point-to-point fabrics)",
-    )
-    sc.add_argument(
-        "--node-mem",
-        type=int,
-        default=None,
-        metavar="PAGES",
-        help="per-node memory-pressure limit: evict cold remote page "
-        "copies past PAGES resident pages (default: unlimited; "
-        "CHANGES simulated results)",
-    )
-
-    po = sub.add_parser(
-        "policies",
-        help="sharing-policy study: granularity x prefetch x homing "
-        "A/B against the default (page, none, first-touch) triple "
-        "(see docs/POLICIES.md)",
-    )
-    _add_common(po)
-    po.add_argument(
-        "--app",
-        default="irreg",
-        choices=registry.ALL_APP_NAMES,
-        help="subject application (default: the false-sharing "
-        "extension workload irreg)",
-    )
-    po.add_argument(
-        "--variants",
-        nargs="+",
-        choices=[v.name for v in ALL_VARIANTS + EXTENSION_VARIANTS],
-        help="protocol variants (default: csm_poll tmk_mc_poll "
-        "hlrc_poll)",
-    )
-    po.add_argument(
-        "--procs", type=int, default=8, help="processor count (default 8)"
-    )
-
-    sw = sub.add_parser("sweep", help="network-sensitivity sweeps")
-    _add_common(sw)
-    sw.add_argument(
-        "--knob",
-        default="bandwidth",
-        choices=("bandwidth", "latency"),
-    )
-    sw.add_argument("--app", default="sor", choices=registry.ALL_APP_NAMES)
-    sw.add_argument("--procs", type=int, default=16)
+    for name, module in api.DRIVERS.items():
+        driver = sub.add_parser(name, help=module.HELP, parents=[common])
+        for param in module.PARAMS:
+            # A parameter named like a shared option (policies'
+            # ``network``) reads that option.
+            if param.name not in shared:
+                _add_param(driver, param)
+        if hasattr(module, "chart"):
+            driver.add_argument(
+                "--chart",
+                action="store_true",
+                help="also render the result as an ASCII chart",
+            )
 
     tr = sub.add_parser(
         "trace",
         help="run an application under tracing and export the event "
         "timeline (JSONL or Chrome trace format)",
+        parents=[common],
     )
-    _add_common(tr)
-    tr.add_argument("app", choices=registry.ALL_APP_NAMES)
+    tr.add_argument("app", choices=APP_CHOICES)
     tr.add_argument(
         "--variants",
         nargs="+",
         default=["csm_poll"],
-        choices=[v.name for v in ALL_VARIANTS + EXTENSION_VARIANTS],
+        choices=VARIANT_CHOICES,
         help="protocol variants to trace (two traces of the same app "
         "are aligned and diffed)",
     )
-    tr.add_argument("--procs", type=int, default=8)
+    tr.add_argument("--procs", type=_positive_int, default=8)
     tr.add_argument(
         "--format",
         choices=EXPORT_FORMATS,
@@ -546,15 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune: entry bound to enforce (0 = unbounded)",
     )
 
-    one = sub.add_parser("run", help="one application run, in detail")
-    _add_common(one)
-    one.add_argument("app", choices=registry.ALL_APP_NAMES)
-    one.add_argument(
-        "--variant",
-        default="csm_poll",
-        choices=[v.name for v in ALL_VARIANTS + EXTENSION_VARIANTS],
+    one = sub.add_parser(
+        "run", help="one application run, in detail", parents=[common]
     )
-    one.add_argument("--procs", type=int, default=8)
+    one.add_argument("app", choices=APP_CHOICES)
+    one.add_argument("--variant", default="csm_poll", choices=VARIANT_CHOICES)
+    one.add_argument("--procs", type=_positive_int, default=8)
     one.add_argument(
         "--trace",
         action="store_true",
@@ -743,78 +613,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     ctx = _context(args)
     started = time.time()
-    if args.command in api.EXPERIMENTS:
-        kwargs = {}
-        if args.command == "table3":
-            kwargs = {"apps": args.apps, "nprocs": args.procs}
-        elif args.command == "figure5":
-            counts = args.counts
-            if args.full:
-                counts = list(figure5.full_paper_counts())
-            kwargs = {
-                "apps": args.apps,
-                "variants": _parse_variants(args.variants),
-                "counts": counts,
-            }
-        elif args.command == "figure6":
-            kwargs = {"apps": args.apps, "nprocs": args.procs}
-        elif args.command == "sweep":
-            kwargs = {"knob": args.knob, "app": args.app, "nprocs": args.procs}
-        elif args.command == "scaling":
-            kwargs = {
-                "app": args.app,
-                "mode": args.mode,
-                "counts": args.counts,
-                "variants": _parse_variants(args.variants),
-            }
-            if args.fanin is not None:
-                kwargs["barrier_fanin"] = args.fanin
-            if args.dir_shards is not None:
-                kwargs["dir_shards"] = args.dir_shards
-            if args.node_mem is not None:
-                kwargs["node_mem_pages"] = args.node_mem
-        elif args.command == "cross_era":
-            kwargs = {
-                "apps": args.apps,
-                "variants": _parse_variants(args.variants),
-                "counts": args.counts,
-                "networks": args.networks,
-            }
-        elif args.command == "policies":
-            kwargs = {
-                "app": args.app,
-                "variants": _parse_variants(args.variants),
-                "nprocs": args.procs,
-                # The study's sweet spot is the rdma backend; an
-                # explicit --network still wins.
-                "network": args.network or "rdma",
-            }
+    module = api.DRIVERS.get(args.command)
+    if module is not None:
+        kwargs = {p.name: getattr(args, p.name) for p in module.PARAMS}
         result = api.run_experiment(args.command, ctx=ctx, **kwargs)
         print(result.text)
         if getattr(args, "chart", False):
-            from repro.harness import plots
-
-            if args.command == "figure5":
-                apps = []
-                for curve in result.rows:
-                    if curve.app not in apps:
-                        apps.append(curve.app)
-                for app in apps:
-                    series = {
-                        c.variant: c.points
-                        for c in result.rows
-                        if c.app == app
-                    }
-                    print()
-                    print(plots.line_chart(series, title=f"Figure 5: {app}"))
-            elif args.command == "figure6":
-                print()
-                print(plots.breakdown_chart(list(result.rows)))
-            elif args.command == "cross_era":
-                from repro.harness import cross_era
-
-                print()
-                print(cross_era.chart(list(result.rows)))
+            print()
+            print(module.chart(result.rows))
     elif args.command == "trace":
         _run_trace(ctx, args)
     elif args.command == "run":

@@ -28,16 +28,9 @@ PAPER_PLACEMENTS = {
 
 PAPER_PROCESSOR_COUNTS = (1, 2, 4, 8, 12, 16, 24, 32)
 
-#: Power-of-two sweep past the paper's 32-processor ceiling (PR 7).
-SCALING_PROCESSOR_COUNTS = (8, 16, 32, 64, 128, 256, 512, 1024)
-
 
 def paper_processor_counts(max_procs: int = 32) -> Tuple[int, ...]:
     return tuple(n for n in PAPER_PROCESSOR_COUNTS if n <= max_procs)
-
-
-def scaling_processor_counts(max_procs: int = 256) -> Tuple[int, ...]:
-    return tuple(n for n in SCALING_PROCESSOR_COUNTS if n <= max_procs)
 
 
 def cluster_for(

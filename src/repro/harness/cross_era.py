@@ -20,7 +20,7 @@ their sources in docs/NETWORKS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import (
@@ -30,15 +30,34 @@ from repro.config import (
     Variant,
 )
 from repro.apps import registry
-from repro.harness.runner import BatchPoint, ExperimentContext, feasible_counts
+from repro.harness import figure5
+from repro.harness.declaration import Param
+from repro.harness.runner import ExperimentContext
 
 #: The paper's head-to-head pair: its best Cashmere against its best
 #: TreadMarks (both polling; Section 5's headline comparison).
 DEFAULT_VARIANTS = (CSM_POLL, TMK_MC_POLL)
 
-#: Processor counts for the matrix; the top of the paper's sweep is the
-#: interesting regime (bandwidth pressure), the bottom sanity-checks.
-DEFAULT_COUNTS = (1, 2, 4, 8, 16, 32)
+HELP = (
+    "Cashmere-vs-TreadMarks matrix across network backends "
+    "(memch / rdma / ethernet; see docs/NETWORKS.md)"
+)
+
+PARAMS = (
+    Param("apps", "apps"),
+    Param(
+        "variants",
+        "variants",
+        help="protocol variants (default: csm_poll tmk_mc_poll)",
+    ),
+    Param("counts", "counts", help="processor counts (default 1 2 4 8 16 32)"),
+    Param(
+        "networks",
+        "choices",
+        choices=NETWORK_BACKENDS,
+        help="backends to include (default: all three)",
+    ),
+)
 
 
 @dataclass
@@ -61,41 +80,31 @@ def generate(
     ctx = ctx or ExperimentContext()
     apps = list(apps or registry.APP_NAMES)
     variants = list(variants or DEFAULT_VARIANTS)
-    counts = list(counts or DEFAULT_COUNTS)
     networks = list(networks or NETWORK_BACKENDS)
-    # One batch: each app's sequential baseline once (it never touches
-    # the network), then every network x app x variant x count point,
-    # with the backend riding in the per-point RunConfig overrides so
-    # the result cache keys each backend's results separately.
-    batch: List[BatchPoint] = [BatchPoint(app, None) for app in apps]
-    cells = []
-    for network in networks:
-        for app in apps:
-            for variant in variants:
-                cell = CrossEraCell(
-                    network=network, app=app, variant=variant.name
-                )
-                feasible = feasible_counts(counts, variant, ctx)
-                batch.extend(
-                    BatchPoint(
-                        app,
-                        variant,
-                        n,
-                        overrides=(("network", network),),
-                    )
-                    for n in feasible
-                )
-                cells.append((cell, feasible))
-    results = ctx.run_batch(batch)
-    sequential = dict(zip(apps, results[: len(apps)]))
-    cursor = len(apps)
-    for cell, feasible in cells:
-        for nprocs in feasible:
-            cell.points[nprocs] = results[cursor].speedup_over(
-                sequential[cell.app].exec_time
-            )
-            cursor += 1
-    return [cell for cell, _ in cells]
+    cells = {
+        (network, app, variant.name): CrossEraCell(
+            network=network, app=app, variant=variant.name
+        )
+        for network in networks
+        for app in apps
+        for variant in variants
+    }
+    # Figure 5's grid once per backend, the backend riding in the
+    # per-point RunConfig overrides so the result cache keys each
+    # backend's results separately.  Each app's baseline runs once: it
+    # never touches the network.
+    grid = figure5.points(ctx, apps, variants, counts)
+    batch = [p for p in grid if p.variant is None] + [
+        replace(p, overrides=(("network", network),))
+        for network in networks
+        for p in grid
+        if p.variant is not None
+    ]
+    for point, speedup in figure5.speedups(ctx, batch):
+        network = dict(point.overrides)["network"]
+        cell = cells[network, point.app, point.variant.name]
+        cell.points[point.nprocs] = speedup
+    return list(cells.values())
 
 
 def advantage(cells: List[CrossEraCell]) -> Dict[str, Dict[str, float]]:
@@ -180,7 +189,8 @@ def render(cells: List[CrossEraCell]) -> str:
 
 
 def chart(cells: List[CrossEraCell]) -> str:
-    """One speedup chart per app, overlaying every network x variant."""
+    """One speedup chart per app, overlaying every network x variant
+    (the CLI's ``--chart``)."""
     from repro.harness import plots
 
     apps = []

@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import CSM_POLL, TMK_MC_POLL
-from repro.apps import registry
-from repro.harness.runner import BatchPoint, ExperimentContext
-from repro.harness.table3 import procs_for
+from repro.harness.plots import breakdown_chart as chart
+from repro.harness.runner import ExperimentContext
+from repro.harness.table3 import PARAMS, polling_runs
 from repro.stats import Category
+
+HELP = "execution-time breakdown"
+# PARAMS is Table 3's: the figure breaks down the same polling runs.
 
 _BAR_ORDER = (
     Category.USER,
@@ -52,18 +54,8 @@ def generate(
     nprocs: Optional[int] = None,
 ) -> List[BreakdownBar]:
     ctx = ctx or ExperimentContext()
-    apps = list(apps or registry.APP_NAMES)
-    batch = [
-        BatchPoint(app, variant, nprocs or procs_for(app))
-        for app in apps
-        for variant in (CSM_POLL, TMK_MC_POLL)
-    ]
-    results = iter(ctx.run_batch(batch))
     bars = []
-    for app in apps:
-        n = nprocs or procs_for(app)
-        csm = next(results)
-        tmk = next(results)
+    for app, n, csm, tmk in polling_runs(ctx, apps, nprocs):
         reference = csm.breakdown.total
         bars.append(
             BreakdownBar(

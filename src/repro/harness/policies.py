@@ -23,7 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.config import CSM_POLL, HLRC_POLL, TMK_MC_POLL, Variant
+from repro.config import (
+    CSM_POLL,
+    HLRC_POLL,
+    NETWORK_BACKENDS,
+    TMK_MC_POLL,
+    Variant,
+)
+from repro.harness.declaration import Param
 from repro.harness.runner import BatchPoint, ExperimentContext
 
 #: The head-to-head set: the paper's two polling systems plus the
@@ -47,6 +54,32 @@ DEFAULT_POLICIES: Tuple[Tuple[str, str, str], ...] = (
 DEFAULT_APP = "irreg"
 DEFAULT_NPROCS = 8
 DEFAULT_NETWORK = "rdma"
+
+HELP = (
+    "sharing-policy study: granularity x prefetch x homing A/B against "
+    "the default (page, none, first-touch) triple (see docs/POLICIES.md)"
+)
+
+#: ``network`` is the CLI's shared ``--network`` option; this study's
+#: sweet spot is the rdma backend, so that is its default here.
+PARAMS = (
+    Param(
+        "app",
+        "app",
+        default=DEFAULT_APP,
+        help="subject application (default: the false-sharing "
+        "extension workload irreg)",
+    ),
+    Param(
+        "variants",
+        "variants",
+        help="protocol variants (default: csm_poll tmk_mc_poll hlrc_poll)",
+    ),
+    Param("nprocs", "procs", default=DEFAULT_NPROCS, flag="--procs"),
+    Param(
+        "network", "choice", default=DEFAULT_NETWORK, choices=NETWORK_BACKENDS
+    ),
+)
 
 
 @dataclass

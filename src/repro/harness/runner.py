@@ -11,7 +11,7 @@ from repro.config import (
     RunConfig,
     Variant,
 )
-from repro.core import Program, RunResult, run_program, run_sequential
+from repro.core import RunResult
 from repro.apps import registry
 from repro.harness.cache import ResultCache, key_for_spec
 from repro.harness.parallel import SEQUENTIAL, PointSpec, run_points
@@ -93,14 +93,17 @@ class ExperimentContext:
     def sequential(self, name: str) -> RunResult:
         return self.run_batch([BatchPoint(name, None)])[0]
 
-    def costs_for(self, name: str) -> CostModel:
-        """The cost model for one app, honouring its scaled-cache
-        overrides (see e.g. ``repro.apps.gauss.cost_overrides``)."""
-        module = self.app(name)
-        overrides = getattr(module, "cost_overrides", None)
+    def costs_for(
+        self, name: str, costs: Optional[CostModel] = None
+    ) -> CostModel:
+        """The cost model for one app — ``costs``, else the context's —
+        honouring the app's scaled-cache overrides (see e.g.
+        ``repro.apps.gauss.cost_overrides``)."""
+        costs = costs or self.costs
+        overrides = getattr(self.app(name), "cost_overrides", None)
         if overrides is None:
-            return self.costs
-        return replace(self.costs, **overrides(self.params(name)))
+            return costs
+        return replace(costs, **overrides(self.params(name)))
 
     def run(
         self,
@@ -164,15 +167,6 @@ class ExperimentContext:
                     self.breakdown_us.get(category, 0.0) + us
                 )
 
-    def speedup(self, name: str, variant: Variant, nprocs: int, **kw) -> float:
-        seq = self.sequential(name)
-        par = self.run(name, variant, nprocs, **kw)
-        return par.speedup_over(seq.exec_time)
-
-    def max_procs(self, variant: Variant) -> int:
-        cfg = RunConfig(variant=variant, nprocs=1, cluster=self.cluster)
-        return cfg.compute_cpus_available
-
     # -- internals -----------------------------------------------------
 
     def _spec_for(self, point: BatchPoint) -> PointSpec:
@@ -235,7 +229,11 @@ class ExperimentContext:
 
 
 def feasible_counts(
-    counts: Iterable[int], variant: Variant, ctx: ExperimentContext
+    counts: Iterable[int], variant: Variant, cluster: ClusterConfig
 ) -> List[int]:
-    limit = ctx.max_procs(variant)
+    """The ``counts`` ``variant`` can field on ``cluster`` (``csm_pp``
+    loses one CPU a node to its protocol processor)."""
+    limit = RunConfig(
+        variant=variant, nprocs=1, cluster=cluster
+    ).compute_cpus_available
     return [n for n in counts if n <= limit]

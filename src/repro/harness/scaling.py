@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config import CSM_POLL, TMK_MC_POLL, Variant
 from repro.harness.configs import cluster_for
+from repro.harness.declaration import Param
 from repro.harness.runner import BatchPoint, ExperimentContext
 
 #: The app's dominant linear work dimension, scaled with the processor
@@ -49,6 +50,57 @@ WEAK_KNOBS = {
 DEFAULT_COUNTS = (8, 64, 256)
 
 MODES = ("weak", "strong")
+
+HELP = (
+    "weak/strong scaling past the paper (64-1024 processors; "
+    "see EXPERIMENTS.md 'Scaling past the paper')"
+)
+
+#: The last three are RunConfig knobs applied to every point.
+PARAMS = (
+    Param(
+        "mode",
+        "choice",
+        default="weak",
+        choices=MODES,
+        help="grow the problem with the machine (weak) or hold it "
+        "fixed (strong)",
+    ),
+    Param("app", "app", default="sor"),
+    Param(
+        "counts",
+        "counts",
+        help="processor counts (default 8 64 256; the first is the "
+        "reference point)",
+    ),
+    Param(
+        "variants",
+        "variants",
+        help="protocol variants (default: csm_poll tmk_mc_poll)",
+    ),
+    Param(
+        "barrier_fanin",
+        "procs",
+        flag="--fanin",
+        help="tree-barrier fan-in (default: auto — binary at <=32p, "
+        "4-ary past; CHANGES simulated results)",
+    ),
+    Param(
+        "dir_shards",
+        "procs",
+        help="Cashmere directory shards (default: auto — replicated "
+        "at <=32p, one per node past; CHANGES simulated results on "
+        "point-to-point fabrics)",
+    ),
+    Param(
+        "node_mem_pages",
+        "procs",
+        flag="--node-mem",
+        help="per-node memory-pressure limit: evict cold remote page "
+        "copies past this many resident pages (default: unlimited; "
+        "CHANGES simulated results)",
+    ),
+)
 
 
 @dataclass
@@ -76,35 +128,35 @@ def weak_params(app: str, base: Dict, ref: int, nprocs: int) -> Dict:
     return scaled
 
 
-def sweep(
+def points(
     ctx: ExperimentContext,
     app: str = "sor",
     mode: str = "weak",
-    counts: Sequence[int] = DEFAULT_COUNTS,
+    counts: Optional[Sequence[int]] = None,
     variants: Optional[Sequence[Variant]] = None,
-    overrides: Optional[Dict] = None,
-) -> List[ScalePoint]:
-    """Run one scaling sweep; points come back count-major.
+    **overrides,
+) -> List[BatchPoint]:
+    """Every simulation of one sweep, count-major.
 
-    ``overrides`` (``barrier_fanin=8``, ``dir_shards=4``,
-    ``node_mem_pages=...``) apply to every point — the CLI's scaling
-    knobs ride through here and enter each point's cache key.
+    The first count is the reference; under weak scaling each count's
+    input grows from the context's scale tier by :func:`weak_params`.
+    Counts past ``ctx.cluster``'s capacity get a cluster grown node by
+    node.  ``overrides`` (``barrier_fanin=8``, ``dir_shards=4``,
+    ``node_mem_pages=...``) apply to every point and enter its cache
+    key.
     """
     if mode not in MODES:
         raise ValueError(f"unknown scaling mode {mode!r}; known: {MODES}")
-    counts = sorted(set(counts))
-    if not counts:
-        raise ValueError("need at least one processor count")
-    variants = list(variants or (CSM_POLL, TMK_MC_POLL))
+    counts = sorted(set(counts or DEFAULT_COUNTS))
     ref = counts[0]
     base = ctx.params(app)
-    knobs = tuple(sorted((overrides or {}).items()))
+    knobs = tuple(sorted(overrides.items()))
     batch = []
     for nprocs in counts:
         params = (
             weak_params(app, base, ref, nprocs) if mode == "weak" else base
         )
-        for variant in variants:
+        for variant in variants or (CSM_POLL, TMK_MC_POLL):
             batch.append(
                 BatchPoint(
                     app,
@@ -117,26 +169,37 @@ def sweep(
                     ),
                 )
             )
+    return batch
+
+
+def sweep(
+    ctx: ExperimentContext,
+    app: str = "sor",
+    mode: str = "weak",
+    counts: Sequence[int] = DEFAULT_COUNTS,
+    variants: Optional[Sequence[Variant]] = None,
+    overrides: Optional[Dict] = None,
+) -> List[ScalePoint]:
+    """Run one scaling sweep (:func:`points`); points come back
+    count-major."""
+    batch = points(ctx, app, mode, counts, variants, **(overrides or {}))
     results = ctx.run_batch(batch)
-    points: List[ScalePoint] = []
-    cursor = 0
     ref_time: Dict[str, float] = {}
-    for nprocs in counts:
-        for variant in variants:
-            exec_time = results[cursor].exec_time
-            ref_time.setdefault(variant.name, exec_time)
-            points.append(
-                ScalePoint(
-                    app=app,
-                    variant=variant.name,
-                    mode=mode,
-                    nprocs=nprocs,
-                    exec_time=exec_time,
-                    metric=ref_time[variant.name] / exec_time,
-                )
+    scaled: List[ScalePoint] = []
+    for point, result in zip(batch, results):
+        exec_time = result.exec_time
+        ref_time.setdefault(point.variant.name, exec_time)
+        scaled.append(
+            ScalePoint(
+                app=app,
+                variant=point.variant.name,
+                mode=mode,
+                nprocs=point.nprocs,
+                exec_time=exec_time,
+                metric=ref_time[point.variant.name] / exec_time,
             )
-            cursor += 1
-    return points
+        )
+    return scaled
 
 
 def render(points: List[ScalePoint]) -> str:
@@ -188,21 +251,12 @@ def run(
     from repro.harness import results
 
     ctx = ctx or ExperimentContext()
-    counts = tuple(counts) if counts else DEFAULT_COUNTS
-    points = sweep(
-        ctx,
-        app=app,
-        mode=mode,
-        counts=counts,
-        variants=variants,
-        overrides=overrides or None,
-    )
-    text = render(points)
+    scaled = sweep(ctx, app, mode, counts, variants, overrides)
     config = {
         "app": app,
         "mode": mode,
-        "counts": sorted(set(counts)),
-        "variants": sorted({p.variant for p in points}),
+        "counts": sorted({p.nprocs for p in scaled}),
+        "variants": sorted({p.variant for p in scaled}),
         "overrides": dict(overrides),
     }
-    return results.build("scaling", ctx, points, text, config)
+    return results.build("scaling", ctx, scaled, render(scaled), config)

@@ -13,8 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import CSM_POLL, TMK_MC_POLL, CostModel, Variant
+from repro.config import CSM_POLL, TMK_MC_POLL, Variant
+from repro.harness.declaration import Param
 from repro.harness.runner import BatchPoint, ExperimentContext
+
+HELP = "network-sensitivity sweeps"
+
+PARAMS = (
+    Param(
+        "knob", "choice", default="bandwidth", choices=("bandwidth", "latency")
+    ),
+    Param("app", "app", default="sor"),
+    Param("nprocs", "procs", default=16, flag="--procs"),
+)
 
 
 @dataclass
@@ -25,15 +36,6 @@ class SweepPoint:
     value: float
     variant: str
     speedup: float
-
-
-def _app_costs(ctx: ExperimentContext, app: str, swept: CostModel) -> CostModel:
-    """Apply the app's scaled-cache overrides on top of swept costs
-    (mirrors ``ExperimentContext.costs_for`` under a swept model)."""
-    overrides = getattr(ctx.app(app), "cost_overrides", None)
-    if overrides is None:
-        return swept
-    return replace(swept, **overrides(ctx.params(app)))
 
 
 def _sweep(
@@ -54,7 +56,7 @@ def _sweep(
     batch = [BatchPoint(app, None)]
     for _value, costs in swept_costs:
         batch.extend(
-            BatchPoint(app, variant, nprocs, costs=_app_costs(ctx, app, costs))
+            BatchPoint(app, variant, nprocs, costs=ctx.costs_for(app, costs))
             for variant in variants
         )
     results = ctx.run_batch(batch)

@@ -18,6 +18,9 @@ from repro.config import ALL_VARIANTS, RunConfig, Variant
 from repro.core import Program, SharedArray, run_program
 from repro.harness.runner import ExperimentContext
 
+HELP = "basic operation costs"
+PARAMS = ()
+
 REPEATS = 8
 PROBE_LOCK = 7  # odd id so neither probe rank is the TreadMarks manager
 

@@ -15,6 +15,9 @@ from repro.apps import registry
 from repro.harness.runner import BatchPoint, ExperimentContext
 from repro.memory import AddressSpace
 
+HELP = "data sets and sequential times"
+PARAMS = ()
+
 
 @dataclass
 class Table2Row:

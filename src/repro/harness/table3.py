@@ -9,14 +9,23 @@ presented are for 16 processors."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.config import CSM_POLL, TMK_MC_POLL
 from repro.apps import registry
+from repro.core import RunResult
+from repro.harness.declaration import Param
 from repro.harness.runner import BatchPoint, ExperimentContext
 
 DEFAULT_PROCS = 32
 BARNES_PROCS = 16  # "performance for Barnes drops significantly past 16"
+
+HELP = "detailed statistics (polling)"
+
+PARAMS = (
+    Param("apps", "apps"),
+    Param("nprocs", "procs", flag="--procs", help="override processor count"),
+)
 
 
 @dataclass
@@ -40,24 +49,35 @@ def procs_for(app: str, default: int = DEFAULT_PROCS) -> int:
     return BARNES_PROCS if app == "barnes" else default
 
 
+def polling_runs(
+    ctx: ExperimentContext,
+    apps: Optional[Sequence[str]],
+    nprocs: Optional[int],
+) -> Iterator[Tuple[str, int, RunResult, RunResult]]:
+    """``(app, nprocs, csm_poll result, tmk_mc_poll result)`` per app,
+    all run in one batch; ``nprocs`` None is :func:`procs_for`."""
+    apps = apps or registry.APP_NAMES
+    runs = [(app, nprocs or procs_for(app)) for app in apps]
+    results = iter(
+        ctx.run_batch(
+            BatchPoint(app, variant, n)
+            for app, n in runs
+            for variant in (CSM_POLL, TMK_MC_POLL)
+        )
+    )
+    for app, n in runs:
+        yield app, n, next(results), next(results)
+
+
 def generate(
     ctx: ExperimentContext = None,
     apps: Optional[List[str]] = None,
     nprocs: Optional[int] = None,
 ) -> List[Table3Cell]:
     ctx = ctx or ExperimentContext()
-    apps = apps or list(registry.APP_NAMES)
-    batch = [
-        BatchPoint(app, variant, nprocs or procs_for(app))
-        for app in apps
-        for variant in (CSM_POLL, TMK_MC_POLL)
-    ]
-    results = iter(ctx.run_batch(batch))
     cells = []
-    for app in apps:
-        n = nprocs or procs_for(app)
-        for variant in (CSM_POLL, TMK_MC_POLL):
-            result = next(results)
+    for app, n, *pair in polling_runs(ctx, apps, nprocs):
+        for variant, result in zip((CSM_POLL, TMK_MC_POLL), pair):
             agg = result.stats.aggregate_counters()
             cell = Table3Cell(
                 app=app,

@@ -31,8 +31,11 @@ import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.api import DRIVERS
 from repro.config import RunConfig
 from repro.harness.cache import Encoded
+from repro.harness.declaration import resolve
+from repro.harness.runner import ExperimentContext
 from repro.options import SimOptions
 
 #: The wire-schema version.  A request's ``"v"`` field may be absent
@@ -290,11 +293,14 @@ class NegativeCache:
 
 # -- server-side sweep expansion ---------------------------------------
 
-#: Sweep kinds ``POST /v1/sweep`` accepts.
-SWEEP_KINDS = ("figure5", "scaling")
+#: Sweep kinds ``POST /v1/sweep`` accepts: the drivers that export their
+#: point enumeration (``points``).
+SWEEP_KINDS = tuple(
+    name for name, module in DRIVERS.items() if hasattr(module, "points")
+)
 
-#: Top-level fields a sweep request accepts (superset; kind-specific
-#: validation happens in :func:`expand_sweep`).
+#: Top-level fields a sweep request accepts (superset; each kind reads
+#: the ones its driver declares).
 SWEEP_FIELDS = (
     "v",
     "kind",
@@ -311,51 +317,18 @@ SWEEP_FIELDS = (
 )
 
 
-def _sweep_variants(names, default):
-    from repro.config import variant_by_name
-
-    if names is None:
-        return list(default)
-    if not isinstance(names, list) or not names:
-        raise ServingError("'variants' must be a non-empty list of names")
-    resolved = []
-    for name in names:
-        try:
-            resolved.append(variant_by_name(name))
-        except (KeyError, ValueError) as exc:
-            raise ServingError(f"unknown variant {name!r}") from exc
-    return resolved
-
-
-def _sweep_counts(counts, default):
-    if counts is None:
-        return list(default)
-    if (
-        not isinstance(counts, list)
-        or not counts
-        or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 1
-            for n in counts
-        )
-    ):
-        raise ServingError(
-            "'counts' must be a non-empty list of positive integers"
-        )
-    return sorted(set(counts))
-
-
 def expand_sweep(
     request: Dict[str, Any], max_points: int = 4096
 ) -> List[Dict[str, Any]]:
     """Expand one sweep request into its v2 point-request list.
 
-    The server-side twin of the figure5/scaling drivers: the same
-    feasibility rules (``csm_pp`` capped below 32 processors by the
-    protocol CPU) and the same weak-scaling parameter growth
-    (:func:`repro.harness.scaling.weak_params` over the app's registry
-    defaults), but emitting wire requests instead of running anything —
-    each expanded point then flows through the ordinary
-    ``validate_request`` → cache → coalesce → batch path.
+    Expansion *is* the driver's own enumeration: the request's fields
+    are checked against the driver's declared parameters, and its
+    ``points`` function lists the points — the ones the driver runs,
+    in the order it enumerates them, with ``baselines: false``
+    dropping the sequential ones.  Each becomes a wire request that
+    then flows through the ordinary ``validate_request`` → cache →
+    coalesce → batch path.
     """
     if not isinstance(request, dict):
         raise ServingError("request must be a JSON object")
@@ -375,90 +348,27 @@ def expand_sweep(
         raise ServingError(
             f"sweep needs a 'kind' in {list(SWEEP_KINDS)}, got {kind!r}"
         )
+    driver = DRIVERS[kind]
     scale = request.get("scale", "small")
+    given = {
+        param.name: request[param.name]
+        for param in driver.PARAMS
+        if param.name in request
+    }
+    try:
+        batch = driver.points(
+            ExperimentContext(scale=scale), **resolve(driver.PARAMS, given)
+        )
+    except ValueError as exc:
+        raise ServingError(str(exc)) from exc
+    if not request.get("baselines", True):
+        batch = [point for point in batch if point.variant is not None]
+
     common: Dict[str, Any] = {"v": WIRE_VERSION, "scale": scale}
     for passthrough in ("warm_start", "options", "overrides"):
         if passthrough in request:
             common[passthrough] = request[passthrough]
-
-    from repro.apps import registry
-
-    points: List[Dict[str, Any]] = []
-    if kind == "figure5":
-        from repro.config import ALL_VARIANTS
-        from repro.harness.figure5 import DEFAULT_COUNTS
-
-        apps = request.get("apps") or list(registry.APP_NAMES)
-        if not isinstance(apps, list):
-            raise ServingError("'apps' must be a list of app names")
-        for app in apps:
-            if app not in registry.ALL_APP_NAMES:
-                raise ServingError(
-                    f"unknown app {app!r}; "
-                    f"known: {list(registry.ALL_APP_NAMES)}"
-                )
-        variants = _sweep_variants(request.get("variants"), ALL_VARIANTS)
-        counts = _sweep_counts(request.get("counts"), DEFAULT_COUNTS)
-        baselines = bool(request.get("baselines", True))
-        for app in apps:
-            if baselines:
-                points.append(dict(common, app=app, nprocs=1))
-            for variant in variants:
-                limit = _paper_max_procs(variant)
-                for nprocs in counts:
-                    if nprocs > limit:
-                        continue
-                    points.append(
-                        dict(
-                            common,
-                            app=app,
-                            variant=variant.name,
-                            nprocs=nprocs,
-                        )
-                    )
-    else:  # scaling
-        from repro.config import CSM_POLL, TMK_MC_POLL
-        from repro.harness.scaling import (
-            DEFAULT_COUNTS as SCALING_COUNTS,
-            MODES,
-            weak_params,
-        )
-
-        app = request.get("app", "sor")
-        if app not in registry.ALL_APP_NAMES:
-            raise ServingError(
-                f"unknown app {app!r}; "
-                f"known: {list(registry.ALL_APP_NAMES)}"
-            )
-        mode = request.get("mode", "weak")
-        if mode not in MODES:
-            raise ServingError(
-                f"unknown scaling mode {mode!r}; known: {list(MODES)}"
-            )
-        variants = _sweep_variants(
-            request.get("variants"), (CSM_POLL, TMK_MC_POLL)
-        )
-        counts = _sweep_counts(request.get("counts"), SCALING_COUNTS)
-        ref = counts[0]
-        base = registry.load(app).default_params(scale)
-        for nprocs in counts:
-            if mode == "weak":
-                try:
-                    params = weak_params(app, base, ref, nprocs)
-                except ValueError as exc:
-                    raise ServingError(str(exc)) from exc
-            else:
-                params = base
-            for variant in variants:
-                points.append(
-                    dict(
-                        common,
-                        app=app,
-                        variant=variant.name,
-                        nprocs=nprocs,
-                        params=dict(params),
-                    )
-                )
+    points = [_wire_point(point, common) for point in batch]
     if not points:
         raise ServingError("sweep expands to zero points")
     if len(points) > max_points:
@@ -470,18 +380,18 @@ def expand_sweep(
     return points
 
 
-def _paper_max_procs(variant) -> int:
-    """Compute CPUs ``variant`` gets on the paper's fixed cluster.
-
-    Figure 5 sweeps keep the eight-node AlphaServer topology (the
-    driver's :func:`~repro.harness.runner.feasible_counts` rule), so
-    ``csm_pp`` tops out at 24 processors — its protocol CPUs are not
-    available for compute.  Scaling sweeps auto-grow instead.
-    """
-    from repro.config import ClusterConfig, RunConfig
-
-    cfg = RunConfig(variant=variant, nprocs=1, cluster=ClusterConfig())
-    return cfg.compute_cpus_available
+def _wire_point(point, common: Dict[str, Any]) -> Dict[str, Any]:
+    """One driver :class:`~repro.harness.runner.BatchPoint` as a point
+    request.  Its cluster is not sent: ``api.point_spec`` grows the
+    same one from the processor count.  Nor are its costs, so an app
+    with ``cost_overrides`` (gauss) runs on the plain cost model."""
+    wire = dict(common, app=point.app)
+    if point.variant is not None:
+        wire["variant"] = point.variant.name
+    wire["nprocs"] = point.nprocs
+    if point.params is not None:
+        wire["params"] = dict(point.params)
+    return wire
 
 
 def _jsonable(value: Any) -> Any:

@@ -110,8 +110,10 @@ def test_figure5_curves(ctx):
 
 
 def test_figure5_pp_not_applicable_at_32(ctx):
-    assert feasible_counts([16, 24, 32], CSM_PP, ctx) == [16, 24]
-    assert feasible_counts([16, 24, 32], CSM_POLL, ctx) == [16, 24, 32]
+    assert feasible_counts([16, 24, 32], CSM_PP, ctx.cluster) == [16, 24]
+    assert feasible_counts([16, 24, 32], CSM_POLL, ctx.cluster) == [
+        16, 24, 32
+    ]
 
 
 def test_figure6_bars(ctx):
