@@ -70,11 +70,6 @@ class ProcState(LrcProcState):
 class HlrcProtocol(LrcProtocolBase):
     """LRC invalidation with eager diffs to per-page homes."""
 
-    # Writes touch the local copy only (diffs move eagerly at release,
-    # not per write), so hot write spans qualify for the zero-cost
-    # scatter path.
-    free_writes = True
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # The authoritative home copies (the home processor's ``copy``
@@ -85,12 +80,12 @@ class HlrcProtocol(LrcProtocolBase):
         # placement lesson Cashmere taught (Section 2.1) and the HLRC
         # systems adopted.
         self.homes: Dict[int, int] = {}
-        # Dynamic re-homing state (docs/POLICIES.md): per-unit remote
-        # fetch counts by processor since the unit's last (re-)homing,
-        # and per-unit migration counts bounding ping-pong.
-        self._dynamic_homing = self.cfg.homing == "dynamic"
-        self._fetch_counts: Dict[int, Dict[int, int]] = {}
-        self._migrations: Dict[int, int] = {}
+        # Placement and migration rules, keyed by pid; round-robin homes
+        # interleave by unit index.
+        self.home_table = sharing_policy.HomeTable(
+            self.cfg.homing, round_robin=lambda unit: unit % self.nprocs
+        )
+        self._dynamic_homing = self.home_table.dynamic
 
     def _make_proc_state(self) -> ProcState:
         return ProcState(
@@ -102,16 +97,15 @@ class HlrcProtocol(LrcProtocolBase):
         """The page's home processor, or None if not yet assigned."""
         return self.homes.get(page_idx)
 
-    def _assign_home(self, proc: Processor, page_idx: int) -> Generator:
-        """Home assignment per the run's ``homing`` policy (first-touch,
-        round-robin by unit index, or dynamic = first-touch now plus
-        re-homing later), broadcast like a Cashmere directory update."""
+    def _on_fault(self, proc: Processor, page_idx: int):
         if page_idx in self.homes:
-            return
-        if self.cfg.homing == "round-robin":
-            home = page_idx % self.nprocs
-        else:  # first-touch and dynamic both start at the toucher
-            home = proc.pid
+            return ()
+        return self._assign_home(proc, page_idx)
+
+    def _assign_home(self, proc: Processor, page_idx: int) -> Generator:
+        """Place the page's home per the run's ``homing`` policy,
+        broadcast like a Cashmere directory update."""
+        home = self.home_table.place(page_idx, proc.pid)
         self.homes[page_idx] = home
         self.trace(proc, "home_assigned", page=page_idx, home=home)
         yield from proc.busy(self.costs.dir_modify_locked, Category.PROTOCOL)
@@ -136,90 +130,19 @@ class HlrcProtocol(LrcProtocolBase):
         return data
 
     # ------------------------------------------------------------------
-    # faults and data access
+    # fault-path decisions
     # ------------------------------------------------------------------
 
-    def ensure_read(self, proc: Processor, page_idx: int) -> Generator:
-        state = self._state(proc)
-        page = state.page(page_idx)
-        if page.perm.allows_read():
-            return
-        proc.bump("read_faults")
-        self.trace(proc, "read_fault", page=page_idx)
-        yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
-        yield from self._assign_home(proc, page_idx)
-        yield from self._validate_page(proc, page_idx, page)
-        self._set_perm(proc.pid, page_idx, page, Protection.READ)
-        yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
-        yield from self._after_fault(proc, page_idx)
+    def _needs_twin(self, pid: int, page_idx: int) -> bool:
+        # The home writes its copy in place (the authoritative one,
+        # private since ``_assign_home``); everyone else twins it so the
+        # release can diff.
+        return self.homes.get(page_idx) != pid
 
-    def ensure_write(self, proc: Processor, page_idx: int) -> Generator:
-        state = self._state(proc)
-        page = state.page(page_idx)
-        if page.perm.allows_write():
-            return
-        proc.bump("write_faults")
-        self.trace(proc, "write_fault", page=page_idx)
-        yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
-        yield from self._assign_home(proc, page_idx)
-        if not page.perm.allows_read():
-            yield from self._validate_page(proc, page_idx, page)
-        is_home = self._home_of(page_idx) == proc.pid
-        run = []  # twinning and re-protecting: one run, one wake
-        if not is_home and page.twin is None:
-            # The home writes its copy in place (the authoritative one,
-            # private since ``_assign_home``); everyone else takes a
-            # private copy and twins it so the release can diff.
-            page.twin = own_copy(page).copy()
-            proc.bump("twins_created")
-            self.trace(proc, "twin", page=page_idx)
-            run.append(self.costs.twin_cost(self.space.page_size))
-            if self._dynamic_homing:
-                # A migration check elsewhere reads ``perm``: it may
-                # not turn writable before the twin's time has passed.
-                yield from proc.busy_run(run, Category.PROTOCOL)
-                run = []
-        state.notices.add(page_idx)
-        self._set_perm(proc.pid, page_idx, page, Protection.READ_WRITE)
-        run.append(self.costs.mprotect)
-        yield from proc.busy_run(run, Category.PROTOCOL)
-
-    def _prefetch_page(self, proc: Processor, page_idx: int) -> Generator:
-        """Software prefetch: re-validate an invalidated unit to READ
-        without the demand-fault kernel trap.  Re-validation only: units
-        whose home is unassigned or that this processor holds no stale
-        copy of are skipped — placement and first touches stay with
-        demand faults."""
+    def _prefetch_candidate(self, proc: Processor, page_idx: int):
         if page_idx not in self.homes:
-            return
-        page = self._state(proc).pages.get(page_idx)
-        if page is None or page.copy is None or page.perm.allows_read():
-            return
-        proc.bump("prefetches")
-        self.trace(proc, "prefetch", page=page_idx)
-        yield from self._validate_page(proc, page_idx, page)
-        self._set_perm(proc.pid, page_idx, page, Protection.READ)
-        yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
-
-    def page_data(self, proc: Processor, page_idx: int) -> np.ndarray:
-        page = self._state(proc).page(page_idx)
-        if not page.perm.allows_read() or page.copy is None:
-            raise RuntimeError(
-                f"p{proc.pid} touched page {page_idx} without a mapping"
-            )
-        return page.copy
-
-    def apply_write(
-        self, proc: Processor, page_idx: int, start: int, raw: np.ndarray
-    ) -> Generator:
-        page = self._state(proc).page(page_idx)
-        if not page.perm.allows_write():
-            raise RuntimeError(
-                f"p{proc.pid} wrote page {page_idx} without permission"
-            )
-        page.copy[start : start + len(raw)] = raw
-        return
-        yield  # pragma: no cover - writes are local; diffs move at release
+            return None  # placement stays with demand faults
+        return self._state(proc).pages.get(page_idx)
 
     def _validate_page(
         self, proc: Processor, page_idx: int, page: HlrcPage
@@ -269,7 +192,7 @@ class HlrcProtocol(LrcProtocolBase):
         if own_diff is not None:
             # The twin becomes the fresh base, so the next release still
             # diffs out exactly our own words.
-            page.twin = snapshot.copy()
+            np.copyto(page.twin, snapshot)
             apply_diff(page.copy, own_diff)
         proc.bump("page_fetches")
         self.trace(proc, "page_fetch", page=page_idx, home=home)
@@ -279,36 +202,25 @@ class HlrcProtocol(LrcProtocolBase):
     def _maybe_migrate_home(
         self, proc: Processor, page_idx: int, page: HlrcPage, old_home: int
     ) -> Generator:
-        """Dynamic homing: re-home ``page_idx`` to a processor that
-        establishes a remote-fetch majority.
+        """Dynamic homing: count this remote fetch and re-home
+        ``page_idx`` here when the home table's rule says so.
 
-        Mirrors Cashmere's policy, keyed by processor (HLRC homes are
-        pids): ``MIGRATE_AFTER`` fetches since the last (re-)homing,
-        strictly more than any other fetcher, moves the home; the
-        fetcher's fresh copy — identical to the authoritative content it
-        just pulled — becomes the new home copy.  Never fires while the
-        old home is mid-interval on the page (the home writes in place,
-        so unseating it would strand unflushed writes), nor for a
-        fetcher holding its own twin.  ``MIGRATE_LIMIT`` bounds
-        ping-pong.  Yields nothing unless a migration happens.
+        The fetcher's fresh copy — identical to the authoritative
+        content it just pulled — becomes the new home copy.  A move is
+        vetoed while the old home is mid-interval on the page (the home
+        writes in place, so unseating it would strand unflushed writes);
+        the caller never asks for a fetcher holding its own twin.
+        Yields nothing unless a migration happens.
         """
-        counts = self._fetch_counts.setdefault(page_idx, {})
         pid = proc.pid
-        counts[pid] = counts.get(pid, 0) + 1
-        if self._migrations.get(page_idx, 0) >= sharing_policy.MIGRATE_LIMIT:
-            return
-        mine = counts[pid]
-        if mine < sharing_policy.MIGRATE_AFTER:
-            return
-        if any(c >= mine for p, c in counts.items() if p != pid):
+        if not self.home_table.count_fetch(page_idx, pid):
             return
         old_page = self.procs[old_home].pages.get(page_idx)
         if old_page is not None and old_page.perm is Protection.READ_WRITE:
             return
+        self.home_table.moved(page_idx)
         self.homes[page_idx] = pid
         self.home_pages[page_idx] = page.copy
-        self._migrations[page_idx] = self._migrations.get(page_idx, 0) + 1
-        self._fetch_counts[page_idx] = {}
         proc.bump("home_migrations")
         self.trace(
             proc, "home_migrated", page=page_idx, home=pid, old=old_home
@@ -351,7 +263,7 @@ class HlrcProtocol(LrcProtocolBase):
                 self.costs.diff_cost(self.space.page_size, dirty_fraction),
                 Category.PROTOCOL,
             )
-            page.twin = None
+            self._retire_twin(page)
             proc.bump("diffs_created")
             self.trace(
                 proc, "diff_to_home", page=page_idx, bytes=diff.dirty_bytes

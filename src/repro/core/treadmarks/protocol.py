@@ -113,22 +113,11 @@ class ProcState(LrcProcState):
 class TreadMarksProtocol(LrcProtocolBase):
     """Lazy release consistency over fast user-level messages."""
 
-    # A write to a writable page touches the local copy only (diffs are
-    # collected lazily), so hot write spans qualify for the zero-cost
-    # scatter path.
-    free_writes = True
-
-    # Recycled twin buffers (wall-clock only): twinning is the hottest
-    # allocation site under write-heavy apps, and a retired twin is
-    # always a full page, so buffers are interchangeable.  The pool is
-    # created lazily per instance; the class attribute is only the
-    # "never released yet" sentinel.
-    _twin_pool = None
-
     # Reusable changed-word mask for diff creation (wall-clock only):
     # ``make_diff`` needs one bool per page word, and ``_serve_diff_fetch``
     # is the hottest diff site, so the buffer is recycled across calls —
-    # the same lazy per-instance pattern as the twin pool.
+    # created lazily per instance; the class attribute is only the
+    # "never used yet" sentinel.
     _diff_scratch = None
 
     @property
@@ -144,87 +133,8 @@ class TreadMarksProtocol(LrcProtocolBase):
     def _page_manager(self, page: int) -> int:
         return page % self.nprocs
 
-    # ------------------------------------------------------------------
-    # faults and data access
-    # ------------------------------------------------------------------
-
-    def ensure_read(self, proc: Processor, page_idx: int) -> Generator:
-        state = self._state(proc)
-        page = state.page(page_idx)
-        if page.perm.allows_read():
-            return
-        proc.bump("read_faults")
-        self.trace(proc, "read_fault", page=page_idx)
-        yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
-        yield from self._validate_page(proc, page_idx, page)
-        self._set_perm(proc.pid, page_idx, page, Protection.READ)
-        yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
-        yield from self._after_fault(proc, page_idx)
-
-    def ensure_write(self, proc: Processor, page_idx: int) -> Generator:
-        state = self._state(proc)
-        page = state.page(page_idx)
-        if page.perm.allows_write():
-            return
-        proc.bump("write_faults")
-        self.trace(proc, "write_fault", page=page_idx)
-        yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
-        if not page.perm.allows_read():
-            yield from self._validate_page(proc, page_idx, page)
-        # Twinning and re-protecting touch only this processor's own
-        # state, so the two occupancies are one run (one wake).
-        run = []
-        if page.twin is None:
-            copy = own_copy(page)  # a warm frame is shared until now
-            pool = self._twin_pool
-            if pool:
-                twin = pool.pop()
-                np.copyto(twin, copy)
-                page.twin = twin
-            else:
-                page.twin = copy.copy()
-            proc.bump("twins_created")
-            self.trace(proc, "twin", page=page_idx)
-            run.append(self.costs.twin_cost(self.space.page_size))
-        state.notices.add(page_idx)
-        self._set_perm(proc.pid, page_idx, page, Protection.READ_WRITE)
-        run.append(self.costs.mprotect)
-        yield from proc.busy_run(run, Category.PROTOCOL)
-
-    def _prefetch_page(self, proc: Processor, page_idx: int) -> Generator:
-        """Software prefetch: re-validate an invalidated unit to READ
-        without the demand-fault kernel trap.  Units never touched by
-        this processor (no base copy yet) are skipped — prefetch speeds
-        up re-validation; cold first touches stay demand faults."""
-        state = self._state(proc)
-        page = state.page(page_idx)
-        if page.perm.allows_read() or page.copy is None:
-            return
-        proc.bump("prefetches")
-        self.trace(proc, "prefetch", page=page_idx)
-        yield from self._validate_page(proc, page_idx, page)
-        self._set_perm(proc.pid, page_idx, page, Protection.READ)
-        yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
-
-    def page_data(self, proc: Processor, page_idx: int) -> np.ndarray:
-        page = self._state(proc).page(page_idx)
-        if not page.perm.allows_read() or page.copy is None:
-            raise RuntimeError(
-                f"p{proc.pid} touched page {page_idx} without a mapping"
-            )
-        return page.copy
-
-    def apply_write(
-        self, proc: Processor, page_idx: int, start: int, raw: np.ndarray
-    ) -> Generator:
-        page = self._state(proc).page(page_idx)
-        if not page.perm.allows_write():
-            raise RuntimeError(
-                f"p{proc.pid} wrote page {page_idx} without permission"
-            )
-        page.copy[start : start + len(raw)] = raw
-        return
-        yield  # pragma: no cover - writes are local and free of protocol cost
+    def _prefetch_candidate(self, proc: Processor, page_idx: int):
+        return self._state(proc).page(page_idx)
 
     # ------------------------------------------------------------------
     # page validation (diff collection)
@@ -479,11 +389,7 @@ class TreadMarksProtocol(LrcProtocolBase):
         writer_diffs.seq += 1
         page.lamport += 1
         writer_diffs.cache.append((writer_diffs.seq, page.lamport, diff))
-        pool = self._twin_pool
-        if pool is None:
-            pool = self._twin_pool = []
-        pool.append(page.twin)
-        page.twin = None
+        self._retire_twin(page)
         proc.bump("diffs_created")
         self.trace(
             proc, "diff_create", page=page_idx, bytes=diff.dirty_bytes

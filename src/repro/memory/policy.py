@@ -42,7 +42,7 @@ imports it for validation, so it must not import anything from
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 #: Accepted ``granularity`` values, coarsest default last in docs order.
 GRANULARITIES = ("block256", "block1k", "block2k", "page", "region2", "region4")
@@ -68,9 +68,10 @@ STRIDE_CONFIRM = 2
 #: Accepted ``homing`` values.
 HOMINGS = ("first-touch", "round-robin", "dynamic")
 
-#: Dynamic re-homing trigger: a non-home node that accumulates this
-#: many fetches of one unit since its last (re-)homing — strictly more
-#: than any other node over the same window — becomes the new home.
+#: Dynamic re-homing trigger: an owner (node or processor) that
+#: accumulates this many fetches of one unit since its last
+#: (re-)homing — strictly more than any other owner over the same
+#: window — becomes the new home (:class:`HomeTable`).
 MIGRATE_AFTER = 4
 
 #: Migrations allowed per unit over a run, bounding ping-pong.
@@ -182,6 +183,56 @@ class StridePrefetcher:
                 break
             out.append(nxt)
         return out
+
+
+# -- home placement and migration ---------------------------------------
+
+
+class HomeTable:
+    """The ``homing`` rules for one run: where a unit's home is placed,
+    and when dynamic homing moves it.
+
+    Owners are node ids under Cashmere and pids under HLRC; the
+    protocol records where each home is and what a move does to its
+    page copies.  Only round-robin placement differs between the two,
+    so the protocol passes it in as ``round_robin(unit) -> owner``.
+
+    The migration rule: every remote fetch counts against the fetching
+    owner; once an owner has :data:`MIGRATE_AFTER` fetches of a unit
+    since the unit's last (re-)homing, strictly more than any other
+    owner, the home may move there — at most :data:`MIGRATE_LIMIT`
+    times per unit over a run.
+    """
+
+    def __init__(self, homing: str, round_robin: Callable[[int], int]):
+        self.homing = validate_homing(homing)
+        self.dynamic = homing == "dynamic"
+        self._round_robin = round_robin
+        self._fetch_counts: Dict[int, Dict[int, int]] = {}
+        self._migrations: Dict[int, int] = {}
+
+    def place(self, unit: int, toucher: int) -> int:
+        """The first home of ``unit``, first faulted by ``toucher``."""
+        if self.homing == "round-robin":
+            return self._round_robin(unit)
+        return toucher  # first-touch and dynamic both start here
+
+    def count_fetch(self, unit: int, owner: int) -> bool:
+        """Count one remote fetch of ``unit`` by ``owner``; True when the
+        rule says the home should move to ``owner``.  The caller may
+        still veto the move; it calls :meth:`moved` once it is made."""
+        counts = self._fetch_counts.setdefault(unit, {})
+        mine = counts[owner] = counts.get(owner, 0) + 1
+        if self._migrations.get(unit, 0) >= MIGRATE_LIMIT:
+            return False
+        if mine < MIGRATE_AFTER:
+            return False
+        return all(c < mine for o, c in counts.items() if o != owner)
+
+    def moved(self, unit: int) -> None:
+        """The home of ``unit`` moved: count it and restart the window."""
+        self._migrations[unit] = self._migrations.get(unit, 0) + 1
+        self._fetch_counts[unit] = {}
 
 
 def make_prefetcher(prefetch: str):

@@ -11,11 +11,11 @@
     behaviour, kept measurable so benchmarks can isolate the
     connection-setup cost.
 
-    Async methods (``point``, ``points``, ``resolve``, ``sweep``,
-    ``stream_points``, ``stats``, ``healthz``) are the primary API;
-    each has a ``*_sync`` twin that runs on a lazily started
-    background event-loop thread, so synchronous callers get the same
-    persistent session.
+    Its methods (``point``, ``points``, ``resolve``, ``sweep``,
+    ``stream_points``, ``stats``, ``healthz``) are coroutines.  A
+    keep-alive session is bound to the event loop that opened it, so
+    synchronous callers make all of a session's calls inside one
+    ``asyncio.run``.
 
 All transports speak the same request objects (see
 :mod:`repro.serving.codec`) and return the same payload dicts.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.serving.codec import ServingError
@@ -60,32 +59,6 @@ async def _read_lines(reader) -> AsyncIterator[bytes]:
     yield b"".join(parts)  # an unterminated last line, or b""
 
 
-class _LoopThread:
-    """A daemon thread running one event loop, for the sync wrappers.
-
-    The keep-alive session's reader/writer are bound to the loop that
-    created them; running every ``*_sync`` call on this one thread
-    keeps a single persistent connection alive across synchronous
-    calls (``asyncio.run`` per call would tear it down each time).
-    """
-
-    def __init__(self) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self.loop.run_forever,
-            name="repro-serving-client",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def run(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
-
-    def stop(self) -> None:
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=2)
-
-
 class ServingClient:
     """Talk to the serving layer — HTTP keep-alive or in-process."""
 
@@ -103,7 +76,6 @@ class ServingClient:
         self.keepalive = keepalive and service is None
         self._conn: Optional[Tuple[Any, Any]] = None
         self._lock: Optional[asyncio.Lock] = None
-        self._loop_thread: Optional[_LoopThread] = None
         #: Session diagnostics: connections opened / requests reusing one.
         self.connections_opened = 0
         self.requests_reused = 0
@@ -216,42 +188,6 @@ class ServingClient:
             return
         async with self._lock:
             await self._close_conn()
-
-    # -- sync wrappers -------------------------------------------------
-
-    def _sync(self, coro):
-        if self._loop_thread is None:
-            self._loop_thread = _LoopThread()
-        return self._loop_thread.run(coro)
-
-    def healthz_sync(self) -> Dict[str, Any]:
-        return self._sync(self.healthz())
-
-    def stats_sync(self) -> Dict[str, Any]:
-        return self._sync(self.stats())
-
-    def point_sync(
-        self, app: str, variant=None, nprocs: int = 1, **fields
-    ) -> Dict[str, Any]:
-        return self._sync(self.point(app, variant, nprocs, **fields))
-
-    def resolve_sync(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self._sync(self.resolve(request))
-
-    def points_sync(
-        self, requests: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        return self._sync(self.points(requests))
-
-    def sweep_sync(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self._sync(self.sweep_points(request))
-
-    def close_sync(self) -> None:
-        if self._loop_thread is None:
-            return
-        self._loop_thread.run(self.close())
-        self._loop_thread.stop()
-        self._loop_thread = None
 
     # -- HTTP transport ------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro import api
 from repro.apps import registry
 from repro.config import HLRC_POLL, TMK_MC_POLL, ClusterConfig, RunConfig
 from repro.core import Program, SharedArray, fastpath, run_program
+from repro.core import lrc as lrc_mod
 from repro.core.hlrc import protocol as hlrc_mod
 from repro.core.treadmarks import protocol as tmk_mod
 from repro.memory.address_space import AddressSpace
@@ -167,8 +168,10 @@ def test_each_writer_owns_only_the_pages_it_wrote(built_systems, variant):
 )
 def test_a_missed_own_copy_fails_loudly(monkeypatch, variant, module):
     """The safety net is live: without copy-on-write the first warm
-    write hits NumPy's write flag instead of every mapper's data."""
-    monkeypatch.setattr(module, "own_copy", lambda page: page.copy)
+    write hits NumPy's write flag instead of every mapper's data.  The
+    sites are the shared LRC fault path and the protocol's own module."""
+    for mod in (lrc_mod, module):
+        monkeypatch.setattr(mod, "own_copy", lambda page: page.copy)
     with pytest.raises(ValueError, match="read-only"):
         run_program(_two_writers(), _warm_cfg(variant), {})
 

@@ -228,3 +228,22 @@ def test_records_size_is_the_sum_of_the_records_encoded_sizes():
             )
             for r in batch
         )
+
+
+def test_the_lrc_fault_path_exists_once():
+    """TreadMarks and HLRC differ only in ``_validate_page`` and the
+    base class's hooks; neither may grow its own copy of the fault
+    path back."""
+    from repro.core.hlrc.protocol import HlrcProtocol
+    from repro.core.treadmarks.protocol import TreadMarksProtocol
+
+    fault_path = {
+        "ensure_read",
+        "ensure_write",
+        "_prefetch_page",
+        "page_data",
+        "apply_write",
+    }
+    for cls in (TreadMarksProtocol, HlrcProtocol):
+        assert not fault_path & set(cls.__dict__), cls.__name__
+        assert fault_path <= set(LrcProtocolBase.__dict__)

@@ -29,6 +29,7 @@ from repro.serving import (
     encode_result,
     request_kwargs,
 )
+from repro.serving.codec import result_digest
 from repro.serving.server import (
     ExperimentServer,
     ExperimentService,
@@ -251,6 +252,22 @@ def test_served_result_is_byte_identical_to_direct(tmp_path, options):
 
     payload = _serve(tmp_path, once)
     direct = api.run_point(**request_kwargs(request))
+    assert _payload_bytes(payload) == encode_result(direct)
+
+
+def test_client_point_resolves_to_run_point(tmp_path):
+    """The async ``ServingClient.point`` builds its request from
+    positional fields plus overrides and resolves to exactly the
+    direct ``api.run_point`` result."""
+
+    async def go(service):
+        return await ServingClient(service=service).point(
+            "sor", "csm_poll", 4, scale="tiny"
+        )
+
+    payload = _serve(tmp_path, go)
+    direct = api.run_point("sor", "csm_poll", 4, scale="tiny")
+    assert payload["digest"] == result_digest(direct)
     assert _payload_bytes(payload) == encode_result(direct)
 
 
