@@ -35,7 +35,6 @@ class DirectoryEntry:
     page: int
     sharers: Set[int] = field(default_factory=set)  # processor ids
     home_node: Optional[int] = None
-    home_from_first_touch: bool = False
     exclusive_holder: Optional[int] = None
     never_exclusive: bool = False
     # Only used by the legacy weak-state protocol variant: a page with

@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import api
+from repro.apps.registry import APP_NAMES
 from repro.config import CSM_POLL, HLRC_POLL, TMK_MC_POLL, RunConfig
 from repro.core import Program, SharedArray, run_program
 from repro.core import fastpath
 from repro.core.fastpath import PermBitmaps
 from repro.memory.page import Protection
+from repro.serving.codec import result_digest
 
 VARIANTS = (CSM_POLL, TMK_MC_POLL, HLRC_POLL)
 SLOTS = 96
@@ -126,6 +129,16 @@ def test_bitmaps_coherent_dense_schedule(variant, access_path):
     program = _sharing_program(rounds)
     with force_debug():
         run_program(program, RunConfig(variant=variant, nprocs=4), {})
+
+
+@pytest.mark.parametrize("app", APP_NAMES)
+def test_debug_checks_pass_on_sequential_baseline(app):
+    """The unlinked Figure-5 baseline has no bitmaps: ``--debug-checks``
+    barriers must pass through it and leave its result unchanged."""
+    plain = result_digest(api.run_point(app, None, 1, scale="tiny"))
+    with force_debug():
+        checked = result_digest(api.run_point(app, None, 1, scale="tiny"))
+    assert checked == plain
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
