@@ -122,18 +122,6 @@ class PermBitmaps:
             return True
         return bool(row[lo:hi].all())
 
-    def write_ready(self, pid: int, lo: int, hi: int) -> bool:
-        """True iff every page in ``[lo, hi)`` is writable at ``pid``."""
-        if hi > self._cap:
-            self._grow(hi)
-        row = self.writable[pid]
-        if hi - lo <= 16:
-            for page in range(lo, hi):
-                if not row[page]:
-                    return False
-            return True
-        return bool(row[lo:hi].all())
-
     def read_ready_pages(self, pid: int, pages: np.ndarray) -> bool:
         """True iff every page in the index array is readable at ``pid``.
 
@@ -159,11 +147,6 @@ class PermBitmaps:
         if page >= self._cap:
             self._grow(page + 1)
         return bool(self.readable[pid, page])
-
-    def writable_at(self, pid: int, page: int) -> bool:
-        if page >= self._cap:
-            self._grow(page + 1)
-        return bool(self.writable[pid, page])
 
     # -- coherence checking ---------------------------------------------
 

@@ -15,15 +15,12 @@ the hit paths (``try_read``, ``rows``, ``region_view``) always miss,
 ``rows_hot`` knows nothing, and the five reads and writes walk pages
 one at a time.
 
-``python -m tests.access_oracle`` compares the two on a tiny Figure-5
-slice: sor and water under ``csm_poll`` and ``tmk_mc_poll`` at 1 and 4
-processors.
+Registered as ``tests.oracles.ORACLES`` (which also lists its CI points).
 """
 
 from __future__ import annotations
 
 import contextlib
-import sys
 from typing import Generator
 
 import numpy as np
@@ -143,27 +140,3 @@ def per_page_access():
         for name, func in saved.items():
             setattr(SharedArray, name, func)
 
-
-def main() -> int:
-    from repro import api
-    from repro.serving.codec import result_digest
-
-    status = 0
-    for app in ("sor", "water"):
-        for variant in ("csm_poll", "tmk_mc_poll"):
-            for nprocs in (1, 4):
-                point = (app, variant, nprocs)
-                production = result_digest(api.run_point(*point, scale="tiny"))
-                with per_page_access():
-                    oracle = result_digest(api.run_point(*point, scale="tiny"))
-                same = production == oracle
-                print(
-                    f"{app}/{variant}/{nprocs}p {production[:16]} "
-                    f"{'==' if same else '!='} per-page {oracle[:16]}"
-                )
-                status |= not same
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,13 +2,32 @@
 
 from __future__ import annotations
 
-import contextlib
-
 import pytest
+from hypothesis import HealthCheck, settings
 
-from repro.config import ClusterConfig, CostModel
-from tests.access_oracle import per_page_access
-from tests.heap_oracle import heap_engine
+from tests.oracles import assert_differential, oracle
+
+# Hypothesis profiles: ``tier1`` (the default) runs ten derandomized
+# examples a property plus its explicit ``@example``s; ``campaign`` is
+# the deep search (``pytest --hypothesis-profile=campaign``).
+_COMMON = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+settings.register_profile(
+    "tier1", max_examples=10, derandomize=True, database=None, **_COMMON
+)
+settings.register_profile("campaign", max_examples=200, **_COMMON)
+settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(items):
+    """The oracle-coverage check reads what the whole session entered,
+    so it runs after every other test."""
+    items.sort(
+        key=lambda item: getattr(item, "originalname", None)
+        == "test_every_oracle_is_entered_by_a_tier1_test"
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -23,16 +42,6 @@ def engine():
     from repro.sim import Engine
 
     return Engine()
-
-
-@pytest.fixture
-def cluster_config():
-    return ClusterConfig()
-
-
-@pytest.fixture
-def costs():
-    return CostModel()
 
 
 @pytest.fixture
@@ -55,46 +64,28 @@ def built_systems(monkeypatch):
 
 # -- production against the retired implementations --------------------
 #
-# The per-page access loop (tests/access_oracle.py) and the binary-heap
-# engine (tests/heap_oracle.py) are the references production must
-# match.  Test ids keep the names of the mode matrix these replaced:
-# ``legacy`` is the per-page oracle and ``fastpath``/``fast`` production's
-# access path; ``heap`` is the heap oracle and ``calqueue``/``noshard``
-# production's engine; ``kernels``/``scalar`` both run the one app body.
+# tests/oracles.py is the one description of the oracles.  Test ids keep
+# the names of the mode matrix they replaced: ``legacy`` is the access
+# oracle and ``fastpath``/``fast`` production's access path; ``heap`` is
+# the engine oracle and ``calqueue``/``noshard`` production's engine;
+# ``kernels``/``scalar`` both run the one app body.
 
 
 @pytest.fixture(params=["fastpath", "legacy"])
 def access_path(request):
     """Production's shared-access path, or the per-page oracle."""
-    if request.param == "legacy":
-        with per_page_access():
-            yield request.param
-    else:
+    layers = ("access",) if request.param == "legacy" else ()
+    with oracle(*layers):
         yield request.param
 
 
-@pytest.fixture(scope="session")
-def _replays():
-    return {}
-
-
 @pytest.fixture
-def replay(request, _replays):
-    """``replay(key, run)``: ``run()`` on the column this case's id
-    (``tests.helpers.replay_ids``) names — production, the heap engine,
-    the per-page access path, or both oracles.  Ids that name the same
-    column share one run per session, keyed by ``key``."""
+def replay(request):
+    """``replay(key, run)``: ``run()``'s production result, after
+    checking it against the oracles this case's id
+    (``tests.helpers.replay_ids``) names.  Ids that name the same
+    column share the work, keyed by ``key``."""
     _body, access, engine = request.param.split("-")
-    column = (engine == "heap", access == "legacy")
-
-    def replay_once(key, run):
-        if (column, key) not in _replays:
-            with contextlib.ExitStack() as stack:
-                if column[0]:
-                    stack.enter_context(heap_engine())
-                if column[1]:
-                    stack.enter_context(per_page_access())
-                _replays[column, key] = run()
-        return _replays[column, key]
-
-    return replay_once
+    named = {"engine": engine == "heap", "access": access == "legacy"}
+    layers = [layer for layer, on in named.items() if on]
+    return lambda key, run: assert_differential(run, *layers, key=key)

@@ -14,15 +14,13 @@ wait forms and the past-time checks are production's own.  Inside
 ``heap_engine()`` every system ``repro.core.runtime.program`` builds runs
 on it, so ``api.run_point`` replays a point on the heap.
 
-``python -m tests.heap_oracle`` compares the two on the benchmark's five
-64-processor points at ``small`` scale (the CI ``scaling-smoke`` step).
+Registered as ``tests.oracles.ORACLES`` (which also lists its CI points).
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
-import sys
 from typing import Any, Callable, List, Optional
 
 from repro.core.runtime import program as program_mod
@@ -71,25 +69,3 @@ def heap_engine():
     finally:
         program_mod.Engine = saved
 
-
-def main() -> int:
-    from benchmarks.suite.simwork import points_of
-    from repro import api
-    from repro.serving.codec import result_digest
-
-    status = 0
-    for app, variant, nprocs in points_of("share_64p"):
-        production = result_digest(api.run_point(app, variant, nprocs))
-        with heap_engine():
-            oracle = result_digest(api.run_point(app, variant, nprocs))
-        same = production == oracle
-        print(
-            f"{app}/{variant}/{nprocs}p {production[:16]} "
-            f"{'==' if same else '!='} heap {oracle[:16]}"
-        )
-        status |= not same
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import example
 from hypothesis import strategies as st
 
 from repro.config import (
@@ -15,6 +16,7 @@ from repro.config import (
     Variant,
 )
 from repro.core import Program, SharedArray, run_program, run_sequential
+from repro.memory import policy
 
 
 def replay_ids(engines):
@@ -30,17 +32,31 @@ def replay_ids(engines):
     ]
 
 
-def values_match(a, b, rtol=1e-9, atol=1e-9) -> bool:
-    """Compare worker return values (scalars, arrays, or tuples)."""
+def values_match(a, b, rtol=0.0) -> bool:
+    """Worker return values (scalars, arrays, ``None`` or tuples of
+    them) are equal, bit for bit unless a call site names a ``rtol``."""
     if isinstance(a, (tuple, list)):
-        return all(values_match(x, y, rtol, atol) for x, y in zip(a, b))
-    return np.allclose(a, b, rtol=rtol, atol=atol)
+        return len(a) == len(b) and all(
+            values_match(x, y, rtol) for x, y in zip(a, b)
+        )
+    if rtol:
+        return np.allclose(a, b, rtol=rtol, atol=0.0)
+    return np.array_equal(a, b)
 
 
-def run_app_everywhere(module, scale, variants, proc_counts, rtol=1e-7):
+#: Water against its sequential run: each processor sums its chunk's
+#: pair forces privately and adds the sum to the shared force vectors
+#: under a lock, so a molecule's force adds the same terms in another
+#: order than the one-chunk sequential sum (at most 3.4e-15 relative
+#: at ``tiny`` scale, 2-16 processors, every variant).
+WATER_SEQUENTIAL_RTOL = 1e-12
+
+
+def run_app_everywhere(module, scale, variants, proc_counts):
     """Run an app module under each (variant, nprocs) and compare with
     the sequential reference; returns the list of mismatches."""
     app = module.program()
+    rtol = WATER_SEQUENTIAL_RTOL if app.name == "water" else 0.0
     params = module.default_params(scale)
     seq = run_sequential(app, params)
     failures = []
@@ -50,7 +66,7 @@ def run_app_everywhere(module, scale, variants, proc_counts, rtol=1e-7):
             if nprocs > cfg.compute_cpus_available:
                 continue
             par = run_program(app, cfg, params)
-            if not values_match(seq.values[0], par.values[0], rtol=rtol):
+            if not values_match(seq.values[0], par.values[0], rtol):
                 failures.append((variant.name, nprocs))
     return failures
 
@@ -139,29 +155,65 @@ def lrc_program(rounds):
 
 LRC_VARIANTS = [TMK_MC_POLL, TMK_UDP_INT, HLRC_POLL, HLRC_INT]
 
+#: Every value of each configuration axis the LRC differentials sweep.
+LRC_AXIS_VALUES = dict(
+    variant=LRC_VARIANTS,
+    network=["memch", "rdma", "ethernet"],
+    nprocs=[2, 3, 4, 8, 16],
+    granularity=policy.GRANULARITIES,
+    prefetch=policy.PREFETCHES,
+    homing=policy.HOMINGS,
+)
+
+#: The sharing-policy axes, which the app-level policy property draws
+#: from too.
+POLICY_AXES = {
+    name: st.sampled_from(LRC_AXIS_VALUES[name])
+    for name in ("granularity", "prefetch", "homing")
+}
+
 #: ``@given(**LRC_FUZZ_AXES)``: a random program and the configuration
-#: axes the LRC differentials sweep it over.
+#: it runs on.
 LRC_FUZZ_AXES = dict(
     rounds=st.lists(_round, min_size=1, max_size=8),
-    variant=st.sampled_from(LRC_VARIANTS),
-    homing=st.sampled_from(["first-touch", "round-robin", "dynamic"]),
-    network=st.sampled_from(["memch", "rdma", "ethernet"]),
-    nprocs=st.sampled_from([2, 3, 4, 8, 16]),
+    **{name: st.sampled_from(vals) for name, vals in LRC_AXIS_VALUES.items()},
 )
 
 
-def lrc_fuzz_config(variant, homing, network, nprocs) -> RunConfig:
-    """The traced small-page configuration :func:`lrc_program` runs on."""
+def covering_examples(axis_values, **fixed):
+    """``@example``s that together take every value of every axis: row
+    ``i`` takes each axis's ``i``-th value, cycling the shorter axes."""
+
+    def decorate(test):
+        for i in range(max(map(len, axis_values.values()))):
+            row = {k: vals[i % len(vals)] for k, vals in axis_values.items()}
+            test = example(**fixed, **row)(test)
+        return test
+
+    return decorate
+
+
+#: Two fixed rounds for the explicit examples: four ranks write the
+#: first, second and sixth 256-byte unit (slots 0, 32, 160) and lock
+#: counters, then read each other's writes.
+EXAMPLE_ROUNDS = [
+    dict(writes=[(0, 0, 5), (1, 1, 7), (32, 2, -3), (160, 3, 9)],
+         locked=[(0, 0, 2), (1, 0, 3), (2, 1, 4)],
+         skew=[0.0, 12.0, 62.0, 74.0] * 4,
+         reads=[(1, 0), (0, 1), (3, 32), (2, 160)]),
+    dict(writes=[(0, 1, 6), (32, 0, 8), (40, 3, -1)],
+         locked=[(3, 0, 1), (0, 1, 5)],
+         skew=[100.0, 0.0, 333.3, 12.0] * 4,
+         reads=[(0, 32), (2, 0), (1, 40), (3, 160)]),
+]
+
+#: The tier-1 examples of every ``@given(**LRC_FUZZ_AXES)`` test.
+lrc_examples = covering_examples(LRC_AXIS_VALUES, rounds=EXAMPLE_ROUNDS)
+
+
+def lrc_fuzz_config(**axes) -> RunConfig:
+    """The traced small-page configuration :func:`lrc_program` runs on,
+    at one value of each ``LRC_AXIS_VALUES`` axis."""
     return RunConfig(
-        variant=variant,
-        nprocs=nprocs,
-        cluster=ClusterConfig(page_size=PAGE),
-        network=network,
-        homing=homing,
-        trace=True,
+        cluster=ClusterConfig(page_size=PAGE), trace=True, **axes
     )
-
-
-def timelines(tracer, nprocs):
-    """Every processor's trace timeline, event for event."""
-    return [tracer.for_pid(pid) for pid in range(nprocs)]

@@ -9,14 +9,12 @@ only after the occupancies before it have elapsed.  It is the reference
 the production path must match bit for bit, and the only place the
 per-page hook and the per-occupancy loop survive.
 
-``python -m tests.lrc_oracle`` compares the two on the benchmark's five
-64-processor points at ``small`` scale (the CI ``scaling-smoke`` step).
+Registered as ``tests.oracles.ORACLES`` (which also lists its CI points).
 """
 
 from __future__ import annotations
 
 import contextlib
-import sys
 
 from repro.cluster.machine import Processor
 from repro.core.hlrc import protocol as hlrc_mod
@@ -95,25 +93,3 @@ def per_occupancy():
             Processor.busy_run,
         ) = saved
 
-
-def main() -> int:
-    from benchmarks.suite.simwork import points_of
-    from repro import api
-    from repro.serving.codec import result_digest
-
-    status = 0
-    for app, variant, nprocs in points_of("share_64p"):
-        production = result_digest(api.run_point(app, variant, nprocs))
-        with per_occupancy():
-            oracle = result_digest(api.run_point(app, variant, nprocs))
-        same = production == oracle
-        print(
-            f"{app}/{variant}/{nprocs}p {production[:16]} "
-            f"{'==' if same else '!='} oracle {oracle[:16]}"
-        )
-        status |= not same
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

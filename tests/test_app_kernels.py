@@ -402,7 +402,7 @@ def test_kernel_tsp_matches_scalar():
 # production fallback ``barnes._force_on`` itself, driven by a
 # dict-backed ``fetch_cell`` that records every cell it is asked for.
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 THETA2 = barnes.THETA * barnes.THETA
@@ -492,7 +492,6 @@ def test_kernel_barnes_forces_bitwise(n, page_rows):
     assert done.all()  # the whole tree is fetched: nothing faults
 
 
-@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_kernel_barnes_forces_done_exactly_when_walk_stays_fetched(data):
     n = data.draw(st.integers(1, 300), label="n")

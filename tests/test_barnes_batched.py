@@ -2,34 +2,24 @@
 
 Barnes speculates the walks that stay inside the cell blocks a
 processor has already fetched (``kernels.barnes_forces``) and runs only
-the walks that fault through the scalar ``_force_on``.  Inside
-``all_scalar_walks()`` (tests/app_oracle.py) the speculation finishes no
-walk, so every walk is scalar — the schedule before the change — and
-that side is the oracle: result digests and per-processor trace
-timelines must be equal.  (The kernel itself is pinned against
-``_force_on`` in ``tests/test_app_kernels.py``.)
+the walks that fault through the scalar ``_force_on``.  Under the
+``walks`` oracle (``tests/oracles.py``) the speculation finishes no
+walk, so every walk is scalar — the schedule before the change.  (The
+kernel itself is pinned against ``_force_on`` in
+``tests/test_app_kernels.py``.)
 """
+
+import functools
 
 import numpy as np
 import pytest
 
-from repro import api
 from repro.apps import barnes, kernels
 from repro.config import RunConfig, variant_by_name
 from repro.core import Program, run_program
-from repro.serving.codec import result_digest
-from tests.app_oracle import all_scalar_walks
-from tests.helpers import timelines
+from tests.oracles import assert_differential, point
 
 VARIANTS = ["csm_poll", "tmk_mc_poll", "tmk_udp_int", "hlrc_poll"]
-
-
-def _assert_on_equals_off(run, nprocs):
-    batched = run()
-    with all_scalar_walks():
-        scalar = run()
-    assert result_digest(batched) == result_digest(scalar)
-    assert timelines(batched.trace, nprocs) == timelines(scalar.trace, nprocs)
 
 
 @pytest.mark.parametrize("network", ["memch", "rdma", "ethernet"])
@@ -37,12 +27,12 @@ def _assert_on_equals_off(run, nprocs):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_run_equals_all_scalar_run(variant, nprocs, network):
     """At tiny scale ranks 16-31 of a 32p run own no bodies at all."""
-    _assert_on_equals_off(
-        lambda: api.run_point(
+    assert_differential(
+        point(
             "barnes", variant, nprocs, scale="tiny", network=network,
             trace=True,
         ),
-        nprocs,
+        "walks",
     )
 
 
@@ -51,20 +41,18 @@ def test_batched_run_equals_all_scalar_run(variant, nprocs, network):
 def test_fetch_block_is_keyed_on_the_vm_page(variant, granularity):
     """The fetch block follows ``vm_page_size``, not the sharing unit,
     so the speculation's ``have`` mask means the same under either."""
-    _assert_on_equals_off(
-        lambda: api.run_point(
+    assert_differential(
+        point(
             "barnes", variant, 8, scale="tiny", granularity=granularity,
             trace=True,
         ),
-        8,
+        "walks",
     )
 
 
 @pytest.mark.parametrize("variant", ["csm_poll", "tmk_mc_poll"])
 def test_small_scale_batched_run_equals_all_scalar_run(variant):
-    _assert_on_equals_off(
-        lambda: api.run_point("barnes", variant, 8, trace=True), 8
-    )
+    assert_differential(point("barnes", variant, 8, trace=True), "walks")
 
 
 def test_tree_deeper_than_the_path_key_falls_back_to_scalar(monkeypatch):
@@ -97,6 +85,8 @@ def test_tree_deeper_than_the_path_key_falls_back_to_scalar(monkeypatch):
     )
     # One step: the pair drifts ~1e-3 apart (11 levels) by the second.
     params = dict(barnes.default_params("tiny"), steps=1)
-    _assert_on_equals_off(lambda: run_program(program, cfg, params), 4)
+    assert_differential(
+        functools.partial(run_program, program, cfg, params), "walks"
+    )
     assert {3, 7} <= speculated and not {3, 7} & done_ids
     assert len(done_ids) > 32  # the far bodies accept the cell high up

@@ -10,39 +10,34 @@ Three layers of evidence:
   ``busy`` loop, and both reject negative occupancies;
 * protocol level (the order gate) — the final wake of a run is queued
   when the run *starts*, so it may precede a same-instant entry it used
-  to follow.  Random race-free LRC programs, run against the per-
-  occupancy oracle of ``tests/lrc_oracle.py``, must produce the same
-  result digest and the same per-processor trace timeline.
+  to follow.  Random race-free LRC programs and traced app runs must
+  equal the ``merge`` oracle (``tests/oracles.py``).
 """
 
+import functools
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import api
 from repro.cluster.machine import Cluster
 from repro.config import ClusterConfig, CostModel, Mechanism
 from repro.core import run_program
-from repro.serving.codec import result_digest
 from repro.sim import Engine, Interrupt, Until
 from repro.stats import Category, StatsBoard
 from tests.helpers import (
     LRC_FUZZ_AXES,
+    lrc_examples,
     lrc_fuzz_config,
     lrc_program,
-    timelines,
 )
 from tests.heap_oracle import HeapEngine
-from tests.lrc_oracle import per_occupancy
+from tests.oracles import assert_differential, point
 
 #: Engine by test id: ``heap`` is the binary-heap oracle; ``calqueue``
 #: and ``shard`` named retired scheduler modes and now both run the
 #: production engine (kept so the cases keep their ids).
 QUEUE_MODES = {"heap": HeapEngine, "calqueue": Engine, "shard": Engine}
-
-
-def _engine(mode: str) -> Engine:
-    return QUEUE_MODES[mode]()
 
 
 # -- engine: the third wait form ----------------------------------------
@@ -63,7 +58,7 @@ _chains = st.lists(
 
 def _landings(mode: str, chains, folded: bool):
     """``(time, worker)`` of every wake-up after the start-up delay."""
-    engine = _engine(mode)
+    engine = QUEUE_MODES[mode]()
     log = []
 
     def worker(wid, start, costs):
@@ -85,7 +80,6 @@ def _landings(mode: str, chains, folded: bool):
 
 
 @pytest.mark.parametrize("mode", QUEUE_MODES)
-@settings(max_examples=60, deadline=None)
 @given(chains=_chains)
 def test_until_lands_on_the_delay_chains_exact_time(mode, chains):
     # Sorted: the *times* are the claim here; same-instant order
@@ -97,7 +91,7 @@ def test_until_lands_on_the_delay_chains_exact_time(mode, chains):
 
 @pytest.mark.parametrize("mode", QUEUE_MODES)
 def test_until_in_the_past_raises(mode):
-    engine = _engine(mode)
+    engine = QUEUE_MODES[mode]()
 
     def bad():
         yield 5.0
@@ -110,7 +104,7 @@ def test_until_in_the_past_raises(mode):
 
 @pytest.mark.parametrize("mode", QUEUE_MODES)
 def test_until_now_still_yields_to_same_instant_entries(mode):
-    engine = _engine(mode)
+    engine = QUEUE_MODES[mode]()
     log = []
 
     def sleeper():
@@ -131,7 +125,7 @@ def test_until_now_still_yields_to_same_instant_entries(mode):
 
 @pytest.mark.parametrize("mode", QUEUE_MODES)
 def test_interrupt_away_from_until_ignores_the_stale_wake(mode):
-    engine = _engine(mode)
+    engine = QUEUE_MODES[mode]()
     log = []
 
     def sleeper():
@@ -181,7 +175,6 @@ def test_negative_occupancy_raises(engine, costs):
     assert stat.time[Category.PROTOCOL] == 0.0  # nothing charged
 
 
-@settings(max_examples=60, deadline=None)
 @given(
     start=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     costs=st.lists(st.one_of(st.just(0.0), _cost), max_size=12),
@@ -215,24 +208,13 @@ def test_busy_run_sleeps_and_charges_like_the_busy_loop(start, costs):
 # -- protocol: the order gate ----------------------------------------------
 
 
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@lrc_examples
 @given(**LRC_FUZZ_AXES)
-def test_one_wake_merge_matches_the_per_occupancy_oracle(
-    rounds, variant, homing, network, nprocs
-):
-    cfg = lrc_fuzz_config(variant, homing, network, nprocs)
-    program = lrc_program(rounds)
-    production = run_program(program, cfg, {})
-    with per_occupancy():
-        oracle = run_program(program, cfg, {})
-    assert result_digest(production) == result_digest(oracle)
-    assert timelines(production.trace, nprocs) == timelines(
-        oracle.trace, nprocs
+def test_one_wake_merge_matches_the_per_occupancy_oracle(rounds, **axes):
+    run = functools.partial(
+        run_program, lrc_program(rounds), lrc_fuzz_config(**axes), {}
     )
+    assert_differential(run, "merge")
 
 
 @pytest.mark.parametrize(
@@ -250,19 +232,10 @@ def test_traced_app_timeline_equals_the_oracles(app, variant, nprocs, homing):
     """Each ``invalidate`` is stamped with the time its page's turn came
     in the merge — not the time the merge was evaluated — so every
     processor's timeline is the oracle's, event for event."""
-
-    def traced():
-        return api.run_point(
-            app, variant, nprocs, scale="tiny", homing=homing, trace=True
-        )
-
-    production = traced()
-    with per_occupancy():
-        oracle = traced()
-    assert result_digest(production) == result_digest(oracle)
+    production = assert_differential(
+        point(app, variant, nprocs, scale="tiny", homing=homing, trace=True),
+        "merge",
+    )
     assert production.trace.counts().get("invalidate", 0) > 0
     if homing == "dynamic":  # homes moved while merges were in flight
         assert production.counter("home_migrations") > 0
-    assert timelines(production.trace, nprocs) == timelines(
-        oracle.trace, nprocs
-    )

@@ -1,22 +1,22 @@
 """Copy-on-write warm frames: a warm start maps every processor onto
 one read-only frame per page, and nothing simulated can tell.
 
-* the differential — production against the eager warm start of
-  ``tests/eager_warm_oracle.py`` on result digests and per-processor
-  trace timelines, over random race-free LRC programs and the eight
-  applications;
+* the differential — production against the ``warm`` oracle (the
+  eager warm start, ``tests/oracles.py``) over random race-free LRC
+  programs and the eight applications;
 * the ownership rule — a copy is private before it is mutated, the
   safety net (NumPy's write flag) is live, and only writers own pages;
 * the satellites — ``build_system(warm_start=True)`` needs ``space=``,
   and debug checks catch a parallel run that writes the backing store.
 """
 
+import functools
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 
 from repro import api
 from repro.apps import registry
@@ -27,56 +27,34 @@ from repro.core.hlrc import protocol as hlrc_mod
 from repro.core.treadmarks import protocol as tmk_mod
 from repro.memory.address_space import AddressSpace
 from repro.memory.page import Protection, own_copy, shared_frame
-from repro.serving.codec import result_digest
-from tests.eager_warm_oracle import eager_warm
 from tests.helpers import (
     LRC_FUZZ_AXES,
     LRC_VARIANTS,
+    lrc_examples,
     lrc_fuzz_config,
     lrc_program,
-    timelines,
 )
+from tests.oracles import assert_differential, point
 
 
 # -- the differential: production vs the eager warm start ----------------
 
 
-def _assert_same_run(production, oracle, nprocs):
-    assert result_digest(production) == result_digest(oracle)
-    assert timelines(production.trace, nprocs) == timelines(
-        oracle.trace, nprocs
-    )
-
-
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@lrc_examples
 @given(**LRC_FUZZ_AXES)
-def test_shared_frames_match_the_eager_warm_start(
-    rounds, variant, homing, network, nprocs
-):
-    cfg = replace(
-        lrc_fuzz_config(variant, homing, network, nprocs), warm_start=True
+def test_shared_frames_match_the_eager_warm_start(rounds, **axes):
+    cfg = replace(lrc_fuzz_config(**axes), warm_start=True)
+    assert_differential(
+        functools.partial(run_program, lrc_program(rounds), cfg, {}), "warm"
     )
-    program = lrc_program(rounds)
-    production = run_program(program, cfg, {})
-    with eager_warm():
-        oracle = run_program(program, cfg, {})
-    _assert_same_run(production, oracle, nprocs)
 
 
 @pytest.mark.parametrize("variant", LRC_VARIANTS, ids=lambda v: v.name)
 @pytest.mark.parametrize("app", registry.APP_NAMES)
 def test_warm_app_run_equals_the_eager_oracles(app, variant):
-    def traced():
-        return api.run_point(app, variant, 8, scale="tiny", trace=True)
-
-    production = traced()
-    with eager_warm():
-        oracle = traced()
-    _assert_same_run(production, oracle, 8)
+    assert_differential(
+        point(app, variant, 8, scale="tiny", trace=True), "warm"
+    )
 
 
 # -- the two helpers -------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.memory.diff import (
     Diff,
@@ -86,7 +86,6 @@ def test_apply_out_of_bounds_rejected():
         apply_diff(np.zeros(16, np.uint8), runs_diff((0, 1), (2, 1)))
 
 
-@settings(max_examples=200)
 @given(
     st.lists(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -182,7 +181,6 @@ def _random_page(data, n_words):
     return np.frombuffer(raw, np.uint8).copy()
 
 
-@settings(max_examples=200)
 @given(st.data())
 def test_make_diff_matches_reference_property(data):
     n_words = data.draw(st.integers(1, 64))
@@ -201,7 +199,6 @@ def test_make_diff_matches_reference_property(data):
     assert fast.encoded_size == slow.encoded_size
 
 
-@settings(max_examples=200)
 @given(st.data())
 def test_versioned_apply_matches_reference_property(data):
     n_words = data.draw(st.integers(1, 32))
@@ -338,7 +335,6 @@ def test_run_arrays_match_oracle_on_edge_cases(writes, target):
     _check_against_oracle(_EDGE_BASE, writes, target)
 
 
-@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_run_arrays_match_run_tuple_oracle_property(data):
     """Random pages, random change sets and tags (older after newer
@@ -353,7 +349,6 @@ def test_run_arrays_match_run_tuple_oracle_property(data):
     _check_against_oracle(base, writes, target)
 
 
-@settings(max_examples=100)
 @given(st.data())
 def test_versioned_apply_order_independence_property(data):
     """Applying a set of single-writer-per-word diffs in any order gives

@@ -7,14 +7,11 @@ require *exact* equality — the optimizations must change wall-clock
 time only, never a single simulated microsecond or counter.
 
 The goldens predate the shared-access fast path, the kernel layer and
-the calendar-queue engine, so every case runs on production, on the
-per-page access oracle (``tests/access_oracle.py``), on the binary-heap
-engine oracle (``tests/heap_oracle.py``) and on both oracles at once —
-proving production and the references all reproduce the
-pre-optimization simulated results exactly.  The case ids keep the
-names of the retired mode matrix (``tests/conftest.py``).  Runs go
-through the public ``repro.api`` facade, so the goldens also pin its
-behaviour.
+the calendar-queue engine: production must reproduce them exactly, and
+the ids that name the ``access`` or ``engine`` oracle
+(``tests/oracles.py``) also check production against it.  The ids keep
+the names of the retired mode matrix (``tests/conftest.py``).  Runs go
+through the public ``repro.api`` facade, so the goldens also pin it.
 
 Regenerate the goldens only when the simulation's *semantics* change
 intentionally (a protocol fix, a cost-model change):

@@ -12,7 +12,7 @@ additionally replays the application goldens on both engines.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim import Engine, Interrupt
@@ -58,7 +58,6 @@ def _schedules(draw):
 
 
 @given(_schedules())
-@settings(max_examples=60, deadline=None)
 def test_random_delay_schedules_fire_identically(delays_per_proc):
     # Same resumes, and the same event count: production's
     # events_fired (the benchmark's sim.engine.events) is one per heap

@@ -14,9 +14,11 @@ failing program.  Direct unit tests pin down the checker itself —
 including that a deliberately corrupted bitmap is *caught*.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import api
 from repro.apps.registry import APP_NAMES
@@ -26,89 +28,23 @@ from repro.core import fastpath
 from repro.core.fastpath import PermBitmaps
 from repro.memory.page import Protection
 from repro.serving.codec import result_digest
+from tests.test_protocol_fuzz import make_barrier_program, write_rounds
 
 VARIANTS = (CSM_POLL, TMK_MC_POLL, HLRC_POLL)
 SLOTS = 96
 
 
-class force_debug:
-    """Force ``fastpath.DEBUG`` on for the duration of a block, so the
-    barrier hook re-checks bitmap coherence mid-run."""
-
-    def __enter__(self):
-        self._saved = fastpath.DEBUG
-        fastpath.DEBUG = True
-
-    def __exit__(self, *exc):
-        fastpath.DEBUG = self._saved
+def force_debug():
+    """``fastpath.DEBUG`` on inside the block, so the barrier hook
+    re-checks bitmap coherence mid-run."""
+    return mock.patch.object(fastpath, "DEBUG", True)
 
 
-def _sharing_program(rounds):
-    """Barrier-phased writes with full cross-rank read sharing: every
-    round upgrades pages at the writer, invalidates/downgrades them at
-    the sharers, then re-shares them read-only."""
-
-    def setup(space, params):
-        arr = SharedArray.alloc(space, "coh", np.float64, (SLOTS,))
-        arr.initialize(np.zeros(SLOTS))
-        return {"arr": arr}
-
-    def worker(env, shared, params):
-        arr = shared["arr"]
-        expected = {}
-        for round_writes in rounds:
-            for slot, writer, value in round_writes:
-                if writer % env.nprocs == env.rank:
-                    yield from arr.put(env, slot, value)
-                expected[slot] = value
-            yield from env.barrier(0)  # DEBUG: coherence checked here
-            for slot, value in expected.items():
-                got = yield from arr.get(env, slot)
-                assert got == value
-            yield from env.barrier(1)  # ... and here
-        env.stop_timer()
-
-    return Program("coherence", setup, worker)
-
-
-def _dedup(rounds):
-    cleaned = []
-    for round_writes in rounds:
-        seen = set()
-        unique = []
-        for slot, writer, value in round_writes:
-            if slot not in seen:
-                seen.add(slot)
-                unique.append((slot, writer, value))
-        cleaned.append(unique)
-    return cleaned
-
-
-write_rounds = st.lists(
-    st.lists(
-        st.tuples(
-            st.integers(0, SLOTS - 1),
-            st.integers(0, 3),
-            st.floats(-100, 100, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    min_size=1,
-    max_size=3,
-)
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 @given(rounds=write_rounds, data=st.data())
 def test_bitmaps_coherent_through_random_sharing(rounds, data):
     variant = data.draw(st.sampled_from(VARIANTS))
     nprocs = data.draw(st.sampled_from([2, 4]))
-    program = _sharing_program(_dedup(rounds))
+    program, _reference = make_barrier_program(rounds)
     with force_debug():
         run_program(program, RunConfig(variant=variant, nprocs=nprocs), {})
 
@@ -126,7 +62,7 @@ def test_bitmaps_coherent_dense_schedule(variant, access_path):
          range(0, SLOTS, 3)]
         for r in range(4)
     ]
-    program = _sharing_program(rounds)
+    program, _reference = make_barrier_program(rounds)
     with force_debug():
         run_program(program, RunConfig(variant=variant, nprocs=4), {})
 
@@ -188,21 +124,21 @@ def test_permbitmaps_set_and_query():
     perms.set(0, 4, Protection.READ_WRITE)
     assert perms.read_ready(0, 0, 5)
     assert not perms.read_ready(0, 0, 6)
-    assert perms.write_ready(0, 4, 5)
-    assert not perms.write_ready(0, 0, 5)
-    assert perms.readable_at(0, 3) and not perms.writable_at(0, 3)
+    assert perms.write_ready_pages(0, np.array([4]))
+    assert not perms.write_ready_pages(0, np.arange(5))
+    assert perms.readable_at(0, 3) and not perms.writable[0, 3]
     # The other processor's row is untouched.
     assert not perms.read_ready(1, 0, 1)
     perms.set(0, 4, Protection.NONE)
     assert not perms.readable_at(0, 4)
-    assert not perms.writable_at(0, 4)
+    assert not perms.writable[0, 4]
 
 
 def test_permbitmaps_grow_preserves_and_rebinds_rows():
     perms = PermBitmaps(2, n_pages=2)
     perms.set(1, 1, Protection.READ_WRITE)
     perms.set(0, 37, Protection.READ)  # forces growth
-    assert perms.writable_at(1, 1), "growth must preserve existing bits"
+    assert perms.writable[1, 1], "growth must preserve existing bits"
     assert perms.readable_at(0, 37)
     # Row views alias the grown arrays (the hit path probes these).
     assert perms.r_rows[0][37]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import HLRC_INT, HLRC_POLL, RunConfig
-from repro.core import Program, SharedArray, run_program, run_sequential
+from repro.core import Program, SharedArray, run_program
 
-from tests.helpers import values_match
+from tests.helpers import run_app_everywhere
 
 
 def simple_program(worker):
@@ -170,11 +170,7 @@ def test_apps_match_sequential(variant):
     from repro.apps import sor, water
 
     for module in (sor, water):
-        app = module.program()
-        params = module.default_params("tiny")
-        seq = run_sequential(app, params)
-        par = run_program(app, RunConfig(variant=variant, nprocs=8), params)
-        assert values_match(seq.values[0], par.values[0], rtol=1e-7)
+        assert not run_app_everywhere(module, "tiny", [variant], [8])
 
 
 def test_no_gc_pressure():

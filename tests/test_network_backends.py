@@ -3,10 +3,10 @@
 Two layers of pinning for the pluggable network backends:
 
 * ``tests/golden_networks.json`` holds exec times, counters, and
-  breakdowns for a protocol spread under every backend.  Each golden is
-  replayed on production and on the per-page access and binary-heap
-  oracles (``tests/conftest.py``) and must reproduce *exactly* — the
-  backends are simulated semantics, the oracles are not.
+  breakdowns for a protocol spread under every backend.  Production
+  must reproduce each *exactly*, and equal the access and engine
+  oracles (``tests/conftest.py`` ``replay``) — the backends are
+  simulated semantics, the oracles are not.
 * ``tests/golden_cross_era_<backend>.txt`` pins the rendered cross-era
   study per backend at the same invocation CI diffs against.
 
@@ -25,7 +25,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import api
@@ -157,7 +157,6 @@ def _issue(net, clock, kind, src, other, nbytes):
 
 
 @pytest.mark.parametrize("name", NETWORK_BACKENDS)
-@settings(max_examples=50, deadline=None)
 @given(ops=_OPS)
 def test_visibility_never_precedes_issue_plus_latency(name, ops):
     clock, net = _fresh(name)
@@ -170,7 +169,6 @@ def test_visibility_never_precedes_issue_plus_latency(name, ops):
 
 
 @pytest.mark.parametrize("name", NETWORK_BACKENDS)
-@settings(max_examples=50, deadline=None)
 @given(ops=_OPS)
 def test_visibility_monotonic_per_link(name, ops):
     clock, net = _fresh(name)
@@ -187,7 +185,6 @@ def test_visibility_monotonic_per_link(name, ops):
 
 
 @pytest.mark.parametrize("name", NETWORK_BACKENDS)
-@settings(max_examples=50, deadline=None)
 @given(ops=_OPS)
 def test_occupancy_byte_conservation(name, ops):
     clock, net = _fresh(name)
@@ -204,7 +201,6 @@ def test_occupancy_byte_conservation(name, ops):
 
 
 @pytest.mark.parametrize("name", NETWORK_BACKENDS)
-@settings(max_examples=25, deadline=None)
 @given(ops=_OPS)
 def test_flush_time_covers_issued_writes(name, ops):
     clock, net = _fresh(name)

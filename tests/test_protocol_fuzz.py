@@ -16,7 +16,7 @@ coherence bug, and shrinking gives a minimal failing schedule.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.config import (
     CSM_POLL,
@@ -93,11 +93,6 @@ def make_barrier_program(rounds):
     return Program("fuzz_barrier", setup, worker), reference
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 @given(rounds=write_rounds, data=st.data())
 def test_barrier_phased_fuzz(rounds, data):
     variant = data.draw(st.sampled_from(VARIANTS))
@@ -150,11 +145,6 @@ def make_lock_program(schedule, nprocs):
     return Program("fuzz_lock", setup, worker), reference
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 @given(schedule=lock_schedule, data=st.data())
 def test_lock_phased_fuzz(schedule, data):
     variant = data.draw(st.sampled_from(VARIANTS))

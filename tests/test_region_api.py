@@ -14,7 +14,7 @@ import pytest
 from repro.core.fastpath import PermBitmaps
 from repro.core.runtime.shared import Region, SharedArray
 
-from tests.access_oracle import per_page_access
+from tests.oracles import oracle
 from tests.test_shared_array import drive, make_env
 
 
@@ -231,7 +231,7 @@ def test_region_view_none_without_fastpath():
     ``legacy`` cases are not production twice), and only inside the
     block."""
     engine, env, arr, _ = _matrix()
-    with per_page_access():
+    with oracle("access"):
         assert arr.region_view(env, arr.region_rows(0, 2)) is None
     assert arr.region_view(env, arr.region_rows(0, 2)) is not None
 

@@ -26,8 +26,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from repro import api
 from repro.apps import barnes, kernels
@@ -50,24 +49,12 @@ from repro.harness.runner import ExperimentContext
 from repro.memory.address_space import AddressSpace
 from repro.serving.codec import result_digest
 from repro.sim import Engine
-from tests.heap_oracle import HeapEngine, heap_engine
+from tests.heap_oracle import HeapEngine
 from tests.helpers import values_match
+from tests.oracles import oracle
+from tests.test_engine_queue import _delay_trace, _schedules
 
 TINY_SOR = dict(rows=24, cols=32, iters=4)
-
-
-def _assert_bit_identical(a, b):
-    assert a.exec_time == b.exec_time
-    assert a.network_bytes == b.network_bytes
-    assert a.stats.aggregate_counters() == b.stats.aggregate_counters()
-
-
-def _assert_values_equal(a, b):
-    assert len(a.values) == len(b.values)
-    for x, y in zip(a.values, b.values):
-        if x is None and y is None:
-            continue
-        assert values_match(x, y)
 
 
 # -- equivalence anchors (bit-identical) -------------------------------
@@ -81,8 +68,7 @@ def test_degenerate_lrc_hierarchy_is_bit_identical(variant):
     the hierarchical LRC barrier must reproduce the flat one exactly."""
     flat = api.run_point("sor", variant, 8, scale="tiny")
     one_group = api.run_point("sor", variant, 8, scale="tiny", barrier_fanin=8)
-    _assert_bit_identical(flat, one_group)
-    _assert_values_equal(flat, one_group)
+    assert result_digest(flat) == result_digest(one_group)
 
 
 def test_cashmere_legacy_fanin_is_bit_identical():
@@ -90,7 +76,7 @@ def test_cashmere_legacy_fanin_is_bit_identical():
     asking for it explicitly must change nothing."""
     default = api.run_point("sor", CSM_POLL, 8, scale="tiny")
     explicit = api.run_point("sor", CSM_POLL, 8, scale="tiny", barrier_fanin=2)
-    _assert_bit_identical(default, explicit)
+    assert result_digest(default) == result_digest(explicit)
 
 
 def test_dir_sharding_on_memch_is_bit_identical():
@@ -99,8 +85,7 @@ def test_dir_sharding_on_memch_is_bit_identical():
     changing a single simulated microsecond."""
     single = api.run_point("sor", CSM_POLL, 8, scale="tiny")
     sharded = api.run_point("sor", CSM_POLL, 8, scale="tiny", dir_shards=4)
-    _assert_bit_identical(single, sharded)
-    _assert_values_equal(single, sharded)
+    assert result_digest(single) == result_digest(sharded)
 
 
 # -- values equivalence (timing may legitimately differ) ----------------
@@ -113,7 +98,7 @@ def test_64p_fanin_choices_compute_identical_values(fanin):
     tuned = api.run_point(
         "sor", CSM_POLL, 64, params=params, barrier_fanin=fanin
     )
-    _assert_values_equal(default, tuned)
+    assert values_match(default.values, tuned.values)
 
 
 def test_dir_sharding_on_rdma_computes_identical_values():
@@ -123,7 +108,7 @@ def test_dir_sharding_on_rdma_computes_identical_values():
     sharded = api.run_point(
         "sor", CSM_POLL, 8, scale="tiny", network="rdma", dir_shards=4
     )
-    _assert_values_equal(single, sharded)
+    assert values_match(single.values, sharded.values)
     assert single.exec_time > 0 and sharded.exec_time > 0
 
 
@@ -142,47 +127,22 @@ def test_256p_run_never_moves_time_backwards():
         variant=CSM_POLL, nprocs=256, cluster=cluster_for(256), trace=True
     )
     production = run_program(sor.program(), cfg, params)
-    with heap_engine():
-        oracle = run_program(sor.program(), cfg, params)
+    with oracle("engine"):
+        heap = run_program(sor.program(), cfg, params)
     assert production.exec_time > 0
-    assert result_digest(production) == result_digest(oracle)
+    assert result_digest(production) == result_digest(heap)
     # The whole timeline, which implies every per-pid one.
-    assert production.trace.timeline() == oracle.trace.timeline()
+    assert production.trace.timeline() == heap.trace.timeline()
 
 
-DELAYS = (0.0, 0.5, 1.0, 1.0, 2.0, 3.0)
-
-_schedules = st.lists(
-    st.lists(st.sampled_from(DELAYS), min_size=1, max_size=6),
-    min_size=2,
-    max_size=6,
-)
-
-
-def _trace(engine, schedules):
-    """Resume log (time, pid, step) for one schedule, and its count."""
-    log = []
-
-    def worker(pid, delays):
-        for i, delay in enumerate(delays):
-            yield float(delay)
-            log.append((engine.now, pid, i))
-
-    for pid, delays in enumerate(schedules):
-        engine.process(worker(pid, delays), name=f"p{pid}")
-    engine.run()
-    return log, engine.events_fired
-
-
-@given(_schedules)
-@settings(max_examples=60, deadline=None)
+@given(_schedules())
 def test_random_sharded_schedules_are_monotonic_and_heap_identical(
     schedules,
 ):
-    log, fired = _trace(Engine(), schedules)
+    log, fired = _delay_trace(Engine(), schedules)
     times = [t for t, _pid, _i in log]
     assert times == sorted(times)
-    assert (log, fired) == _trace(HeapEngine(), schedules)
+    assert (log, fired) == _delay_trace(HeapEngine(), schedules)
 
 
 # -- pinned complexity of the LRC barrier exchange ----------------------

@@ -16,58 +16,44 @@ Three guarantees, each locked in here:
   cost floor, and bad policy values fail loudly at config time.
 """
 
-import numpy as np
+import functools
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro import api
 from repro.config import CostModel, RunConfig, variant_by_name
 from repro.memory import policy
-from tests.helpers import replay_ids
+from tests.helpers import (
+    LRC_AXIS_VALUES,
+    POLICY_AXES,
+    covering_examples,
+    replay_ids,
+    values_match,
+)
 
 VARIANTS = ("csm_poll", "tmk_mc_poll", "hlrc_poll")
 APPS = ("sor", "gauss", "irreg")
 NPROCS = 4
 
 
-def _values_equal(a, b) -> bool:
-    """Bit-exact, None-aware equality over per-rank values lists."""
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, (tuple, list)):
-        return (
-            isinstance(b, (tuple, list))
-            and len(a) == len(b)
-            and all(_values_equal(x, y) for x, y in zip(a, b))
-        )
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
-
-
-_reference = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _reference_values(app: str, variant: str):
-    """Default-triple values for (app, variant), memoized per session."""
-    key = (app, variant)
-    if key not in _reference:
-        result = api.run_point(
-            app, variant, NPROCS, scale="tiny", network="rdma"
-        )
-        _reference[key] = result.values
-    return _reference[key]
+    """Default-triple values for (app, variant), once per session."""
+    return api.run_point(
+        app, variant, NPROCS, scale="tiny", network="rdma"
+    ).values
 
 
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+@covering_examples(
+    dict(
+        app=APPS,
+        variant=VARIANTS,
+        **{name: LRC_AXIS_VALUES[name] for name in POLICY_AXES},
+    )
 )
 @given(
-    app=st.sampled_from(APPS),
-    variant=st.sampled_from(VARIANTS),
-    granularity=st.sampled_from(policy.GRANULARITIES),
-    prefetch=st.sampled_from(policy.PREFETCHES),
-    homing=st.sampled_from(policy.HOMINGS),
+    app=st.sampled_from(APPS), variant=st.sampled_from(VARIANTS), **POLICY_AXES
 )
 def test_any_policy_combo_preserves_values(
     app, variant, granularity, prefetch, homing
@@ -82,7 +68,7 @@ def test_any_policy_combo_preserves_values(
         prefetch=prefetch,
         homing=homing,
     )
-    assert _values_equal(
+    assert values_match(
         _reference_values(app, variant), result.values
     ), (
         f"{app}/{variant} values diverged under "
@@ -126,7 +112,7 @@ def test_explicit_default_triple_is_byte_identical(app, variant, replay):
         explicit.stats.aggregate_counters()
         == implicit.stats.aggregate_counters()
     )
-    assert _values_equal(implicit.values, explicit.values)
+    assert values_match(implicit.values, explicit.values)
 
 
 # -- the machinery engages ---------------------------------------------
@@ -143,7 +129,7 @@ def test_prefetch_fires_and_counts():
         prefetch="seq",
     )
     assert result.counter("prefetches") > 0
-    assert _values_equal(
+    assert values_match(
         _reference_values("irreg", "hlrc_poll"), result.values
     )
 
@@ -161,7 +147,7 @@ def test_dynamic_homing_migrates_and_counts():
     baseline = api.run_point(
         "irreg", "csm_poll", 8, scale="tiny", network="rdma"
     )
-    assert _values_equal(baseline.values, result.values)
+    assert values_match(baseline.values, result.values)
 
 
 def test_treadmarks_accepts_homing_as_noop():
@@ -176,7 +162,7 @@ def test_treadmarks_accepts_homing_as_noop():
         homing="dynamic",
     )
     assert result.counter("home_migrations") == 0
-    assert _values_equal(
+    assert values_match(
         _reference_values("irreg", "tmk_mc_poll"), result.values
     )
 

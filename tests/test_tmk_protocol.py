@@ -347,7 +347,7 @@ def test_lrc_oracle_keeps_the_pending_map_representation():
     """The per-occupancy oracle and production fold the same notices
     into equal writer -> highest-interval maps."""
     from repro.core.intervals import IntervalRecord
-    from tests.lrc_oracle import per_occupancy
+    from tests.oracles import oracle
 
     records = [
         IntervalRecord(0, iid, (iid, 0, 0), (1, 2)) for iid in (1, 2, 3)
@@ -366,6 +366,6 @@ def test_lrc_oracle_keeps_the_pending_map_representation():
         }
 
     production = pending_after_merge()
-    with per_occupancy():
-        oracle = pending_after_merge()
-    assert production == oracle == {1: {0: 3}, 2: {0: 3, 2: 1}}
+    with oracle("merge"):
+        reference = pending_after_merge()
+    assert production == reference == {1: {0: 3}, 2: {0: 3, 2: 1}}
