@@ -50,7 +50,7 @@ class RunResult:
     stats: StatsBoard
     values: List[Any]
     network_bytes: int = 0
-    trace: Optional[Tracer] = None
+    trace: Optional[Tracer] = None  # None exactly when not traced
     extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -241,7 +241,7 @@ def run_program(
         stats=stats,
         values=values,
         network_bytes=system.network.aggregate_bytes,
-        trace=system.tracer,
+        trace=system.tracer if run_cfg.trace else None,
     )
 
 

@@ -89,7 +89,7 @@ def point(app, variant=None, nprocs=1, **kwargs):
 def timelines(result):
     """Every processor's trace timeline, event for event (``None`` for
     an untraced run)."""
-    if result.trace is None or not result.trace.enabled:
+    if result.trace is None:
         return None
     by_pid = {}
     for event in result.trace.timeline():

@@ -96,13 +96,24 @@ def test_trace_run_requires_trace():
         TraceRun.from_result(bare)
 
 
-def test_untraced_run_exports_empty_timeline():
+def test_untraced_run_exports_empty_timeline(tmp_path):
+    from repro.harness.runner import ExperimentContext
+
+    ctx = ExperimentContext(scale="tiny")
+    result = ctx.run("sor", CSM_POLL, 2)
+    assert "events" not in run_metadata(result)
+    assert ctx.trace_runs == []
+    out = tmp_path / "t.jsonl"
+    export_runs(ctx.trace_runs, str(out))
+    assert read_jsonl(str(out)) == []
+
+
+def test_untraced_parallel_run_has_no_trace_to_export():
     result = run_program(
         handoff_program(), RunConfig(variant=CSM_POLL, nprocs=2), {}
     )
-    run = TraceRun.from_result(result)
-    assert run.events == []
-    assert run.meta["events"] == 0
+    with pytest.raises(ValueError, match="pass RunConfig\\(trace=True\\)"):
+        TraceRun.from_result(result)
 
 
 # ---------------------------------------------------------------------------
