@@ -90,11 +90,6 @@ def gauss_elim_elems(rank_rows: int, n: int, k: int) -> int:
     return rank_rows * (n - k)
 
 
-def sor_cells(rows: int, half: int) -> int:
-    """Stencil cells updated in one red/black half-sweep."""
-    return rows * half
-
-
 # ---------------------------------------------------------------------------
 # LU — blocked dense factorization (dgemm/trsm-shaped block kernels)
 # ---------------------------------------------------------------------------

@@ -573,9 +573,7 @@ class CashmereProtocol(DsmProtocol):
             dir_entry.never_exclusive = True
         others = dir_entry.others(proc.pid)
         may_go_exclusive = (
-            self.cfg.exclusive_mode
-            and not from_nle
-            and not dir_entry.never_exclusive
+            self.cfg.exclusive_mode and not dir_entry.never_exclusive
         )
         if not others and may_go_exclusive:
             dir_entry.exclusive_holder = proc.pid

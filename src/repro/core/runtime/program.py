@@ -5,13 +5,16 @@ generator.  :func:`run_program` builds the cluster, the network, and the
 requested protocol, runs one worker per processor, and returns a
 :class:`RunResult` with the simulated execution time, statistics, and the
 workers' return values (used to verify results against the sequential
-NumPy reference).
+NumPy reference) with their :func:`values_digest`.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.config import RunConfig, SystemKind
 from repro.cluster.machine import Cluster
@@ -40,15 +43,47 @@ class Program:
     worker: Callable[[Env, Dict, Dict], Any]
 
 
+def values_digest(values: Any) -> str:
+    """SHA-256 over a canonical byte form of a run's per-rank ``values``:
+    per node a tag (``N`` None; ``L``/``T`` and the length of a list or
+    tuple, then its items; ``A``, dtype and shape of anything NumPy
+    holds by value, then its little-endian bytes).  Any flipped bit of
+    any value changes it."""
+    digest = hashlib.sha256()
+    _feed(digest, values)
+    return digest.hexdigest()
+
+
+def _feed(digest, value: Any) -> None:
+    if value is None:
+        digest.update(b"N")
+    elif isinstance(value, (list, tuple)):
+        tag = b"L" if isinstance(value, list) else b"T"
+        digest.update(tag + len(value).to_bytes(8, "little"))
+        for item in value:
+            _feed(digest, item)
+    else:
+        array = np.asarray(value)
+        if array.dtype.hasobject:
+            raise TypeError(f"cannot digest a {type(value).__name__} value")
+        little = array.dtype.newbyteorder("<")
+        array = array.astype(little, order="C", copy=False)
+        header = f"{array.dtype.str}{array.shape}".encode()
+        digest.update(b"A" + len(header).to_bytes(8, "little") + header)
+        digest.update(array.data)
+
+
 @dataclass
 class RunResult:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.  A result read back from the
+    result cache has ``values=None``; ``values_sha256`` still pins them."""
 
     program: str
     config: RunConfig
     exec_time: float  # simulated microseconds
     stats: StatsBoard
-    values: List[Any]
+    values: Optional[List[Any]]
+    values_sha256: str  # values_digest(values), taken when the run ends
     network_bytes: int = 0
     trace: Optional[Tracer] = None  # None exactly when not traced
     extras: Dict[str, Any] = field(default_factory=dict)
@@ -240,6 +275,7 @@ def run_program(
         exec_time=stats.finish_time,
         stats=stats,
         values=values,
+        values_sha256=values_digest(values),
         network_bytes=system.network.aggregate_bytes,
         trace=system.tracer if run_cfg.trace else None,
     )
@@ -300,4 +336,5 @@ def run_sequential(
         exec_time=stats.finish_time,
         stats=stats,
         values=values,
+        values_sha256=values_digest(values),
     )

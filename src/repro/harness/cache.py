@@ -33,14 +33,14 @@ import os
 import pickle
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional
 
 from repro.config import RunConfig
 
 #: Bump to invalidate every existing cache entry (result shape change).
-CACHE_SCHEMA = 5  # 5: one entry format (header + encoded section + pickle); no flat layout
+CACHE_SCHEMA = 6  # 6: every entry has its encoded section; no values stored
 
 _ENV_VAR = "REPRO_DSM_CACHE"
 
@@ -217,21 +217,62 @@ class CacheStats:
 class Encoded(NamedTuple):
     """A result in its served form: canonical JSON bytes and their digest.
 
-    ``data`` is ``repro.serving.codec.encode_result(result)``; ``digest``
-    is the 64-hex SHA-256 of ``data``.  Produced once when the server
-    completes a point, stored in the entry header and encoded section,
-    and spliced unchanged into every later reply.
+    ``data`` is :func:`encode_result` of the result; ``digest`` is the
+    64-hex SHA-256 of ``data``.  Written by every :meth:`ResultCache.put`
+    into the entry header and encoded section, and spliced unchanged
+    into every reply that serves the entry.
     """
 
     digest: str
     data: bytes
 
 
+def result_payload(result) -> Dict[str, Any]:
+    """The canonical client-facing view of one :class:`RunResult`.
+
+    Everything here is a pure function of the simulation — no serving
+    metadata, no wall-clock, no ``extras`` — so the payload of a cache
+    hit, a coalesced await, and a fresh computation are identical.  The
+    workers' return values appear only as their ``values_sha256``.
+    """
+    return {
+        "program": result.program,
+        "variant": result.config.variant.name,
+        "nprocs": result.config.nprocs,
+        "exec_time_us": result.exec_time,
+        "network_bytes": result.network_bytes,
+        "counters": {
+            k: int(v)
+            for k, v in sorted(result.stats.aggregate_counters().items())
+            if v
+        },
+        "breakdown_us": result.breakdown.as_dict(),
+        "values_sha256": result.values_sha256,
+    }
+
+
+def encode_result(result) -> bytes:
+    """Canonical bytes of :func:`result_payload` (sorted, compact)."""
+    return json.dumps(
+        result_payload(result), sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+def encode_with_digest(result) -> Encoded:
+    """:func:`encode_result` and its SHA-256, as one :class:`Encoded`."""
+    data = encode_result(result)
+    return Encoded(hashlib.sha256(data).hexdigest(), data)
+
+
+def result_digest(result) -> str:
+    """SHA-256 hexdigest over :func:`encode_result`."""
+    return encode_with_digest(result).digest
+
+
 #: Entry header: magic, encoded-section length, pickle-section length,
-#: 64-hex SHA-256 of the encoded section (64 zeros when there is none).
+#: 64-hex SHA-256 of the encoded section.
 _HEADER = struct.Struct(">8sQQ64s")
-_MAGIC = b"RDSMres5"
-_NO_ENCODED = Encoded("0" * 64, b"")
+_MAGIC = b"RDSMres6"
 
 #: What unpickling a length-checked section can still raise: a damaged
 #: stream, or a class that moved since the entry was written.
@@ -255,7 +296,7 @@ def _read_entry(stream, encoded: bool):
     size = os.fstat(stream.fileno()).st_size
     if magic != _MAGIC or size != _HEADER.size + encoded_len + pickle_len:
         return None
-    if encoded and encoded_len:
+    if encoded:
         data = stream.read(encoded_len)
         if hashlib.sha256(data).hexdigest().encode() != digest:
             return None
@@ -271,20 +312,18 @@ def _read_entry(stream, encoded: bool):
 class ResultCache:
     """:class:`repro.core.RunResult` objects, one entry file per key.
 
-    An entry is a fixed header, an optional *encoded section*, and a
-    *pickle section*::
+    An entry is a fixed header, an *encoded section*, and a *pickle
+    section*; every :meth:`put` writes all three::
 
         magic  encoded_len  pickle_len  digest | encoded bytes | pickle
         8s     u64          u64         64s    | encoded_len   | pickle_len
 
-    The pickle section is the ``RunResult`` the harness reads back
-    (:meth:`get` seeks past the encoded section).  The encoded section
-    is the result's served form (:class:`Encoded`): the server writes
-    it once, when a point completes, and a later serving lookup —
-    ``get(key, encoded=True)`` — reads header and encoded section only,
-    verifies the digest, and never unpickles.  Harness-side ``put``s
-    skip the encoded section (encoding a large result costs more than
-    the run); the server adds it the first time it serves such an entry.
+    The pickle section is the ``RunResult`` without its ``values``
+    (``values=None``; ``values_sha256`` still pins them), which the
+    harness reads back (:meth:`get` seeks past the encoded section).
+    The encoded section is the result's served form (:class:`Encoded`):
+    the serving lookup — ``get(key, encoded=True)`` — reads header and
+    encoded section only, verifies the digest, and never unpickles.
 
     A file that fails the magic, length, or digest check, or whose
     pickle section does not load, is unlinked and reported as a miss.
@@ -333,11 +372,10 @@ class ResultCache:
         """The cached result for ``key``, or None on a miss.
 
         ``encoded=True`` is the serving lookup: it returns the entry's
-        :class:`Encoded` section without unpickling anything — or, for
-        an entry written without one, the unpickled result, which the
-        caller encodes and ``put``s back.  On a bounded cache every hit
-        refreshes the entry's recency (in memory and, best-effort, the
-        file's ``atime``) so LRU eviction spares the hot set.
+        :class:`Encoded` section without unpickling anything.  On a
+        bounded cache every hit refreshes the entry's recency (in
+        memory and, best-effort, the file's ``atime``) so LRU eviction
+        spares the hot set.
         """
         hit = None if self.refresh else self._load(self._path(key), encoded)
         if hit is None:
@@ -364,20 +402,17 @@ class ResultCache:
                 pass
         return hit
 
-    def put(
-        self, key: str, result, encoded: Optional[Encoded] = None
-    ) -> None:
-        """Store ``result`` under ``key`` (atomic rename).
-
-        ``encoded`` is the result's served form, when the caller has it
-        (the server always does; the harness never pays for one).
+    def put(self, key: str, result) -> Encoded:
+        """Store ``result`` under ``key`` (atomic rename); returns the
+        :class:`Encoded` form it wrote.
 
         On a bounded cache, room is made *before* the rename installs
         the entry (LRU evictions first), so the byte/entry bound holds
         at every instant — a stats scrape mid-load never observes an
         over-budget cache.
         """
-        digest, data = encoded or _NO_ENCODED
+        encoded = encode_with_digest(result)
+        digest, data = encoded
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -389,7 +424,11 @@ class ResultCache:
                 # length and is written last, into the gap left for it.
                 stream.seek(_HEADER.size)
                 stream.write(data)
-                pickle.dump(result, stream, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(
+                    replace(result, values=None),
+                    stream,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
                 size = stream.tell()
                 stream.seek(0)
                 stream.write(
@@ -414,6 +453,7 @@ class ResultCache:
             index = self._index()
             self._lru_bytes += size - index.pop(key, 0)
             index[key] = size  # newest position
+        return encoded
 
     # -- bounds: LRU index, eviction, pruning --------------------------
 

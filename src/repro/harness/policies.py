@@ -14,8 +14,9 @@ policies move costs, never values).
 The interesting subject is the false-sharing-prone extension workload
 ``irreg`` on the ``rdma`` backend at 8 processors — the configuration
 where fine-grained coherence pays off hardest against page-grained
-invalidation churn (and the configuration CI's ``policy-matrix`` job
-pins: block256+seq >= 1.2x with identical values).
+invalidation churn (and the configuration the claims ledger's
+``ext-policy-fine-grain-gate`` pins: block256+seq >= 1.2x with
+identical values).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class PolicyCell:
     speedup: float  # over the default triple, same variant
     prefetches: int
     home_migrations: int
-    values_ok: bool  # simulated results identical to the baseline's
+    values_ok: bool  # values digest equal to the baseline's
 
     @property
     def is_baseline(self) -> bool:
@@ -103,22 +104,6 @@ class PolicyCell:
             "none",
             "first-touch",
         )
-
-
-def _values_equal(a, b) -> bool:
-    """Bit-exact equality over the per-rank values lists (rank 0 holds
-    the result tuple, other ranks None)."""
-    import numpy as np
-
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, (list, tuple)):
-        return (
-            isinstance(b, (list, tuple))
-            and len(a) == len(b)
-            and all(_values_equal(x, y) for x, y in zip(a, b))
-        )
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
 
 
 def generate(
@@ -169,7 +154,7 @@ def generate(
                     speedup=base.exec_time / result.exec_time,
                     prefetches=result.counter("prefetches"),
                     home_migrations=result.counter("home_migrations"),
-                    values_ok=_values_equal(base.values, result.values),
+                    values_ok=base.values_sha256 == result.values_sha256,
                 )
             )
     return cells

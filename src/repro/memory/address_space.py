@@ -123,9 +123,6 @@ class AddressSpace:
 
     # -- page math ----------------------------------------------------------
 
-    def page_of(self, offset: int) -> int:
-        return offset // self.page_size
-
     def page_spans(
         self, offset: int, nbytes: int
     ) -> Iterator[Tuple[int, int, int]]:

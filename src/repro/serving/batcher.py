@@ -59,11 +59,6 @@ class ColdPointBatcher:
         self.points = 0
         self.largest_batch = 0
 
-    @property
-    def inflight(self) -> int:
-        """Points submitted to the pool and not yet completed."""
-        return len(self._inflight)
-
     def admit(self, key: str, spec) -> None:
         """Queue one cold point; it flushes within the window."""
         self._pending.append((key, spec))

@@ -41,9 +41,8 @@ async def _read_lines(reader) -> AsyncIterator[bytes]:
     """Yield newline-delimited lines of any length until EOF.
 
     ``StreamReader.readline`` refuses lines over the reader's 64 KiB
-    limit, and one result line is routinely larger (tiny 8p lu and
-    ilink are 84 KB and 159 KB), so streams are read in chunks and
-    split here.
+    limit, and the stream format sets no bound on a line, so streams
+    are read in chunks and split here.
     """
     parts: List[bytes] = []
     while True:

@@ -14,10 +14,11 @@ simulator does the rest: the served result is byte-for-byte the direct
 result.
 
 :func:`encode_result` is that byte-for-byte claim made concrete: a
-canonical JSON encoding (sorted keys, no whitespace, NumPy values
-converted losslessly) of everything a client consumes from a
-:class:`~repro.core.runtime.program.RunResult` — simulated time,
-counters, breakdown, and the application's return values.  Identity
+canonical JSON encoding (sorted keys, no whitespace) of everything a
+client consumes from a :class:`~repro.core.runtime.program.RunResult` —
+simulated time, counters, breakdown, and the SHA-256 of the
+application's return values.  It lives beside the cache entry that
+stores it (``repro.harness.cache``) and is re-exported here.  Identity
 tests and the load generator compare these bytes (or the SHA-256
 :func:`result_digest` over them) between served payloads and direct
 ``api.run_point`` output.
@@ -33,7 +34,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import DRIVERS
 from repro.config import RunConfig
-from repro.harness.cache import Encoded
+from repro.harness.cache import (  # noqa: F401  (re-exported)
+    encode_result,
+    encode_with_digest,
+    result_digest,
+    result_payload,
+)
 from repro.harness.declaration import resolve
 from repro.harness.runner import ExperimentContext
 from repro.options import SimOptions
@@ -392,64 +398,3 @@ def _wire_point(point, common: Dict[str, Any]) -> Dict[str, Any]:
     if point.params is not None:
         wire["params"] = dict(point.params)
     return wire
-
-
-def _jsonable(value: Any) -> Any:
-    """Lossless JSON conversion for result values (NumPy included)."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    tolist = getattr(value, "tolist", None)  # ndarray and NumPy scalars
-    if callable(tolist):
-        return tolist()
-    return repr(value)
-
-
-def result_payload(result) -> Dict[str, Any]:
-    """The canonical client-facing view of one :class:`RunResult`.
-
-    Everything here is a pure function of the simulation — no serving
-    metadata, no wall-clock, no ``extras`` — so the payload of a cache
-    hit, a coalesced await, and a fresh computation are identical.
-    """
-    cfg = result.config
-    return {
-        "program": result.program,
-        "variant": cfg.variant.name if cfg is not None else "sequential",
-        "nprocs": cfg.nprocs if cfg is not None else 1,
-        "exec_time_us": result.exec_time,
-        "network_bytes": result.network_bytes,
-        "counters": {
-            k: int(v)
-            for k, v in sorted(result.stats.aggregate_counters().items())
-            if v
-        },
-        "breakdown_us": result.breakdown.as_dict(),
-        "values": _jsonable(result.values),
-    }
-
-
-def encode_result(result) -> bytes:
-    """Canonical bytes of :func:`result_payload` (sorted, compact)."""
-    return json.dumps(
-        result_payload(result), sort_keys=True, separators=(",", ":")
-    ).encode()
-
-
-def encode_with_digest(result) -> Encoded:
-    """``(digest, data)``: :func:`encode_result` and its SHA-256, once.
-
-    The pair the server produces when a point completes and then never
-    again: it is what :meth:`ResultCache.put` stores beside the pickle,
-    what the hot tier holds, and what every reply splices.
-    """
-    data = encode_result(result)
-    return Encoded(hashlib.sha256(data).hexdigest(), data)
-
-
-def result_digest(result) -> str:
-    """SHA-256 hexdigest over :func:`encode_result`."""
-    return encode_with_digest(result).digest

@@ -39,14 +39,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.cache import Encoded, ResultCache, key_for_spec
+from repro.harness.cache import (
+    Encoded,
+    ResultCache,
+    encode_with_digest,
+    key_for_spec,
+)
 from repro.harness.parallel import execute_point_timed, persistent_pool
 from repro.serving.batcher import ColdPointBatcher
 from repro.serving.codec import (
     NegativeCache,
     ServingError,
     decode_request,
-    encode_with_digest,
     expand_sweep,
     negative_key,
 )
@@ -176,11 +180,10 @@ def encode_payload(payload: Any) -> bytes:
     """Serialise one response payload to its JSON bytes.
 
     A payload resolved with ``encoded=True`` carries ``result`` as the
-    canonical bytes every tier shares (it dominates the body, hundreds
-    of times the envelope).  Those are spliced, untouched, into a dumps
-    of the small envelope: O(envelope) work per reply, and the same
-    ``result`` bytes on the wire whichever tier answered.  ``payload``
-    is left as it was.
+    canonical bytes every tier shares.  Those are spliced, untouched,
+    into a dumps of the envelope, so the same compact ``result`` bytes
+    go on the wire whichever tier answered.  ``payload`` is left as it
+    was.
     """
     result = payload.get("result") if isinstance(payload, dict) else None
     if not isinstance(result, bytes):
@@ -315,14 +318,13 @@ class ExperimentService:
         self.flight.resolve(key, (encoded, seconds))
 
     def _store(self, key: str, result) -> Encoded:
-        """Encode ``result`` — the one time it ever is — and cache it."""
-        encoded = encode_with_digest(result)
+        """Cache ``result``; returns its encoding, made this once."""
         if self.cache is not None:
             try:
-                self.cache.put(key, result, encoded)
+                return self.cache.put(key, result)
             except OSError:
                 pass  # read-only cache dir: serve without storing
-        return encoded
+        return encode_with_digest(result)
 
     # -- hot payload tier ----------------------------------------------
 
@@ -401,10 +403,6 @@ class ExperimentService:
                 hit = self.cache.get(key, encoded=True)
                 if hit is not None:
                     self.stats.cache_hits += 1
-                    if not isinstance(hit, Encoded):
-                        # Harness-written entry: add its encoded
-                        # section now, so the next lookup is a read.
-                        hit = self._store(key, hit)
             if hit is None:
                 future, leader = self.flight.begin(key)
                 if leader:

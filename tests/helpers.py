@@ -32,6 +32,14 @@ def replay_ids(engines):
     ]
 
 
+def tiny_result():
+    """A real result that costs about a millisecond (sequential sor at
+    ``tiny``): what cache tests store when the content does not matter."""
+    from repro import api
+
+    return api.run_point("sor", scale="tiny")
+
+
 def values_match(a, b, rtol=0.0) -> bool:
     """Worker return values (scalars, arrays, ``None`` or tuples of
     them) are equal, bit for bit unless a call site names a ``rtol``."""

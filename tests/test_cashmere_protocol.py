@@ -8,18 +8,20 @@ from repro.core import Program, SharedArray, run_program
 from repro.memory.page import Protection
 
 
-def simple_program(worker):
+def simple_program(worker, pages=4):
+    """One shared float64 array of ``pages`` 8 KB pages (1024 a page)."""
+
     def setup(space, params):
-        arr = SharedArray.alloc(space, "data", np.float64, (4096,))
-        arr.initialize(np.zeros(4096))
+        arr = SharedArray.alloc(space, "data", np.float64, (pages * 1024,))
+        arr.initialize(np.zeros(pages * 1024))
         return {"arr": arr}
 
     return Program("probe", setup, worker)
 
 
-def run(worker, nprocs=2, variant=CSM_POLL, **overrides):
+def run(worker, nprocs=2, variant=CSM_POLL, pages=4, **overrides):
     return run_program(
-        simple_program(worker),
+        simple_program(worker, pages),
         RunConfig(variant=variant, nprocs=nprocs, **overrides),
         {},
     )
@@ -239,3 +241,29 @@ def test_invariants_hold_after_run():
 
     # run_program calls protocol.check_invariants() at completion.
     run(worker, nprocs=4)
+
+
+def test_memory_pressure_evicts_the_oldest_read_only_copies():
+    """Over its node's ``node_mem_pages`` budget, a processor leaving a
+    barrier drops its coldest read-only copies, oldest fault first."""
+    order = [5, 2, 7, 0, 3, 6, 1, 4]  # rank 1's touch order, not page order
+
+    def worker(env, shared, params):
+        arr = shared["arr"]
+        if env.rank == 0:  # first touch homes every page on rank 0's node
+            for page in range(len(order)):
+                yield from arr.put(env, page * 1024, 1.0)
+        yield from env.barrier(0)
+        if env.rank == 1:
+            for page in order:
+                yield from arr.get(env, page * 1024)
+        yield from env.barrier(1)
+        env.stop_timer()
+
+    result = run(worker, pages=len(order), node_mem_pages=3, trace=True)
+    faults = result.trace.of_kind("read_fault")
+    assert [(e.pid, e.get("page")) for e in faults] == [(1, p) for p in order]
+    evicted = result.trace.of_kind("evict")
+    assert {e.pid for e in evicted} == {1}
+    # Eight copies on rank 1's node, room for three: the five oldest go.
+    assert sorted(e.get("page") for e in evicted) == sorted(order[:5])

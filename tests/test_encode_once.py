@@ -1,11 +1,12 @@
 """One encoding of a result, shared by every tier (``docs/SERVING.md``).
 
-The server encodes a result once, when its point completes.  These
-tests pin what follows from that: the computed, coalesced, disk-hit and
-hot-hit replies carry the same ``"result"`` bytes and digest on every
-route; a disk hit neither unpickles nor re-encodes; a harness-written
-entry is upgraded the first time it is served; and a damaged entry is a
-clean miss, never an exception or a wrong body.
+Every cache ``put`` encodes a result once, beside its values-free
+pickle.  These tests pin what follows from that: the computed,
+coalesced, disk-hit and hot-hit replies carry the same ``"result"``
+bytes and digest on every route; a disk hit neither unpickles nor
+re-encodes; a harness-written entry is served the same way, with no
+store; and a damaged entry is a clean miss, never an exception or a
+wrong body.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from repro.serving import (
     encode_result,
     request_kwargs,
 )
+from repro.serving.client import _read_lines
 from repro.serving.server import ExperimentServer, ServerConfig
+from tests.helpers import tiny_result
 
 SOR = {"app": "sor", "variant": "csm_poll", "nprocs": 4, "scale": "tiny"}
-#: 0.5 KB of result, and 84 KB / 159 KB — both over asyncio's 64 KiB
-#: default ``StreamReader`` line limit.
+#: About 0.5 KB of result each (their values are only a digest).
 TSP = {"app": "tsp", "variant": "csm_poll", "nprocs": 2, "scale": "tiny"}
 LU = {"app": "lu", "variant": "tmk_mc_poll", "nprocs": 8, "scale": "tiny"}
 ILINK = {"app": "ilink", "variant": "csm_poll", "nprocs": 8, "scale": "tiny"}
@@ -155,21 +157,11 @@ def test_disk_hit_neither_unpickles_nor_reencodes(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a disk hit must not touch the result")
 
-    big_dumps = []
-    real_dumps = json.dumps
-
-    def counting_dumps(obj, *args, **kwargs):
-        text = real_dumps(obj, *args, **kwargs)
-        if len(text) > 4096:  # an envelope is a few hundred bytes
-            big_dumps.append(len(text))
-        return text
-
     async def serve(server, host, port):
         with monkeypatch.context() as patch:
             patch.setattr(pickle, "load", forbidden)
             patch.setattr(pickle, "loads", forbidden)
-            patch.setattr("repro.serving.codec.result_payload", forbidden)
-            patch.setattr(json, "dumps", counting_dumps)
+            patch.setattr(cache_module, "result_payload", forbidden)
             reply = await _post(host, port, "/v1/point", LU)
         return reply, dict(
             server.service.stats.as_dict(),
@@ -181,31 +173,29 @@ def test_disk_hit_neither_unpickles_nor_reencodes(tmp_path, monkeypatch):
     assert (source, digest, result) == ("cache", direct.digest, direct.data)
     assert stats["cache_hits"] == 1 and stats["hot_hits"] == 0
     assert stats["stores"] == 0
-    assert big_dumps == []
 
 
-def test_harness_written_entry_is_served_and_upgraded_once(tmp_path):
+def test_harness_written_entry_is_served_as_a_splice(tmp_path):
     direct = _direct(SOR)
     harness_cache = ResultCache(cache_dir=tmp_path)
-    api.run_point(cache=harness_cache, **request_kwargs(SOR))
+    cold = api.run_point(cache=harness_cache, **request_kwargs(SOR))
     key = _key(SOR)
-    # The harness does not pay for an encoding: the serving lookup of
-    # its entry hands back the result itself.
-    assert not isinstance(harness_cache.get(key, encoded=True), Encoded)
+    assert harness_cache.get(key, encoded=True) == direct
 
     async def serve(server, host, port):
         replies = [await _post(host, port, "/v1/point", SOR) for _ in range(2)]
         return replies, server.service.cache.stats.stores
 
-    for expected_stores in (1, 0):  # upgraded by the first server only
-        replies, stores = _with_server(tmp_path, serve)
-        assert stores == expected_stores
-        for reply in replies:
-            assert _split(reply) == ("cache", direct.digest, direct.data)
+    replies, stores = _with_server(tmp_path, serve)
+    assert stores == 0
+    for reply in replies:
+        assert _split(reply) == ("cache", direct.digest, direct.data)
 
-    reader = ResultCache(cache_dir=tmp_path)
-    assert reader.get(key, encoded=True) == direct
-    assert encode_result(reader.get(key)) == direct.data  # pickle intact
+    # The pickle section is the result without its values.
+    warm = ResultCache(cache_dir=tmp_path).get(key)
+    assert cold.values is not None and warm.values is None
+    assert warm.values_sha256 == cold.values_sha256
+    assert encode_result(warm) == direct.data
 
 
 # -- damaged entries ---------------------------------------------------
@@ -288,13 +278,13 @@ def test_unloadable_pickle_section_is_a_clean_miss(tmp_path):
     stream): the unpickle guard turns it into a miss."""
     cache = ResultCache(cache_dir=tmp_path)
     key = "ab" * 32
-    cache.put(key, {"x": 1})
+    digest, data = cache.put(key, tiny_result())
     path = tmp_path / key[:2] / f"{key}.pkl"
     junk = b"\x80\x05cno.such.module\nThing\n."  # GLOBAL of a missing module
     header = cache_module._HEADER.pack(
-        cache_module._MAGIC, 0, len(junk), b"0" * 64
+        cache_module._MAGIC, len(data), len(junk), digest.encode()
     )
-    path.write_bytes(header + junk)
+    path.write_bytes(header + data + junk)
     assert cache.get(key) is None
     assert not path.exists()
 
@@ -304,10 +294,21 @@ def test_unloadable_pickle_section_is_a_clean_miss(tmp_path):
 
 def test_client_streams_result_lines_over_64_kib(tmp_path):
     """``stream_points`` used to die in ``StreamReader.readline`` on
-    any line over asyncio's 64 KiB limit."""
+    any line over asyncio's 64 KiB limit.  Result lines are now about
+    0.5 KB, so the line reader is fed long lines directly, and a real
+    stream still arrives whole."""
+    lines = [b"x" * 100_000, b"", b"y" * 70_000, b"tail"]
+
+    async def read_back():
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"\n".join(lines))
+        reader.feed_eof()
+        return [line async for line in _read_lines(reader)]
+
+    assert asyncio.run(read_back()) == lines
+
     points = [LU, ILINK, TSP]
     expected = [_direct(point) for point in points]
-    assert len(expected[0].data) > 65536 < len(expected[1].data)
 
     async def stream(server, host, port):
         client = ServingClient(host, port)

@@ -35,6 +35,7 @@ from repro.serving.server import (
     ExperimentService,
     ServerConfig,
 )
+from tests.helpers import tiny_result
 
 SOR = {"app": "sor", "variant": "csm_poll", "nprocs": 4, "scale": "tiny"}
 
@@ -160,15 +161,16 @@ def test_batcher_reports_submit_errors():
 def test_cache_put_writes_sharded_layout(tmp_path):
     cache = ResultCache(cache_dir=tmp_path)
     key = "ab" * 32
-    cache.put(key, {"x": 1})
+    result = tiny_result()
+    cache.put(key, result)
     assert (tmp_path / key[:2] / f"{key}.pkl").exists()
-    assert cache.get(key) == {"x": 1}
+    assert encode_result(cache.get(key)) == encode_result(result)
 
 
 def test_cache_summary_counts_shards(tmp_path):
     cache = ResultCache(cache_dir=tmp_path)
-    cache.put("ab" * 32, {"x": 1})
-    cache.put("cd" * 32, {"x": 2})
+    cache.put("ab" * 32, tiny_result())
+    cache.put("cd" * 32, tiny_result())
     summary = cache.summary()
     assert summary["entries"] == 2
     assert summary["shards"] == 2
@@ -180,7 +182,7 @@ def test_clear_and_prune_sweep_stale_root_files(tmp_path):
     """Files an older schema left in the cache root are outside the
     index; prune and clear remove them and report the bytes."""
     cache = ResultCache(cache_dir=tmp_path)
-    cache.put("ab" * 32, {"x": 1})
+    cache.put("ab" * 32, tiny_result())
     stale = tmp_path / ("ef" * 32 + ".pkl")
     stale.write_bytes(b"old flat-layout pickle")
     assert cache.get("ef" * 32) is None  # no flat fallback any more

@@ -38,6 +38,7 @@ from repro.serving.server import (
     ServerConfig,
     encode_payload,
 )
+from tests.helpers import tiny_result
 
 SOR = {"app": "sor", "variant": "csm_poll", "nprocs": 4, "scale": "tiny"}
 BAD = {"app": "no-such-app", "nprocs": 1}
@@ -230,7 +231,7 @@ def test_eviction_under_concurrent_load_respects_bound(tmp_path):
 def test_result_cache_prune_and_clear_reports(tmp_path):
     cache = ResultCache(cache_dir=tmp_path / "c", max_entries=2)
     for i in range(4):
-        cache.put(f"{i:032x}", {"n": i})
+        cache.put(f"{i:032x}", tiny_result())
     assert cache.summary()["entries"] == 2
     # Exactly one eviction per over-bound put: the in-flight tmp file
     # must not count as a phantom entry during _make_room's scan.

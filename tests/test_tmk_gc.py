@@ -133,3 +133,43 @@ def test_gc_after_epoch_first_touch_gets_flushed_copy(
     )
     assert result.counter("gc_rounds") > 0
     assert result.values[3] == 19 * 10.0 + 1
+
+
+def _one_barrier_program():
+    """Each rank writes its own page, then every rank barriers once."""
+
+    def setup(space, params):
+        arr = SharedArray.alloc(space, "data", np.float64, (4 * 1024,))
+        arr.initialize(np.zeros(4 * 1024))
+        return {"arr": arr}
+
+    def worker(env, shared, params):
+        yield from shared["arr"].put(env, env.rank * 1024, 1.0)
+        yield from env.barrier(0)
+        env.stop_timer()
+
+    return Program("one_barrier", setup, worker)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"nprocs": 1}, {"nprocs": 4}, {"nprocs": 4, "barrier_fanin": 2}],
+    ids=["single", "flat", "hierarchical"],
+)
+def test_gc_flushes_only_above_the_record_threshold(monkeypatch, overrides):
+    """The barrier's collection test is ``record_count() > threshold``:
+    no flush when the deciding store holds exactly ``threshold``
+    records, a flush at one more.  Runs the one-processor barrier, the
+    flat manager and the hierarchical root."""
+    created = _grab_protocols(monkeypatch)
+    cfg = RunConfig(variant=TMK_MC_POLL, **overrides)
+    assert cfg.hierarchical_barriers == ("barrier_fanin" in overrides)
+    monkeypatch.setattr(tmk_protocol, "GC_RECORD_THRESHOLD", 10**9)
+    run_program(_one_barrier_program(), cfg, {})
+    records = created[-1].procs[0].store.record_count()
+    assert records == cfg.nprocs  # one interval a writer, all at rank 0
+
+    for threshold, rounds in ((records, 0), (records - 1, cfg.nprocs)):
+        monkeypatch.setattr(tmk_protocol, "GC_RECORD_THRESHOLD", threshold)
+        result = run_program(_one_barrier_program(), cfg, {})
+        assert result.counter("gc_rounds") == rounds, threshold
