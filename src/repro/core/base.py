@@ -1,14 +1,16 @@
-"""The protocol interface the DSM runtime drives.
+"""The protocol interface the DSM runtime drives, and its one hit path.
 
-Both Cashmere and TreadMarks implement this interface.  Every method that
-consumes simulated time is a generator (it yields simulation events); the
-runtime composes them with ``yield from``.
+Cashmere, TreadMarks, HLRC and the sequential run implement this
+interface.  Every method that consumes simulated time is a generator (it
+yields simulation events); the runtime composes them with ``yield
+from``.  The zero-cost access to already-mapped pages is written here,
+once, over the per-processor page tables every protocol keeps.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +33,15 @@ class DsmProtocol(abc.ABC):
     #: installed by the program runner; a disabled tracer is free
     tracer = None
 
-    #: permission bitmaps mirroring per-page ``perm`` state; every DSM
-    #: protocol creates one in ``__init__`` (only the sequential run,
-    #: where every page is always mapped, has none)
-    perms: Optional[PermBitmaps] = None
+    #: permission bitmaps mirroring per-page ``perm`` state; every
+    #: protocol, the sequential run included, creates one in ``__init__``
+    perms: PermBitmaps
+
+    #: one page table per processor, indexed by pid: ``page -> mapping``,
+    #: where a mapping has ``.perm`` (the authoritative protection the
+    #: bitmaps mirror) and ``.copy`` (the frame the processor reads and
+    #: writes; None only when it has none — never fetched, or evicted)
+    tables: Sequence[Dict[int, Any]]
 
     def trace(
         self,
@@ -77,12 +84,17 @@ class DsmProtocol(abc.ABC):
     def ensure_write(self, proc: Processor, page: int) -> Generator:
         """Make ``page`` writable at ``proc`` (take a write fault if not)."""
 
-    @abc.abstractmethod
     def page_data(self, proc: Processor, page: int) -> np.ndarray:
-        """``proc``'s current mapping of ``page`` as a uint8 array.
+        """``proc``'s current frame of ``page`` as a uint8 array.
 
         Only valid after :meth:`ensure_read` / :meth:`ensure_write`.
         """
+        entry = self.tables[proc.pid].get(page)
+        if entry is None or not entry.perm.allows_read() or entry.copy is None:
+            raise RuntimeError(
+                f"p{proc.pid} touched page {page} without a mapping"
+            )
+        return entry.copy
 
     @abc.abstractmethod
     def apply_write(
@@ -94,16 +106,18 @@ class DsmProtocol(abc.ABC):
         the doubling sequence; TreadMarks writes the local copy only.
         """
 
-    # -- fast-path layer ---------------------------------------------------
+    # -- the hit path -----------------------------------------------------
     #
     # The already-mapped case costs nothing on the paper's hardware (the
     # Alpha MMU only traps on actual protection faults), so the
-    # simulation makes it O(1): one vectorized bitmap slice decides
-    # whether a whole span is hot, and hot spans move bytes without
-    # entering a single protocol generator.  Cold spans fall into the
-    # ``ensure_*_span`` batched fault loops below, which preserve the
-    # per-page event order, counters, and trace emission of the original
-    # per-page loop exactly.
+    # simulation makes it O(1): the bitmaps decide whether a whole span
+    # is hot, and hot spans move bytes straight between the caller and
+    # the frames in ``tables`` without entering a single protocol
+    # generator.  It is written once, here: protocols differ in what
+    # their fault handlers do, never in where a mapped page's bytes live.
+    # Cold spans fall into the ``ensure_*_span`` batched fault loops,
+    # which preserve the per-page event order, counters, and trace
+    # emission of the original per-page loop exactly.
 
     def _set_perm(self, pid: int, page: int, holder, perm: Protection) -> None:
         """The single funnel for permission transitions: update the
@@ -111,45 +125,128 @@ class DsmProtocol(abc.ABC):
         holder.perm = perm
         self.perms.set(pid, page, perm)
 
-    @abc.abstractmethod
     def fast_read(
         self, proc: Processor, space, offset: int, nbytes: int
     ) -> Optional[np.ndarray]:
         """The zero-cost read hit path.
 
         If every page spanned by ``[offset, offset+nbytes)`` is readable
-        at ``proc``, gather the bytes across the page copies and return
+        at ``proc``, gather the bytes across the page frames and return
         them; otherwise return None (the caller takes the fault path).
         A hot read is free and event-less under every protocol, so the
         gather is bit-identical to the per-page generator loop.
         """
+        if nbytes == 0:
+            return np.empty(0, np.uint8)
+        pid = proc.pid
+        ps = space.page_size
+        lo = offset // ps
+        start = offset - lo * ps
+        perms = self.perms
+        if start + nbytes <= ps:  # single page: the common case
+            try:
+                readable = perms.r_rows[pid][lo]
+            except IndexError:  # page past the bitmap: grow (tests only)
+                perms.ensure_cap(lo + 1)
+                readable = perms.r_rows[pid][lo]
+            if not readable:
+                return None
+            return self.tables[pid][lo].copy[start : start + nbytes].copy()
+        hi = (offset + nbytes - 1) // ps + 1
+        perms.ensure_cap(hi)
+        row = perms.r_rows[pid]
+        for page in range(lo, hi):
+            if not row[page]:
+                return None
+        table = self.tables[pid]
+        out = np.empty(nbytes, np.uint8)
+        end = offset + nbytes
+        pos = 0
+        addr = offset
+        for page in range(lo, hi):
+            start = addr - page * ps
+            length = min(ps - start, end - addr)
+            out[pos : pos + length] = table[page].copy[start : start + length]
+            pos += length
+            addr += length
+        return out
 
     def fast_write(
         self, proc: Processor, space, offset: int, raw: np.ndarray
     ) -> bool:
         """The zero-cost write hit path: if every spanned page is
-        writable, copy the bytes into the page copies and return True;
+        writable, copy the bytes into the page frames and return True;
         False (no side effects) sends the caller down the fault path.
-        Only protocols whose hot writes cost no simulated time and emit
-        no events (TreadMarks/HLRC write the local copy only) override
-        this; Cashmere keeps the default, because every shared write
-        runs the doubled-write sequence even when no fault is taken."""
-        return False
+        A hot write is a local byte copy with no events wherever the
+        protocol moves data at release (TreadMarks, HLRC) or not at all
+        (the sequential run); Cashmere, whose every shared write runs
+        the doubled-write sequence, overrides this to return False."""
+        nbytes = raw.nbytes
+        if nbytes == 0:
+            return True
+        pid = proc.pid
+        ps = space.page_size
+        lo = offset // ps
+        start = offset - lo * ps
+        perms = self.perms
+        if start + nbytes <= ps:  # single page: the common case
+            try:
+                writable = perms.w_rows[pid][lo]
+            except IndexError:  # page past the bitmap: grow (tests only)
+                perms.ensure_cap(lo + 1)
+                writable = perms.w_rows[pid][lo]
+            if not writable:
+                return False
+            self.tables[pid][lo].copy[start : start + nbytes] = raw
+            return True
+        hi = (offset + nbytes - 1) // ps + 1
+        perms.ensure_cap(hi)
+        row = perms.w_rows[pid]
+        for page in range(lo, hi):
+            if not row[page]:
+                return False
+        table = self.tables[pid]
+        end = offset + nbytes
+        pos = 0
+        addr = offset
+        for page in range(lo, hi):
+            start = addr - page * ps
+            length = min(ps - start, end - addr)
+            table[page].copy[start : start + length] = raw[pos : pos + length]
+            pos += length
+            addr += length
+        return True
 
-    @abc.abstractmethod
     def region_gather(self, proc: Processor, space, region):
         """Zero-cost region read driven by the region's cached span
         geometry: one fancy-indexed bitmap probe over every spanned
         page, then one copy per span.  Returns None (no side effects)
         when any page is cold — the caller takes the per-segment fault
         path."""
+        pid = proc.pid
+        if not self.perms.read_ready_pages(pid, region.span_pages()):
+            return None
+        table = self.tables[pid]
+        out = np.empty(region.nbytes, np.uint8)
+        pos = 0
+        for page, start, length in region.page_spans():
+            out[pos : pos + length] = table[page].copy[start : start + length]
+            pos += length
+        return out
 
     def region_scatter(self, proc: Processor, space, region, raw) -> bool:
         """Zero-cost region write via cached span geometry, the
         region-shaped :meth:`fast_write`: False (no side effects) unless
-        writes are free and every spanned page is writable.  Protocols
-        with free writes override this."""
-        return False
+        every spanned page is writable."""
+        pid = proc.pid
+        if not self.perms.write_ready_pages(pid, region.span_pages()):
+            return False
+        table = self.tables[pid]
+        pos = 0
+        for page, start, length in region.page_spans():
+            table[page].copy[start : start + length] = raw[pos : pos + length]
+            pos += length
+        return True
 
     def ensure_read_span(self, proc: Processor, lo: int, hi: int) -> Generator:
         """Fault in the cold pages of ``[lo, hi)``, in page order.
@@ -176,10 +273,33 @@ class DsmProtocol(abc.ABC):
         ``apply_write``.  Interleaving matters — a fault on a later page
         can block and close the current interval (e.g. servicing a lock
         grant), and the bytes written to earlier pages must already be
-        in place when that happens.  Only the no-op ``ensure_write``
-        calls on already-writable pages may be elided.
+        in place when that happens.  Hot pages skip the generator pair:
+        where :meth:`fast_write` holds, a writable page's
+        ``apply_write`` is a local byte copy with no events and no other
+        side effects.  The bitmap is consulted at each page's turn
+        because an earlier fault can block and change later pages'
+        state.
         """
-        raise NotImplementedError
+        pid = proc.pid
+        table = self.tables[pid]
+        perms = self.perms
+        pos = 0
+        for page, start, length in spans:
+            try:
+                writable = perms.w_rows[pid][page]
+            except IndexError:  # page past the bitmap: grow (tests only)
+                perms.ensure_cap(page + 1)
+                writable = perms.w_rows[pid][page]
+            if writable:
+                table[page].copy[start : start + length] = raw[
+                    pos : pos + length
+                ]
+            else:
+                yield from self.ensure_write(proc, page)
+                yield from self.apply_write(
+                    proc, page, start, raw[pos : pos + length]
+                )
+            pos += length
 
     # -- software prefetch (docs/POLICIES.md) ------------------------------
 
@@ -219,17 +339,25 @@ class DsmProtocol(abc.ABC):
         demand-fault trap (every protocol with a prefetcher)."""
         raise NotImplementedError
 
-    def check_perm_bitmaps(self) -> None:
-        """Assert the bitmaps agree with per-page ``perm`` state
-        (subclasses supply the authoritative pairs via
-        ``_perm_entries``)."""
-        for pid in range(self.perms.nprocs):
-            self.perms.expect(pid, self._perm_entries(pid))
-
-    def _perm_entries(self, pid: int):
-        """Authoritative ``(page, Protection)`` pairs for one processor
-        (override in protocols that maintain bitmaps)."""
-        return ()
+    def check_page_tables(self) -> None:
+        """Assert every processor's page table is coherent: the bitmaps
+        agree with each mapping's ``perm``, every readable mapping has a
+        frame, and every writable frame is private (a shared warm frame
+        is read-only until :func:`~repro.memory.page.own_copy`)."""
+        for pid, table in enumerate(self.tables):
+            self.perms.expect(
+                pid, ((page, entry.perm) for page, entry in table.items())
+            )
+            for page, entry in table.items():
+                perm = entry.perm
+                if perm.allows_read() and entry.copy is None:
+                    raise AssertionError(
+                        f"p{pid}: page {page} readable without a frame"
+                    )
+                if perm.allows_write() and not entry.copy.flags.writeable:
+                    raise AssertionError(
+                        f"p{pid}: page {page} writable through a shared frame"
+                    )
 
     # -- synchronization ------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
@@ -35,19 +35,11 @@ from repro.core.cashmere.lists import NoticeList
 from repro.core.cashmere.sync import SyncTable
 from repro.memory import policy as sharing_policy
 from repro.memory.address_space import AddressSpace
-from repro.memory.page import Protection
+from repro.memory.page import Mapping, Protection
 from repro.sim import Engine
 from repro.stats import Category, StatsBoard
 
 PAGE_FETCH = "csm_page_fetch"
-
-
-@dataclass
-class PageEntry:
-    """One processor's mapping of one page."""
-
-    perm: Protection = Protection.NONE
-    copy: Optional[np.ndarray] = None  # None while mapped to the home copy
 
 
 @dataclass
@@ -111,9 +103,12 @@ class CashmereProtocol(DsmProtocol):
         self.procs: Dict[int, ProcState] = {
             p.pid: ProcState() for p in cluster.procs
         }
-        self.entries: Dict[int, Dict[int, PageEntry]] = {
-            p.pid: {} for p in cluster.procs
-        }
+        # A mapping's frame is the master copy itself at the home node's
+        # processors, a private copy elsewhere, None when there is none
+        # (never fetched, or evicted).
+        self.tables: List[Dict[int, Mapping]] = [
+            {} for _ in range(cluster.nprocs)
+        ]
         self.master: Dict[int, np.ndarray] = {}
         self.perms = PermBitmaps(cluster.nprocs, space.n_pages)
         self.prefetcher = run_cfg.make_prefetcher()
@@ -130,11 +125,11 @@ class CashmereProtocol(DsmProtocol):
     # page table helpers
     # ------------------------------------------------------------------
 
-    def _entry(self, pid: int, page: int) -> PageEntry:
-        table = self.entries[pid]
+    def _entry(self, pid: int, page: int) -> Mapping:
+        table = self.tables[pid]
         found = table.get(page)
         if found is None:
-            found = PageEntry()
+            found = Mapping()
             table[page] = found
         return found
 
@@ -150,68 +145,16 @@ class CashmereProtocol(DsmProtocol):
 
     # -- hit path --------------------------------------------------------
     #
-    # The bitmap has already vouched for read permission, so a hot read
-    # goes straight to the page-table entry (home processors read the
-    # master copy they alias).  There is no ``fast_write`` or
-    # ``region_scatter``: every Cashmere shared write runs the
-    # doubled-write sequence even when no fault is taken.
+    # Reads take the shared hit path in ``DsmProtocol``.  Writes do not:
+    # every Cashmere shared write runs the doubled-write sequence, which
+    # costs simulated time even when no fault is taken, so a hot write
+    # still goes through ``ensure_write_span``.
 
-    def fast_read(self, proc, space, offset, nbytes):
-        if nbytes == 0:
-            return np.empty(0, np.uint8)
-        pid = proc.pid
-        ps = space.page_size
-        lo = offset // ps
-        start = offset - lo * ps
-        perms = self.perms
-        if start + nbytes <= ps:  # single page: the common case
-            try:
-                readable = perms.r_rows[pid][lo]
-            except IndexError:  # page past the bitmap: grow (tests only)
-                perms.ensure_cap(lo + 1)
-                readable = perms.r_rows[pid][lo]
-            if not readable:
-                return None
-            data = self.entries[pid][lo].copy
-            if data is None:
-                data = self._master_page(lo)
-            return data[start : start + nbytes].copy()
-        hi = (offset + nbytes - 1) // ps + 1
-        perms.ensure_cap(hi)
-        row = perms.r_rows[pid]
-        for page in range(lo, hi):
-            if not row[page]:
-                return None
-        table = self.entries[pid]
-        out = np.empty(nbytes, np.uint8)
-        end = offset + nbytes
-        pos = 0
-        addr = offset
-        for page in range(lo, hi):
-            start = addr - page * ps
-            length = min(ps - start, end - addr)
-            data = table[page].copy
-            if data is None:
-                data = self._master_page(page)
-            out[pos : pos + length] = data[start : start + length]
-            pos += length
-            addr += length
-        return out
+    def fast_write(self, proc, space, offset, raw):
+        return False  # the doubled write is never free
 
-    def region_gather(self, proc, space, region):
-        pid = proc.pid
-        if not self.perms.read_ready_pages(pid, region.span_pages()):
-            return None
-        table = self.entries[pid]
-        out = np.empty(region.nbytes, np.uint8)
-        pos = 0
-        for page, start, length in region.page_spans():
-            data = table[page].copy
-            if data is None:
-                data = self._master_page(page)
-            out[pos : pos + length] = data[start : start + length]
-            pos += length
-        return out
+    def region_scatter(self, proc, space, region, raw):
+        return False  # the doubled write is never free
 
     # ------------------------------------------------------------------
     # directory cost helpers
@@ -290,7 +233,7 @@ class CashmereProtocol(DsmProtocol):
         unit held exclusively by another processor is never prefetched
         (breaking its exclusive mode would cost the *owner* faults and
         notices to save the prefetcher one trap)."""
-        entry = self.entries[proc.pid].get(page)
+        entry = self.tables[proc.pid].get(page)
         if entry is None or entry.perm.allows_read():
             return
         dir_entry = self.directory.entry(page)
@@ -306,7 +249,7 @@ class CashmereProtocol(DsmProtocol):
         yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
 
     def _validate_page(
-        self, proc: Processor, page: int, entry: PageEntry
+        self, proc: Processor, page: int, entry: Mapping
     ) -> Generator:
         """The common read/write fault path: join the sharing set, assign
         the home if needed, break exclusivity, and obtain the data."""
@@ -347,12 +290,12 @@ class CashmereProtocol(DsmProtocol):
         self,
         proc: Processor,
         page: int,
-        entry: PageEntry,
+        entry: Mapping,
         dir_entry: DirectoryEntry,
     ) -> Generator:
         master = self._master_page(page)
         if self._is_home(proc, dir_entry):
-            entry.copy = None  # maps the home copy directly
+            entry.copy = master  # maps the home copy directly
             return
         if entry.copy is None:
             entry.copy = np.empty(self.space.page_size, np.uint8)
@@ -395,7 +338,7 @@ class CashmereProtocol(DsmProtocol):
         self,
         proc: Processor,
         page: int,
-        entry: PageEntry,
+        entry: Mapping,
         dir_entry: DirectoryEntry,
     ) -> Generator:
         """Dynamic homing: count this remote fetch and re-home ``page``
@@ -414,14 +357,13 @@ class CashmereProtocol(DsmProtocol):
         old_home = dir_entry.home_node
         master = self._master_page(page)
         for peer in self.cluster.nodes[old_home].processors:
-            peer_entry = self.entries[peer.pid].get(page)
-            if (
-                peer_entry is not None
-                and peer_entry.perm is not Protection.NONE
-                and peer_entry.copy is None
-            ):
-                peer_entry.copy = master.copy()
-        entry.copy = None
+            peer_entry = self.tables[peer.pid].get(page)
+            if peer_entry is not None and peer_entry.copy is master:
+                if peer_entry.perm is Protection.NONE:
+                    peer_entry.copy = None  # no frame until it re-faults
+                else:
+                    peer_entry.copy = master.copy()
+        entry.copy = master
         dir_entry.home_node = nid
         proc.bump("home_migrations")
         self.trace(
@@ -432,16 +374,6 @@ class CashmereProtocol(DsmProtocol):
     # ------------------------------------------------------------------
     # data access
     # ------------------------------------------------------------------
-
-    def page_data(self, proc: Processor, page: int) -> np.ndarray:
-        entry = self._entry(proc.pid, page)
-        if not entry.perm.allows_read():
-            raise RuntimeError(
-                f"p{proc.pid} touched page {page} without a mapping"
-            )
-        if entry.copy is None:
-            return self._master_page(page)
-        return entry.copy
 
     def apply_write(
         self, proc: Processor, page: int, start: int, raw: np.ndarray
@@ -489,7 +421,7 @@ class CashmereProtocol(DsmProtocol):
         write_double = self.costs.write_double
         dummy = self.cfg.write_double_dummy
         pid = proc.pid
-        table = self.entries[pid]
+        table = self.tables[pid]
         masters = self.master
         state = self.procs[pid]
         network = self.network
@@ -508,23 +440,15 @@ class CashmereProtocol(DsmProtocol):
                 writable = perms.w_rows[pid][page]
             if not writable:
                 yield from self.ensure_write(proc, page)
-            entry = table.get(page)
-            if entry is None:
-                entry = self._entry(pid, page)
+            entry = table[page]
             if entry.perm is not read_write:
                 raise RuntimeError(
                     f"p{pid} wrote page {page} without write permission"
                 )
             piece = raw[pos : pos + length]
-            master = masters.get(page)
-            if master is None:
-                master = self._master_page(page)
+            master = masters[page]  # a writable page was fetched
             local = entry.copy
-            if local is None:
-                local = master
-                remote_home = False
-            else:
-                remote_home = local is not master
+            remote_home = local is not master
             local[start : start + length] = piece
             if remote_home:
                 master[start : start + length] = piece
@@ -597,7 +521,7 @@ class CashmereProtocol(DsmProtocol):
         if self.cfg.weak_state:
             # Legacy protocol: optimistically assume every weak page was
             # modified during the interval; invalidate them all.
-            for page, entry in self.entries[proc.pid].items():
+            for page, entry in self.tables[proc.pid].items():
                 if entry.perm is Protection.NONE:
                     continue
                 yield from proc.busy(0.5, Category.PROTOCOL)  # dir check
@@ -645,12 +569,17 @@ class CashmereProtocol(DsmProtocol):
 
     def _node_copy_pages(self, nid: int):
         """(pid, page, last_touch) of every resident remote copy held
-        by the node's processors (home-mapped pages occupy no frame)."""
+        by the node's processors (home-mapped pages alias the master
+        copy: they occupy no frame of their own)."""
         resident = []
+        masters = self.master
         for peer in self.cluster.nodes[nid].processors:
             touch = self.procs[peer.pid].touch
-            for page, entry in self.entries[peer.pid].items():
-                if entry.perm is Protection.NONE or entry.copy is None:
+            for page, entry in self.tables[peer.pid].items():
+                if (
+                    entry.perm is Protection.NONE
+                    or entry.copy is masters[page]
+                ):
                     continue
                 resident.append((peer.pid, page, touch.get(page, 0.0)))
         return resident
@@ -674,7 +603,7 @@ class CashmereProtocol(DsmProtocol):
         if excess <= 0:
             return
         pid = proc.pid
-        table = self.entries[pid]
+        table = self.tables[pid]
         mine = sorted(
             (
                 (when, page)
@@ -743,15 +672,36 @@ class CashmereProtocol(DsmProtocol):
     # invariants
     # ------------------------------------------------------------------
 
-    def _perm_entries(self, pid: int):
-        return (
-            (page, entry.perm) for page, entry in self.entries[pid].items()
-        )
+    def check_page_tables(self) -> None:
+        """The shared coherence check plus the home rule: a readable
+        page aliases the master copy only at a processor on the page's
+        home node — and, under static homing, at every such processor
+        (a dynamic move leaves the new home node's old private copies
+        in place until they re-fault)."""
+        super().check_page_tables()
+        static = not self.home_table.dynamic
+        for pid, table in enumerate(self.tables):
+            nid = self.cluster.proc(pid).node.nid
+            for page, entry in table.items():
+                if not entry.perm.allows_read():
+                    continue
+                aliased = entry.copy is self.master.get(page)
+                at_home = self.directory.entry(page).home_node == nid
+                if aliased and not at_home:
+                    raise AssertionError(
+                        f"p{pid}: page {page} aliases the master copy "
+                        "off its home node"
+                    )
+                if static and at_home and not aliased:
+                    raise AssertionError(
+                        f"p{pid}: home page {page} does not alias the "
+                        "master copy"
+                    )
 
     def check_invariants(self) -> None:
         self.directory.check()
-        self.check_perm_bitmaps()
-        for pid, table in self.entries.items():
+        self.check_page_tables()
+        for pid, table in enumerate(self.tables):
             for page, entry in table.items():
                 dir_entry = self.directory.entry(page)
                 if entry.perm is not Protection.NONE:

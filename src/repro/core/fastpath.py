@@ -14,10 +14,16 @@ sub-page blocks or multi-page regions under a non-default granularity
 policy (docs/POLICIES.md); the whole layer re-keys automatically off
 ``AddressSpace.page_size``.
 
-The bitmaps are *redundant* state: the per-page ``perm`` fields remain
-authoritative, and every protocol updates the bitmaps at every
-transition (fault upgrades, invalidations, release/barrier downgrades).
-``check_invariants`` on each protocol asserts the two never disagree;
+Every protocol — Cashmere, TreadMarks, HLRC and the sequential run —
+keeps one :class:`PermBitmaps` beside its per-processor page tables
+(``DsmProtocol.tables``), and the one hit path, written once in
+``DsmProtocol``, probes the bitmaps and then copies bytes to or from
+the tables' frames.  The bitmaps are *redundant* state: the per-page
+``perm`` fields remain authoritative, and every protocol updates the
+bitmaps at every transition (fault upgrades, invalidations,
+release/barrier downgrades; the sequential run's first touch).
+``DsmProtocol.check_page_tables`` asserts the two never disagree and
+that every readable mapping has a frame;
 ``tests/test_fastpath_invariants.py`` drives that assertion through
 fault/invalidate/downgrade sequences for all three protocols.
 
@@ -27,8 +33,8 @@ survives only as a test oracle, ``tests/access_oracle.py``
 bit-identical to it (locked in by ``tests/test_engine_equivalence.py``).
 
 With ``SimOptions(debug_checks=True)`` (``--debug-checks``), the
-runtime additionally re-checks bitmap/perm coherence at every barrier
-(see ``Env.barrier``), so a drifting transition is caught at the first
+runtime additionally re-checks the page tables at every barrier (see
+``Env.barrier``), so a drifting transition is caught at the first
 synchronization point after it happens instead of at the end of the
 run.
 """

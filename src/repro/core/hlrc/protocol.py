@@ -24,7 +24,7 @@ whole-page reads and eager diff traffic on every release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 import numpy as np
@@ -57,14 +57,7 @@ class HlrcPage:
 class ProcState(LrcProcState):
     """HLRC per-processor protocol state."""
 
-    pages: Dict[int, HlrcPage] = field(default_factory=dict)
-
-    def page(self, page_idx: int) -> HlrcPage:
-        found = self.pages.get(page_idx)
-        if found is None:
-            found = HlrcPage()
-            self.pages[page_idx] = found
-        return found
+    page_type = HlrcPage
 
 
 class HlrcProtocol(LrcProtocolBase):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,9 +81,19 @@ class LrcProcState:
     vts: List[int]
     store: IntervalStore
     notices: set = field(default_factory=set)  # pages written this interval
+    # The page table (``DsmProtocol.tables``): page -> a ``page_type``
+    # record (the subclass's), which carries ``perm`` and ``copy``.
+    pages: Dict[int, Any] = field(default_factory=dict)
     locks: Dict[int, LockState] = field(default_factory=dict)
     flags: Dict[int, FlagState] = field(default_factory=dict)
     manager_guess: Optional[Tuple[int, ...]] = None
+    page_type = None
+
+    def page(self, page_idx: int):
+        found = self.pages.get(page_idx)
+        if found is None:
+            found = self.pages[page_idx] = self.page_type()
+        return found
 
     def lock(self, lock_id: int) -> LockState:
         found = self.locks.get(lock_id)
@@ -137,6 +147,7 @@ class LrcProtocolBase(DsmProtocol):
         self.procs = {
             p.pid: self._make_proc_state() for p in cluster.procs
         }
+        self.tables = [self.procs[pid].pages for pid in range(self.nprocs)]
         self.prefetcher = run_cfg.make_prefetcher()
         self._twin_pool: List[np.ndarray] = []  # see ``_retire_twin``
         self.lock_last_owner: Dict[int, int] = {}
@@ -254,14 +265,6 @@ class LrcProtocolBase(DsmProtocol):
         self._set_perm(proc.pid, page_idx, page, Protection.READ)
         yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
 
-    def page_data(self, proc: Processor, page_idx: int) -> np.ndarray:
-        page = self._state(proc).page(page_idx)
-        if not page.perm.allows_read() or page.copy is None:
-            raise RuntimeError(
-                f"p{proc.pid} touched page {page_idx} without a mapping"
-            )
-        return page.copy
-
     def apply_write(
         self, proc: Processor, page_idx: int, start: int, raw: np.ndarray
     ) -> Generator:
@@ -273,149 +276,6 @@ class LrcProtocolBase(DsmProtocol):
         page.copy[start : start + len(raw)] = raw
         return
         yield  # pragma: no cover - writes are local; diffs move at release
-
-    # -- hit path --------------------------------------------------------
-    #
-    # A hot access goes straight to the per-processor page dict (two
-    # dict lookups and a slice) instead of through the ``page_data``
-    # permission-checking chain — the bitmap has already vouched for
-    # the permissions.  Both LRC protocols write only the local copy on
-    # a hot write (diffs move at release), so the write hit path is free.
-
-    def fast_read(self, proc, space, offset, nbytes):
-        if nbytes == 0:
-            return np.empty(0, np.uint8)
-        pid = proc.pid
-        ps = space.page_size
-        lo = offset // ps
-        start = offset - lo * ps
-        perms = self.perms
-        if start + nbytes <= ps:  # single page: the common case
-            try:
-                readable = perms.r_rows[pid][lo]
-            except IndexError:  # page past the bitmap: grow (tests only)
-                perms.ensure_cap(lo + 1)
-                readable = perms.r_rows[pid][lo]
-            if not readable:
-                return None
-            return self.procs[pid].pages[lo].copy[
-                start : start + nbytes
-            ].copy()
-        hi = (offset + nbytes - 1) // ps + 1
-        perms.ensure_cap(hi)
-        row = perms.r_rows[pid]
-        for page in range(lo, hi):
-            if not row[page]:
-                return None
-        pages = self.procs[pid].pages
-        out = np.empty(nbytes, np.uint8)
-        end = offset + nbytes
-        pos = 0
-        addr = offset
-        for page in range(lo, hi):
-            start = addr - page * ps
-            length = min(ps - start, end - addr)
-            out[pos : pos + length] = pages[page].copy[
-                start : start + length
-            ]
-            pos += length
-            addr += length
-        return out
-
-    def fast_write(self, proc, space, offset, raw):
-        nbytes = raw.nbytes
-        if nbytes == 0:
-            return True
-        pid = proc.pid
-        ps = space.page_size
-        lo = offset // ps
-        start = offset - lo * ps
-        perms = self.perms
-        if start + nbytes <= ps:  # single page: the common case
-            try:
-                writable = perms.w_rows[pid][lo]
-            except IndexError:  # page past the bitmap: grow (tests only)
-                perms.ensure_cap(lo + 1)
-                writable = perms.w_rows[pid][lo]
-            if not writable:
-                return False
-            self.procs[pid].pages[lo].copy[start : start + nbytes] = raw
-            return True
-        hi = (offset + nbytes - 1) // ps + 1
-        perms.ensure_cap(hi)
-        row = perms.w_rows[pid]
-        for page in range(lo, hi):
-            if not row[page]:
-                return False
-        pages = self.procs[pid].pages
-        end = offset + nbytes
-        pos = 0
-        addr = offset
-        for page in range(lo, hi):
-            start = addr - page * ps
-            length = min(ps - start, end - addr)
-            pages[page].copy[start : start + length] = raw[
-                pos : pos + length
-            ]
-            pos += length
-            addr += length
-        return True
-
-    def region_gather(self, proc, space, region):
-        pid = proc.pid
-        if not self.perms.read_ready_pages(pid, region.span_pages()):
-            return None
-        pages = self.procs[pid].pages
-        out = np.empty(region.nbytes, np.uint8)
-        pos = 0
-        for page, start, length in region.page_spans():
-            out[pos : pos + length] = pages[page].copy[
-                start : start + length
-            ]
-            pos += length
-        return out
-
-    def region_scatter(self, proc, space, region, raw):
-        pid = proc.pid
-        if not self.perms.write_ready_pages(pid, region.span_pages()):
-            return False
-        pages = self.procs[pid].pages
-        pos = 0
-        for page, start, length in region.page_spans():
-            pages[page].copy[start : start + length] = raw[
-                pos : pos + length
-            ]
-            pos += length
-        return True
-
-    def ensure_write_span(self, proc, spans, raw):
-        """Under both LRC protocols a writable page's ``apply_write`` is
-        a local byte copy with no events and no other side effects
-        (diffs are collected against the twin at release), so hot pages
-        skip the generator pair entirely.  Cold pages fault in span
-        order, exactly as the per-page loop — the bitmap is consulted at
-        each page's turn because an earlier fault can block and change
-        later pages' state."""
-        pid = proc.pid
-        pages = self.procs[pid].pages
-        perms = self.perms
-        pos = 0
-        for page, start, length in spans:
-            try:
-                writable = perms.w_rows[pid][page]
-            except IndexError:  # page past the bitmap: grow (tests only)
-                perms.ensure_cap(page + 1)
-                writable = perms.w_rows[pid][page]
-            if writable:
-                pages[page].copy[start : start + length] = raw[
-                    pos : pos + length
-                ]
-            else:
-                yield from self.ensure_write(proc, page)
-                yield from self.apply_write(
-                    proc, page, start, raw[pos : pos + length]
-                )
-            pos += length
 
     def _lock_manager(self, lock_id: int) -> int:
         return lock_id % self.nprocs
@@ -965,21 +825,15 @@ class LrcProtocolBase(DsmProtocol):
 
     # -- invariants -----------------------------------------------------------------
 
-    def _perm_entries(self, pid: int):
-        pages = getattr(self.procs[pid], "pages", None)
-        if pages is None:
-            return ()
-        return ((page_idx, page.perm) for page_idx, page in pages.items())
-
     def check_invariants(self) -> None:
-        self.check_perm_bitmaps()
+        self.check_page_tables()
         for pid, state in self.procs.items():
-            # The ownership rule: only a private copy is ever mutated.
-            for page_idx, page in getattr(state, "pages", {}).items():
+            # The ownership rule: only a private copy is ever mutated (a
+            # twinned page is diffed against, so its copy is mutable).
+            for page_idx, page in state.pages.items():
                 twin = page.twin
-                mutable = twin is not None or page.perm.allows_write()
-                if (mutable and not page.copy.flags.writeable) or (
-                    twin is not None and not twin.flags.writeable
+                if twin is not None and not (
+                    page.copy.flags.writeable and twin.flags.writeable
                 ):
                     raise AssertionError(
                         f"p{pid}: page {page_idx} is written through a "

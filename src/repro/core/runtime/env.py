@@ -105,10 +105,11 @@ class Env:
             self.proc, "barrier", dur=self.now - t0, barrier=barrier_id
         )
         if fastpath.DEBUG:
-            # --debug-checks: re-verify bitmap/perm coherence at
-            # every synchronization point, so a drifting permission
-            # transition is caught right after it happens.
-            self.protocol.check_perm_bitmaps()
+            # --debug-checks: re-verify the page tables (bitmaps against
+            # perms, frames against mappings) at every synchronization
+            # point, so a drifting transition is caught right after it
+            # happens.
+            self.protocol.check_page_tables()
 
     def lock_acquire(self, lock_id: int) -> Generator:
         self.proc.bump("locks")

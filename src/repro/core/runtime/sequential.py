@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from typing import Generator
 
-import numpy as np
-
 from repro.core.base import DsmProtocol
+from repro.core.fastpath import PermBitmaps
 from repro.memory.address_space import AddressSpace
+from repro.memory.page import Mapping, Protection
 
 
 def _noop() -> Generator:
@@ -32,6 +32,8 @@ class SequentialProtocol(DsmProtocol):
 
         self.space = space
         self.cache = CacheModel(costs or CostModel())
+        self.perms = PermBitmaps(1, space.n_pages)
+        self.tables = [{}]
 
     def compute_factors(self, ws):
         # The unlinked sequential run still pays the inherent cache cost
@@ -41,42 +43,18 @@ class SequentialProtocol(DsmProtocol):
         factor = self.cache.total_factor(ws)
         return factor, factor, Category.USER
 
+    # A page is mapped read/write, to its backing page, at its first
+    # touch — no event, no time — so the shared hit path serves every
+    # later access, pages allocated after construction included.
+
     def ensure_read(self, proc, page: int) -> Generator:
+        if page not in self.tables[0]:
+            mapping = Mapping(Protection.NONE, self.space.backing_page(page))
+            self.tables[0][page] = mapping
+            self._set_perm(0, page, mapping, Protection.READ_WRITE)
         return _noop()
 
-    def ensure_write(self, proc, page: int) -> Generator:
-        return _noop()
-
-    # Every page is always mapped read/write: the hit paths go straight
-    # to the backing store, with no bitmaps and no faults.
-
-    def fast_read(self, proc, space, offset: int, nbytes: int) -> np.ndarray:
-        return space.read_backing(offset, nbytes)
-
-    def fast_write(self, proc, space, offset: int, raw) -> bool:
-        space.write_backing(offset, raw)
-        return True
-
-    def region_gather(self, proc, space, region) -> np.ndarray:
-        out = np.empty(region.nbytes, np.uint8)
-        pos = 0
-        for offset, nbytes in region.segs:
-            out[pos : pos + nbytes] = space.read_backing(offset, nbytes)
-            pos += nbytes
-        return out
-
-    def region_scatter(self, proc, space, region, raw) -> bool:
-        pos = 0
-        for offset, nbytes in region.segs:
-            space.write_backing(offset, raw[pos : pos + nbytes])
-            pos += nbytes
-        return True
-
-    def check_perm_bitmaps(self) -> None:
-        """No bitmaps to check: ``--debug-checks`` barriers pass."""
-
-    def page_data(self, proc, page: int) -> np.ndarray:
-        return self.space.backing_page(page)
+    ensure_write = ensure_read
 
     def apply_write(self, proc, page: int, start: int, raw) -> Generator:
         self.space.backing_page(page)[start : start + len(raw)] = raw

@@ -314,18 +314,24 @@ class SharedArray:
         lo, hi = space.span_bounds(offset, nbytes)
         yield from protocol.ensure_read_span(env.proc, lo, hi)
         data = protocol.fast_read(env.proc, space, offset, nbytes)
-        if data is not None:
-            return data.view(self.dtype)
-        # No bitmaps on this protocol, or a page went cold again while
-        # the span faulted: the per-page loop.
+        if data is None:
+            data = yield from self._read_pages(env, offset, nbytes)
+        return data.view(self.dtype)
+
+    def _read_pages(self, env, offset: int, nbytes: int) -> Generator:
+        """The cold fallback of both readers: a page went cold again
+        while its span faulted (a later page's fault blocked and served
+        an invalidation), so re-fault page by page, reading each page
+        right after its ``ensure_read``."""
+        protocol = env.protocol
         out = np.empty(nbytes, np.uint8)
         pos = 0
-        for page, start, length in space.page_spans(offset, nbytes):
+        for page, start, length in self._space.page_spans(offset, nbytes):
             yield from protocol.ensure_read(env.proc, page)
             data = protocol.page_data(env.proc, page)
             out[pos : pos + length] = data[start : start + length]
             pos += length
-        return out.view(self.dtype)
+        return out
 
     def write_range(self, env, start_elem: int, values):
         """Write ``values`` starting at flat ``start_elem``.
@@ -396,17 +402,9 @@ class SharedArray:
         return data.view(self.dtype).reshape((row1 - row0,) + self._tail)
 
     def rows_hot(self, env, row0: int, row1: int) -> bool:
-        """Event-free probe: True when every page holding rows
+        """Event-free probe: True exactly when every page holding rows
         ``[row0, row1)`` is already mapped readable at this processor.
-
-        False means "unknown", not "cold" — a protocol that keeps no
-        permission bitmaps has nothing cheap to consult, so callers must
-        treat False as "take the safe path".  The probe itself never
-        touches protocol state.
-        """
-        perms = env.protocol.perms
-        if perms is None:
-            return False
+        The probe itself never touches protocol state."""
         stride = self._stride
         start = row0 * stride
         count = (row1 - row0) * stride
@@ -416,7 +414,7 @@ class SharedArray:
         lo, hi = self._space.span_bounds(
             self._base + start * item, count * item
         )
-        return perms.read_ready(env.proc.pid, lo, hi)
+        return env.protocol.perms.read_ready(env.proc.pid, lo, hi)
 
     def read_rows(self, env, row0: int, row1: int) -> Generator:
         """Read rows ``[row0, row1)`` of the leading dimension."""
@@ -454,7 +452,7 @@ class SharedArray:
     # ``write_region`` are bit-identical to the equivalent per-row loop
     # under every protocol, and to the per-page oracle — hot reads are
     # event-free everywhere, hot writes are event-free wherever
-    # ``region_scatter`` is overridden (every protocol but Cashmere), and
+    # ``region_scatter`` accepts them (every protocol but Cashmere), and
     # cold segments run ``ensure_read_span`` / ``ensure_write_span`` in
     # segment order, preserving Cashmere's per-page doubled-write
     # charging and fault interleaving.
@@ -531,23 +529,23 @@ class SharedArray:
         fallback.
 
         A single-segment region inside one page returns a **read-only
-        zero-copy view** of the local page copy; anything larger is
-        gathered into a fresh buffer.  A view is only valid until the
-        caller's next ``yield`` — a served remote request or write-through
-        may mutate the page copy it aliases — so consume it immediately
-        or take a copy.
+        zero-copy view** of this processor's frame of the page (under
+        Cashmere, at the home node, the master copy itself); anything
+        larger is gathered into a fresh buffer.  A view is only valid
+        until the caller's next ``yield`` — a served remote request or
+        write-through may mutate the frame it aliases — so consume it
+        immediately or take a copy.
         """
         protocol = env.protocol
-        perms = protocol.perms
         segs = region.segs
-        if perms is not None and len(segs) == 1:
+        if len(segs) == 1:
             offset, nbytes = segs[0]
             space = self._space
             ps = space.page_size
             lo = offset // ps
             start = offset - lo * ps
-            if start + nbytes <= ps:  # one page: alias the local copy
-                if not perms.read_ready(env.proc.pid, lo, lo + 1):
+            if start + nbytes <= ps:  # one page: alias the frame
+                if not protocol.perms.read_ready(env.proc.pid, lo, lo + 1):
                     return None
                 view = protocol.page_data(env.proc, lo)[
                     start : start + nbytes
@@ -564,7 +562,9 @@ class SharedArray:
 
         Hot segments gather without events; each cold segment runs the
         protocol's ``ensure_read_span`` (fault order per page, hot pages
-        skipped) exactly as the equivalent per-row loop would.
+        skipped) exactly as the equivalent per-row loop would, and the
+        same per-page fallback as :meth:`read_range` if a page went cold
+        again meanwhile.
         """
         protocol = env.protocol
         space = self._space
@@ -579,16 +579,7 @@ class SharedArray:
                     yield from protocol.ensure_read_span(env.proc, lo, hi)
                     data = protocol.fast_read(env.proc, space, offset, nbytes)
                 if data is None:
-                    # No bitmaps on this protocol: per-page gather.
-                    for page, start, length in space.page_spans(
-                        offset, nbytes
-                    ):
-                        page_bytes = protocol.page_data(env.proc, page)
-                        out[pos : pos + length] = page_bytes[
-                            start : start + length
-                        ]
-                        pos += length
-                    continue
+                    data = yield from self._read_pages(env, offset, nbytes)
                 out[pos : pos + nbytes] = data
                 pos += nbytes
             data = out

@@ -99,15 +99,8 @@ class WriterDiffs:
 class ProcState(LrcProcState):
     """TreadMarks per-processor protocol state."""
 
-    pages: Dict[int, TmkPage] = field(default_factory=dict)
     diff_cache: Dict[int, WriterDiffs] = field(default_factory=dict)
-
-    def page(self, page_idx: int) -> TmkPage:
-        found = self.pages.get(page_idx)
-        if found is None:
-            found = TmkPage()
-            self.pages[page_idx] = found
-        return found
+    page_type = TmkPage
 
 
 class TreadMarksProtocol(LrcProtocolBase):
@@ -498,8 +491,4 @@ class TreadMarksProtocol(LrcProtocolBase):
                 if page.perm is Protection.READ_WRITE and page.twin is None:
                     raise AssertionError(
                         f"p{pid}: page {page_idx} writable without a twin"
-                    )
-                if page.perm.allows_read() and page.copy is None:
-                    raise AssertionError(
-                        f"p{pid}: page {page_idx} readable without a copy"
                     )

@@ -23,8 +23,10 @@ pickle cheaply under both fork and spawn start methods.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import ClusterConfig, CostModel, RunConfig, variant_by_name
@@ -72,8 +74,9 @@ class PointSpec:
         )
 
 
-def execute_point(spec: PointSpec):
-    """Run one point to completion; the process-pool worker entry."""
+def _runner(spec: PointSpec):
+    """Apply ``spec``'s options and load its app; returns the call that
+    runs the point."""
     from repro.apps import registry
     from repro.core import run_program, run_sequential
 
@@ -81,43 +84,39 @@ def execute_point(spec: PointSpec):
         spec.options.apply()
     module = registry.load(spec.app)
     if spec.is_sequential:
-        return run_sequential(
+        return partial(
+            run_sequential,
             module.program(),
             spec.params,
             page_size=spec.cluster.page_size,
             costs=spec.costs,
         )
-    return run_program(module.program(), spec.run_config(), spec.params)
+    return partial(
+        run_program, module.program(), spec.run_config(), spec.params
+    )
+
+
+def execute_point(spec: PointSpec):
+    """Run one point to completion; the process-pool worker entry."""
+    return _runner(spec)()
 
 
 def execute_point_timed(spec: PointSpec):
-    """Run one point and return ``(result, seconds)``.
+    """Run one point and return ``(result, seconds)``, the result
+    without its values: the serving layer's cold-path entry keeps only
+    ``values_sha256``, which stays intact, so the arrays are dropped
+    here instead of being pickled through the pool pipe (a ``small``
+    sor 8p result is 4.2 MB with them, 3.8 KB without).
 
     The clock wraps only the simulation itself — app-module import and
     option application are excluded — so pool workers report the same
     quantity a serial caller would measure around :func:`execute_point`.
     """
-    import time
-
-    from repro.apps import registry
-    from repro.core import run_program, run_sequential
-
-    if spec.options is not None:
-        spec.options.apply()
-    module = registry.load(spec.app)
+    run = _runner(spec)
     started = time.perf_counter()
-    if spec.is_sequential:
-        result = run_sequential(
-            module.program(),
-            spec.params,
-            page_size=spec.cluster.page_size,
-            costs=spec.costs,
-        )
-    else:
-        result = run_program(
-            module.program(), spec.run_config(), spec.params
-        )
-    return result, time.perf_counter() - started
+    result = run()
+    seconds = time.perf_counter() - started
+    return replace(result, values=None), seconds
 
 
 def persistent_pool(jobs: int) -> ProcessPoolExecutor:
@@ -137,7 +136,6 @@ def run_points(
     specs: Sequence[PointSpec],
     jobs: int = 1,
     max_workers: Optional[int] = None,
-    timed: bool = False,
     pool: Optional[ProcessPoolExecutor] = None,
 ) -> List:
     """Execute every spec; results return in submission order.
@@ -150,20 +148,14 @@ def run_points(
     pickling — and ``jobs > 1`` builds a throwaway pool of
     ``min(jobs, len(specs))`` workers for just this call.
     ``Executor.map`` preserves order either way.
-
-    With ``timed=True`` each entry is ``(result, seconds)`` from
-    :func:`execute_point_timed`; note that concurrent workers share
-    cores, so pooled timings carry scheduling noise that serial
-    (``jobs=1``) timings do not.
     """
     specs = list(specs)
-    runner = execute_point_timed if timed else execute_point
     if pool is not None:
         if not specs:
             return []
-        return list(pool.map(runner, specs))
+        return list(pool.map(execute_point, specs))
     if jobs <= 1 or len(specs) <= 1:
-        return [runner(spec) for spec in specs]
+        return [execute_point(spec) for spec in specs]
     workers = max_workers or min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(runner, specs))
+        return list(pool.map(execute_point, specs))

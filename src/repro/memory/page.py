@@ -11,6 +11,8 @@ would need ECC tricks or instrumentation (Shasta-style) instead.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +32,15 @@ class Protection(enum.IntEnum):
 
     def allows_write(self) -> bool:
         return self >= Protection.READ_WRITE
+
+
+@dataclass
+class Mapping:
+    """One processor's mapping of one page: its protection and its
+    frame, the bytes it reads and writes (None when it has none)."""
+
+    perm: Protection = Protection.NONE
+    copy: Optional[np.ndarray] = None
 
 
 def shared_frame(data: np.ndarray) -> np.ndarray:

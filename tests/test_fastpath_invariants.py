@@ -1,9 +1,13 @@
-"""Bitmap/perm coherence: the fast path's redundant state never drifts.
+"""Page-table coherence: the fast path's redundant state never drifts.
 
 The permission bitmaps (``repro.core.fastpath.PermBitmaps``) mirror the
 per-page ``perm`` fields that remain authoritative.  Every protocol
 must update them at *every* transition — fault upgrades, invalidations,
 release/barrier downgrades — or the fast path would serve stale data.
+The one hit path (``DsmProtocol``) reads each mapped page's bytes from
+its frame in ``protocol.tables``, so frames are checked too: every
+readable mapping has one, a writable one is private, and under
+Cashmere exactly the home node's processors alias the master copy.
 
 These tests drive fault/invalidate/downgrade sequences through all
 three page-based protocols (Cashmere, TreadMarks, HLRC) with
@@ -11,7 +15,7 @@ three page-based protocols (Cashmere, TreadMarks, HLRC) with
 every synchronization point and ``run_program`` checks it again at the
 end.  A hypothesis-generated schedule shrinks any drift to a minimal
 failing program.  Direct unit tests pin down the checker itself —
-including that a deliberately corrupted bitmap is *caught*.
+including that a deliberately corrupted bitmap or frame is *caught*.
 """
 
 from unittest import mock
@@ -69,8 +73,10 @@ def test_bitmaps_coherent_dense_schedule(variant, access_path):
 
 @pytest.mark.parametrize("app", APP_NAMES)
 def test_debug_checks_pass_on_sequential_baseline(app):
-    """The unlinked Figure-5 baseline has no bitmaps: ``--debug-checks``
-    barriers must pass through it and leave its result unchanged."""
+    """The unlinked Figure-5 baseline maps each page read/write to its
+    backing page at first touch, bitmaps and frames both: its
+    ``--debug-checks`` barriers must find them coherent and leave its
+    result unchanged."""
     plain = result_digest(api.run_point(app, None, 1, scale="tiny"))
     with force_debug():
         checked = result_digest(api.run_point(app, None, 1, scale="tiny"))
@@ -111,6 +117,91 @@ def test_corrupted_bitmap_is_caught(variant):
                 {},
             )
     assert captured.get("corrupted")
+
+
+#: corruption -> what the next barrier's check says
+FRAME_CORRUPTIONS = {
+    "dropped": "readable without a frame",
+    "unaliased": "does not alias the master copy",
+}
+
+
+@pytest.mark.parametrize(
+    "variant, corruption",
+    [(v, "dropped") for v in VARIANTS] + [(CSM_POLL, "unaliased")],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_corrupted_frame_is_caught(variant, corruption):
+    """The frame check must not be vacuous either.  Rank 0 alone reads
+    a page (under Cashmere its first touch makes rank 0's node the
+    home, so its frame is the master copy), then the frame is dropped,
+    or replaced by a private copy of the master: the next barrier's
+    check fails."""
+    captured = {}
+
+    def setup(space, params):
+        arr = SharedArray.alloc(space, "corrupt", np.float64, (SLOTS,))
+        arr.initialize(np.zeros(SLOTS))
+        quiet = SharedArray.alloc(space, "quiet", np.float64, (SLOTS,))
+        quiet.initialize(np.ones(SLOTS))
+        return {"arr": arr, "quiet": quiet}
+
+    def worker(env, shared, params):
+        yield from shared["arr"].put(env, env.rank, 1.0)
+        yield from env.barrier(0)
+        if env.rank == 0:
+            quiet = shared["quiet"]
+            yield from quiet.read_all(env)
+            page = quiet.region.offset // quiet.region.space.page_size
+            entry = env.protocol.tables[0][page]
+            if corruption == "dropped":
+                entry.copy = None
+            else:
+                assert entry.copy is env.protocol.master[page]
+                entry.copy = entry.copy.copy()
+            captured["corrupted"] = True
+        yield from env.barrier(1)
+        env.stop_timer()
+
+    with force_debug():
+        with pytest.raises(
+            AssertionError, match=FRAME_CORRUPTIONS[corruption]
+        ):
+            run_program(
+                Program("corrupt", setup, worker),
+                RunConfig(variant=variant, nprocs=2),
+                {},
+            )
+    assert captured.get("corrupted")
+
+
+def test_the_hit_path_exists_once():
+    """``fast_read``, ``region_gather``, ``page_data`` and the span
+    loops are written once, in ``DsmProtocol``, over ``tables``; the
+    only overrides are Cashmere's, whose doubled writes are never free
+    (its hit writes refuse, and it keeps its own write span loop)."""
+    from repro.core.base import DsmProtocol
+    from repro.core.cashmere.protocol import CashmereProtocol
+    from repro.core.hlrc.protocol import HlrcProtocol
+    from repro.core.lrc import LrcProtocolBase
+    from repro.core.runtime.sequential import SequentialProtocol
+    from repro.core.treadmarks.protocol import TreadMarksProtocol
+
+    reads = {"fast_read", "region_gather", "page_data", "ensure_read_span"}
+    writes = {"fast_write", "region_scatter", "ensure_write_span"}
+    assert reads | writes <= set(DsmProtocol.__dict__)
+    for cls in (
+        LrcProtocolBase,
+        TreadMarksProtocol,
+        HlrcProtocol,
+        SequentialProtocol,
+    ):
+        assert not (reads | writes) & set(cls.__dict__), cls.__name__
+    assert not reads & set(CashmereProtocol.__dict__)
+    assert writes <= set(CashmereProtocol.__dict__)
+    refuse = CashmereProtocol.__dict__
+    assert refuse["fast_write"](None, None, None, 0, None) is False
+    assert refuse["region_scatter"](None, None, None, None, None) is False
 
 
 # -- PermBitmaps unit behaviour ---------------------------------------------

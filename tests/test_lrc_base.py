@@ -233,7 +233,8 @@ def test_records_size_is_the_sum_of_the_records_encoded_sizes():
 def test_the_lrc_fault_path_exists_once():
     """TreadMarks and HLRC differ only in ``_validate_page`` and the
     base class's hooks; neither may grow its own copy of the fault
-    path back."""
+    path back.  (``page_data`` is the hit path's, written once in
+    ``DsmProtocol``: see ``test_the_hit_path_exists_once``.)"""
     from repro.core.hlrc.protocol import HlrcProtocol
     from repro.core.treadmarks.protocol import TreadMarksProtocol
 
@@ -241,7 +242,6 @@ def test_the_lrc_fault_path_exists_once():
         "ensure_read",
         "ensure_write",
         "_prefetch_page",
-        "page_data",
         "apply_write",
     }
     for cls in (TreadMarksProtocol, HlrcProtocol):

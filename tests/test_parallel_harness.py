@@ -21,7 +21,12 @@ from repro.harness.cache import (
 )
 from repro.harness.cli import main
 from repro.harness.runner import BatchPoint, ExperimentContext
-from repro.harness.parallel import PointSpec, persistent_pool, run_points
+from repro.harness.parallel import (
+    PointSpec,
+    execute_point_timed,
+    persistent_pool,
+    run_points,
+)
 
 
 def _specs():
@@ -57,6 +62,23 @@ def test_run_points_parallel_matches_serial():
     assert len(serial) == len(fanned) == len(specs)
     for a, b in zip(serial, fanned):
         assert _signature(a) == _signature(b)
+
+
+def test_timed_worker_ships_the_digest_not_the_values():
+    """The serving layer's pool entry drops the values it would pickle
+    through the pipe, keeping the digest an in-process run takes."""
+    spec = _specs()[1]
+    [direct] = run_points([spec], jobs=1)
+    pool = persistent_pool(1)
+    try:
+        timed, seconds = pool.submit(execute_point_timed, spec).result()
+    finally:
+        pool.shutdown()
+    assert direct.values is not None
+    assert timed.values is None
+    assert timed.values_sha256 == direct.values_sha256
+    assert _signature(timed) == _signature(direct)
+    assert seconds > 0
 
 
 def test_persistent_pool_reused_across_batches_matches_serial():

@@ -11,7 +11,6 @@ paths where they move bytes.
 import numpy as np
 import pytest
 
-from repro.core.fastpath import PermBitmaps
 from repro.core.runtime.shared import Region, SharedArray
 
 from tests.oracles import oracle
@@ -23,6 +22,14 @@ def _matrix(page_size=1024, shape=(16, 16)):
     arr = SharedArray.alloc(space, "m", np.float64, shape)
     init = np.arange(arr.size, dtype=np.float64).reshape(shape)
     arr.initialize(init)
+    return engine, env, arr, init
+
+
+def _hot_matrix(page_size=1024):
+    """``_matrix`` with every page touched once: the sequential run
+    maps a page at its first touch."""
+    engine, env, arr, init = _matrix(page_size=page_size)
+    drive(engine, arr.read_all(env))
     return engine, env, arr, init
 
 
@@ -220,7 +227,7 @@ def test_empty_region_roundtrip(access_path):
 
 
 def test_region_view_returns_data_when_hot():
-    engine, env, arr, init = _matrix(page_size=256)
+    engine, env, arr, init = _hot_matrix(page_size=256)
     view = arr.region_view(env, arr.region_rows(3, 7))
     assert view is not None
     assert np.array_equal(view, init[3:7])
@@ -230,36 +237,41 @@ def test_region_view_none_without_fastpath():
     """The per-page oracle really bypasses the hit path (so the
     ``legacy`` cases are not production twice), and only inside the
     block."""
-    engine, env, arr, _ = _matrix()
+    engine, env, arr, _ = _hot_matrix()
     with oracle("access"):
         assert arr.region_view(env, arr.region_rows(0, 2)) is None
     assert arr.region_view(env, arr.region_rows(0, 2)) is not None
 
 
 def test_region_view_single_page_is_readonly_alias():
+    engine, env, arr, init = _hot_matrix()
+    view = arr.region_view(env, arr.region_rows(0, 2))
+    assert view is not None
+    assert not view.flags.writeable
+    assert np.array_equal(view, init[0:2])
+    # It aliases the page copy: a later write shows through.
+    page = env.protocol.page_data(env.proc, arr._base // 1024)
+    page[:8] = np.frombuffer(np.float64(123.0).tobytes(), np.uint8)
+    assert view[0, 0] == 123.0
+
+
+def test_sequential_page_is_mapped_at_first_touch_for_free():
+    """The unlinked run maps a page read/write at its first touch, with
+    no time and no event: before it the hit path misses, after it every
+    access hits, and ``rows_hot`` says exactly which."""
     engine, env, arr, init = _matrix()
-    # Give the (perm-less) sequential protocol bitmaps so the
-    # zero-copy single-page branch is reachable.
-    n_pages = arr._space.n_pages
-    perms = PermBitmaps(1, n_pages)
-    perms.readable[:] = True
-    perms.writable[:] = True
-    env.protocol.perms = perms
-    try:
-        view = arr.region_view(env, arr.region_rows(0, 2))
-        assert view is not None
-        assert not view.flags.writeable
-        assert np.array_equal(view, init[0:2])
-        # It aliases the page copy: a later write shows through.
-        page = env.protocol.page_data(env.proc, arr._base // 1024)
-        page[:8] = np.frombuffer(np.float64(123.0).tobytes(), np.uint8)
-        assert view[0, 0] == 123.0
-    finally:
-        env.protocol.perms = None
+    assert arr.region_view(env, arr.region_rows(0, 2)) is None
+    assert not arr.rows_hot(env, 0, 2)
+    assert np.array_equal(drive(engine, arr.read_rows(env, 0, 2)), init[0:2])
+    assert engine.now == 0
+    assert arr.rows_hot(env, 0, 2)
+    assert not arr.rows_hot(env, 0, 16)
+    assert arr.rows(env, 0, 2) is not None
+    assert arr.region_view(env, arr.region_rows(0, 2)) is not None
 
 
 def test_region_view_multi_segment_is_a_copy():
-    engine, env, arr, init = _matrix()
+    engine, env, arr, init = _hot_matrix()
     region = arr.region_block(0, 3, 0, 4)
     view = arr.region_view(env, region)
     assert view is not None

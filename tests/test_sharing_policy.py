@@ -211,3 +211,57 @@ def test_unit_size_resolution():
     cfg = RunConfig(variant=variant_by_name("csm_poll"), nprocs=2)
     assert cfg.unit_bytes is None
     assert cfg.resolved_unit_bytes == cfg.cluster.page_size
+
+
+def test_stride_prefetcher_confirms_after_exactly_stride_confirm_repeats():
+    """The stride predictor's decisions, pinned one fault at a time: a
+    stride's first appearance plus ``STRIDE_CONFIRM`` repeats of it,
+    and the prediction starts on the fault that makes the last repeat,
+    not one later."""
+    confirm = policy.STRIDE_CONFIRM
+    depth = policy.STRIDE_PREFETCH_DEPTH
+    pf = policy.StridePrefetcher()
+    faults = [10 + 3 * k for k in range(confirm + 3)]
+    got = [pf.predict(0, unit, 1000) for unit in faults]
+    # faults[0] sets the base, faults[1] the stride; faults[1 + r] is
+    # its r-th repeat.
+    assert got[: confirm + 1] == [[]] * (confirm + 1)
+    for unit, predicted in zip(faults[confirm + 1 :], got[confirm + 1 :]):
+        assert predicted == [unit + 3 * (i + 1) for i in range(depth)]
+    # Another processor's stream is independent and starts unconfirmed.
+    assert pf.predict(1, 13, 1000) == []
+
+
+def test_stride_prefetcher_break_resets_and_zero_stride_never_predicts():
+    confirm = policy.STRIDE_CONFIRM
+    pf = policy.StridePrefetcher()
+    unit = 0
+    for _ in range(confirm + 1):
+        pf.predict(0, unit, 1000)
+        unit += 2
+    assert pf.predict(0, unit, 1000)  # confirmed: predicting
+    # A stride break: the new stride must be confirmed from scratch.
+    unit += 5
+    assert pf.predict(0, unit, 1000) == []
+    for _ in range(confirm - 1):
+        unit += 5
+        assert pf.predict(0, unit, 1000) == []
+    unit += 5
+    assert pf.predict(0, unit, 1000) == [unit + 5, unit + 10][
+        : policy.STRIDE_PREFETCH_DEPTH
+    ]
+    # Repeating one unit is a zero stride: never a prediction.
+    zero = policy.StridePrefetcher()
+    assert all(zero.predict(0, 7, 1000) == [] for _ in range(confirm + 4))
+
+
+def test_stride_prefetcher_clips_predictions_to_the_address_space():
+    """A confirmed stream near either end of the space predicts only
+    the units inside ``[0, n_units)``."""
+    confirm = policy.STRIDE_CONFIRM
+    assert policy.STRIDE_PREFETCH_DEPTH >= 2
+    for stride, last, inside in ((4, 95, [99]), (-4, 5, [1])):
+        pf = policy.StridePrefetcher()
+        faults = [last - stride * k for k in range(confirm + 1, -1, -1)]
+        got = [pf.predict(0, unit, 100) for unit in faults]
+        assert got[-1] == inside, stride
