@@ -50,7 +50,6 @@ from repro.core import (
     run_sequential,
 )
 from repro.memory import AddressSpace
-from repro.options import SimOptions
 
 __version__ = "1.0.0"
 
@@ -71,7 +70,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SharedArray",
-    "SimOptions",
     "SystemKind",
     "TMK_MC_INT",
     "TMK_MC_POLL",

@@ -19,15 +19,17 @@ driver and protocol internals:
     :class:`~repro.harness.results.DriverResult` envelope (typed rows +
     counters + breakdown + provenance + rendered text).
 
-Run options travel as a :class:`~repro.options.SimOptions`.  There is
-one shared-access path and one body per app (their retired twins are
-oracles in ``tests/access_oracle.py`` and ``tests/app_oracle.py``);
-``--debug-checks`` only adds checking, so results are bit-identical
-with it on or off.  The exception is ``SimOptions.network`` (CLI: ``--network {memch,rdma,ethernet}``),
-which selects the simulated interconnect backend and *changes
-simulated results* — see ``docs/NETWORKS.md``.  The full reference
-with a migration table from the old entry points lives in
-``docs/API.md``.
+Every run knob is a :class:`~repro.config.RunConfig` field, passed as
+a keyword (``network="rdma"``, ``debug_checks=True``, ...); there is no
+process-wide option state.  There is one shared-access path and one
+body per app (their retired twins are oracles in
+``tests/access_oracle.py`` and ``tests/app_oracle.py``);
+``debug_checks`` only adds checking, so results are bit-identical with
+it on or off, though it enters the cache key.  ``network`` (CLI:
+``--network {memch,rdma,ethernet}``) selects the simulated
+interconnect backend and *changes simulated results* — see
+``docs/NETWORKS.md``.  The full reference with a migration table from
+the old entry points lives in ``docs/API.md``.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ from repro.core.runtime.program import (
 from repro.harness import cross_era, figure5, figure6, policies, scaling
 from repro.harness import sweep, table1, table2, table3
 from repro.harness.declaration import resolve
-from repro.harness.parallel import SEQUENTIAL, PointSpec, execute_point
+from repro.harness.parallel import execute_point, point_spec
 from repro.harness.results import DriverResult
-from repro.options import SimOptions
 
 #: The experiment drivers, in the CLI's order.  Each module declares
 #: its parameters (``PARAMS``) and may add ``chart(rows)`` and
@@ -75,68 +76,6 @@ def list_apps() -> List[str]:
     return list(registry.ALL_APP_NAMES)
 
 
-def _as_variant(variant: VariantLike) -> Optional[Variant]:
-    if variant is None or isinstance(variant, Variant):
-        return variant
-    return variant_by_name(variant)
-
-
-def point_spec(
-    app: str,
-    variant: VariantLike = None,
-    nprocs: int = 1,
-    *,
-    scale: str = "small",
-    params: Optional[Dict[str, Any]] = None,
-    cluster: Optional[ClusterConfig] = None,
-    costs: Optional[CostModel] = None,
-    warm_start: bool = True,
-    trace: bool = False,
-    options: Optional[SimOptions] = None,
-    **overrides: Any,
-) -> PointSpec:
-    """Build the :class:`PointSpec` that :func:`run_point` would run.
-
-    The one place request parameters become an executable spec: the
-    serving layer (``repro.serving``) resolves every network request
-    through this same builder, which is what guarantees a served
-    result is byte-for-byte the result of the equivalent direct
-    :func:`run_point` call.
-    """
-    resolved = _as_variant(variant)
-    module = registry.load(app)
-    if options is not None:
-        # The network backend and the sharing-policy triple are
-        # simulated semantics, not wall-clock toggles: copy them into
-        # the RunConfig overrides (explicit keywords win).
-        overrides.setdefault("network", options.network)
-        overrides.setdefault("granularity", options.granularity)
-        overrides.setdefault("prefetch", options.prefetch)
-        overrides.setdefault("homing", options.homing)
-    if cluster is None:
-        # Auto-grow past the paper's 32-CPU testbed (PR 7): counts that
-        # fit keep the default 8-node cluster (and its goldens); larger
-        # ones add nodes, never CPUs per node.
-        from repro.harness.configs import cluster_for
-
-        cluster = cluster_for(
-            nprocs,
-            mechanism=None if resolved is None else resolved.mechanism,
-        )
-    return PointSpec(
-        app=app,
-        variant_name=SEQUENTIAL if resolved is None else resolved.name,
-        nprocs=nprocs,
-        params=dict(params) if params is not None else module.default_params(scale),
-        cluster=cluster,
-        costs=costs or CostModel(),
-        warm_start=warm_start,
-        trace=trace,
-        overrides=overrides,
-        options=options,
-    )
-
-
 def run_point(
     app: str,
     variant: VariantLike = None,
@@ -148,7 +87,6 @@ def run_point(
     costs: Optional[CostModel] = None,
     warm_start: bool = True,
     trace: bool = False,
-    options: Optional[SimOptions] = None,
     cache=None,
     **overrides: Any,
 ) -> RunResult:
@@ -161,7 +99,7 @@ def run_point(
     :func:`run_experiment` / ``ExperimentContext``, matching the
     long-standing ``run_program`` behaviour).  Extra keyword arguments
     become :class:`~repro.config.RunConfig` overrides
-    (``homing="round-robin"``, ``weak_state=True``, ...).
+    (``homing="round-robin"``, ``debug_checks=True``, ...).
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) makes the
     call serving-aware: hits skip the simulation, misses store their
@@ -181,7 +119,6 @@ def run_point(
         costs=costs,
         warm_start=warm_start,
         trace=trace,
-        options=options,
         **overrides,
     )
     if cache is None:
@@ -268,9 +205,10 @@ def build_system(
     messenger, and protocol are live — drive them directly with
     ``system.engine.process(...)`` / ``system.engine.run()``.
     """
-    resolved = _as_variant(variant)
-    if resolved is None:
+    if variant is None:
         raise ValueError("build_system needs a protocol variant")
+    if isinstance(variant, str):
+        variant = variant_by_name(variant)
     if warm_start and space is None:
         raise ValueError(
             "warm_start=True warms the regions of the address space "
@@ -279,9 +217,9 @@ def build_system(
     if cluster is None:
         from repro.harness.configs import cluster_for
 
-        cluster = cluster_for(nprocs, mechanism=resolved.mechanism)
+        cluster = cluster_for(nprocs, mechanism=variant.mechanism)
     cfg = RunConfig(
-        variant=resolved,
+        variant=variant,
         nprocs=nprocs,
         cluster=cluster,
         costs=costs or CostModel(),
@@ -301,7 +239,7 @@ def run_experiment(
     jobs: int = 1,
     cache=None,
     pool=None,
-    options: Optional[SimOptions] = None,
+    overrides: Optional[Dict[str, Any]] = None,
     **driver_kwargs: Any,
 ) -> DriverResult:
     """Run one experiment driver and return its result envelope.
@@ -309,11 +247,15 @@ def run_experiment(
     ``driver`` is one of :data:`EXPERIMENTS`.  Pass an existing
     :class:`~repro.harness.runner.ExperimentContext` as ``ctx`` to
     share caches/baselines across invocations; otherwise one is built
-    from ``scale``/``warm_start``/``jobs``/``cache``/``pool``
-    (``pool`` — a :func:`repro.harness.parallel.persistent_pool` — fans
-    every batch across long-lived workers with no per-batch pool
-    spin-up; the caller owns its lifetime).  ``options`` (when given)
-    is applied process-wide and shipped to worker processes.
+    from ``scale``/``warm_start``/``jobs``/``cache``/``pool``/
+    ``overrides`` (``pool`` — a
+    :func:`repro.harness.parallel.persistent_pool` — fans every batch
+    across long-lived workers with no per-batch pool spin-up; the
+    caller owns its lifetime).  ``overrides`` maps
+    :class:`~repro.config.RunConfig` fields to values applied to every
+    point this call runs (``{"network": "rdma", "debug_checks":
+    True}``); a point's own overrides win.  A passed ``ctx`` carries
+    its own ``overrides``, so passing both is an error.
     Driver-specific parameters (``apps=``, ``variants=``, ``counts=``,
     ``nprocs=``, ``knob=``...) are checked against the driver's
     declaration (``PARAMS``), which also supplies their defaults;
@@ -325,8 +267,11 @@ def run_experiment(
         )
     module = DRIVERS[driver]
     kwargs = resolve(module.PARAMS, driver_kwargs)
-    if options is not None:
-        options.apply()
+    if ctx is not None and overrides:
+        raise ValueError(
+            "overrides= applies only to a context this call builds; "
+            "set them on the ExperimentContext instead"
+        )
     if ctx is None:
         from repro.harness.runner import ExperimentContext
 
@@ -336,7 +281,7 @@ def run_experiment(
             jobs=jobs,
             cache=cache,
             pool=pool,
-            options=options,
+            overrides=dict(overrides or {}),
         )
     return module.run(ctx=ctx, **kwargs)
 
@@ -346,7 +291,6 @@ __all__ = [
     "EXPERIMENTS",
     "DriverResult",
     "RunResult",
-    "SimOptions",
     "System",
     "build_system",
     "cache_info",

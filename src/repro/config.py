@@ -278,6 +278,11 @@ class RunConfig:
     weak_state: bool = False
     # Record every protocol event (see repro.stats.trace).
     trace: bool = False
+    # ``--debug-checks``: re-check the page tables at every barrier and
+    # the backing store around the run.  Only adds checking, but enters
+    # the result-cache key like ``trace``, so a checked run is never
+    # served from an unchecked entry.
+    debug_checks: bool = False
     # Pre-validate read-only copies everywhere before timing starts.
     # The paper's runs are minutes long, so cold distribution of the data
     # set is negligible there; at simulation scale it can dominate, and

@@ -32,7 +32,7 @@ survives only as a test oracle, ``tests/access_oracle.py``
 (``per_page_access()``); simulated times, counters, and traces are
 bit-identical to it (locked in by ``tests/test_engine_equivalence.py``).
 
-With ``SimOptions(debug_checks=True)`` (``--debug-checks``), the
+With ``RunConfig(debug_checks=True)`` (``--debug-checks``), the
 runtime additionally re-checks the page tables at every barrier (see
 ``Env.barrier``), so a drifting transition is caught at the first
 synchronization point after it happens instead of at the end of the
@@ -43,14 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import options as _options
 from repro.memory.page import Protection
-
-#: Module-level switch, mirrored from :mod:`repro.options` — the
-#: barrier hook probes a plain global instead of calling into the
-#: options object.  ``SimOptions.apply`` keeps it in sync; tests flip it
-#: directly.
-DEBUG = _options.current().debug_checks
 
 
 #: perm -> (readable, writable), resolved once instead of two enum

@@ -11,7 +11,6 @@ from typing import Generator, Optional
 
 from repro.config import WorkingSet
 from repro.cluster.machine import Processor
-from repro.core import fastpath
 from repro.core.base import DsmProtocol
 from repro.stats import Category
 
@@ -25,11 +24,13 @@ class Env:
         nprocs: int,
         proc: Processor,
         protocol: DsmProtocol,
+        debug_checks: bool = False,
     ):
         self.rank = rank
         self.nprocs = nprocs
         self.proc = proc
         self.protocol = protocol
+        self.debug_checks = debug_checks
 
     @property
     def now(self) -> float:
@@ -104,7 +105,7 @@ class Env:
         self.protocol.trace(
             self.proc, "barrier", dur=self.now - t0, barrier=barrier_id
         )
-        if fastpath.DEBUG:
+        if self.debug_checks:
             # --debug-checks: re-verify the page tables (bitmaps against
             # perms, frames against mappings) at every synchronization
             # point, so a drifting transition is caught right after it

@@ -20,7 +20,6 @@ from repro.config import RunConfig, SystemKind
 from repro.cluster.machine import Cluster
 from repro.cluster.messaging import Messenger
 from repro.cluster.network import NetworkModel, build_network
-from repro.core import fastpath
 from repro.core.runtime.env import Env
 from repro.memory.address_space import AddressSpace
 from repro.sim import Engine
@@ -240,7 +239,7 @@ def run_program(
         run_cfg.cluster.page_size, unit_size=run_cfg.unit_bytes
     )
     shared = program.setup(space, params)
-    backing = space.backing_digest() if fastpath.DEBUG else None
+    backing = space.backing_digest() if run_cfg.debug_checks else None
     system = build_system(run_cfg, space=space, placement=placement)
     engine = system.engine
     cluster = system.cluster
@@ -250,7 +249,13 @@ def run_program(
     values: List[Any] = [None] * run_cfg.nprocs
 
     def run_worker(rank: int):
-        env = Env(rank, run_cfg.nprocs, cluster.proc(rank), protocol)
+        env = Env(
+            rank,
+            run_cfg.nprocs,
+            cluster.proc(rank),
+            protocol,
+            run_cfg.debug_checks,
+        )
         result = yield from program.worker(env, shared, params)
         values[rank] = result
         if not stats[rank].frozen:
@@ -286,13 +291,15 @@ def run_sequential(
     params: Optional[Dict] = None,
     page_size: int = 8192,
     costs=None,
+    debug_checks: bool = False,
 ) -> RunResult:
     """Run the program on one processor with *no* DSM system linked in.
 
     This is the paper's Table 2 sequential time: the worker executes with
     free memory access, no polling, no write doubling, and no protocol.
     Speedups in Figure 5 are computed against this time.  ``costs`` lets
-    callers keep scaled cache parameters consistent with parallel runs.
+    callers keep scaled cache parameters consistent with parallel runs;
+    ``debug_checks`` re-checks the page table at every barrier.
     """
     from repro.config import ClusterConfig, Mechanism, Variant, Transport
     from repro.core.runtime.sequential import SequentialProtocol
@@ -307,7 +314,12 @@ def run_sequential(
         Mechanism.INTERRUPT,
         Transport.MEMORY_CHANNEL,
     )
-    run_cfg = RunConfig(variant=seq_variant, nprocs=1, cluster=cluster_cfg)
+    run_cfg = RunConfig(
+        variant=seq_variant,
+        nprocs=1,
+        cluster=cluster_cfg,
+        debug_checks=debug_checks,
+    )
     cluster = Cluster(
         engine,
         cluster_cfg,
@@ -323,7 +335,7 @@ def run_sequential(
     values: List[Any] = [None]
 
     def run_worker():
-        env = Env(0, 1, cluster.proc(0), protocol)
+        env = Env(0, 1, cluster.proc(0), protocol, debug_checks)
         values[0] = yield from program.worker(env, shared, params)
         if not stats[0].frozen:
             stats[0].freeze(engine.now)

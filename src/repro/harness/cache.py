@@ -9,12 +9,13 @@ disk, so repeated CLI invocations, benchmark reruns, and CI skip
 already-computed points.
 
 Keys are SHA-256 content hashes over a canonical JSON encoding of the
-full configuration — the variant, processor count, every
-:class:`~repro.config.ClusterConfig` and :class:`~repro.config.CostModel`
-constant, all protocol feature flags, the application parameters, and a
-fingerprint of the ``repro`` source tree (so stale results can never
-survive a code change).  Each value is one entry file, written
-atomically — see :class:`ResultCache` for its layout.
+full configuration — every :class:`~repro.config.RunConfig` field
+(variant, processor count, every :class:`~repro.config.ClusterConfig`
+and :class:`~repro.config.CostModel` constant, every knob), the
+application parameters, and a fingerprint of the ``repro`` source tree
+(so stale results can never survive a code change).  Each value is one
+entry file, written atomically — see :class:`ResultCache` for its
+layout.
 
 The cache directory resolves, in order: an explicit ``cache_dir``
 argument (the CLI's ``--cache-dir``), ``$REPRO_DSM_CACHE``,
@@ -33,7 +34,8 @@ import os
 import pickle
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional
 
@@ -86,10 +88,32 @@ def _canonical(value: Any) -> Any:
         return [_canonical(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
+    if isinstance(value, Enum):
+        return value.value
+    if is_dataclass(value):
+        return _canonical(asdict(value))
     item = getattr(value, "item", None)  # NumPy scalars
     if callable(item):
         return item()
     return repr(value)
+
+
+#: RunConfig fields keyed by their *resolved* value, so an explicit
+#: setting and the automatic policy that picks the same value share an
+#: entry, while a policy change (or crossing the 32-processor threshold)
+#: never serves a stale result.  Granularity keys by unit bytes
+#: (``page`` and an explicit unit of the same size share an entry).
+_RESOLVED: Dict[str, Callable[[RunConfig], Any]] = {
+    "barrier_fanin": lambda cfg: (
+        cfg.resolved_barrier_fanin,
+        cfg.hierarchical_barriers,
+        cfg.lrc_barrier_group,
+    ),
+    "dir_shards": lambda cfg: cfg.resolved_dir_shards,
+    "granularity": lambda cfg: cfg.resolved_unit_bytes,
+}
+
+_RUN_FIELDS = tuple(knob.name for knob in fields(RunConfig))
 
 
 def run_key(
@@ -97,44 +121,19 @@ def run_key(
     params: Dict[str, Any],
     run_cfg: RunConfig,
 ) -> str:
-    """Cache key for one parallel protocol run."""
-    cfg = run_cfg
+    """Cache key for one parallel protocol run: every RunConfig field,
+    so a field added later enters the key without being listed here."""
+    config = {}
+    for name in _RUN_FIELDS:
+        resolve = _RESOLVED.get(name)
+        config[name] = _canonical(
+            resolve(run_cfg) if resolve else getattr(run_cfg, name)
+        )
     payload = {
         "kind": "run",
         "app": app,
         "params": _canonical(params),
-        "variant": cfg.variant.name,
-        "system": cfg.variant.system.value,
-        "mechanism": cfg.variant.mechanism.value,
-        "transport": cfg.variant.transport.value,
-        "nprocs": cfg.nprocs,
-        "cluster": _canonical(asdict(cfg.cluster)),
-        "costs": _canonical(asdict(cfg.costs)),
-        "flags": {
-            "network": cfg.network,
-            "exclusive_mode": cfg.exclusive_mode,
-            "write_double_dummy": cfg.write_double_dummy,
-            "remote_reads": cfg.remote_reads,
-            "weak_state": cfg.weak_state,
-            "warm_start": cfg.warm_start,
-            "trace": cfg.trace,
-            # Scaling knobs (PR 7): keyed by their *resolved* values so
-            # an explicit setting and the automatic policy that picks
-            # the same value share an entry, while policy changes (or
-            # crossing the 32-processor threshold) never serve stale
-            # results.
-            "barrier_fanin": cfg.resolved_barrier_fanin,
-            "hierarchical_barriers": cfg.hierarchical_barriers,
-            "lrc_barrier_group": cfg.lrc_barrier_group,
-            "dir_shards": cfg.resolved_dir_shards,
-            "node_mem_pages": cfg.node_mem_pages,
-            # Sharing-policy knobs (PR 10): granularity by resolved unit
-            # bytes (``page`` and an explicit unit of the same size
-            # share an entry).
-            "granularity": cfg.resolved_unit_bytes,
-            "prefetch": cfg.prefetch,
-            "homing": cfg.homing,
-        },
+        "config": config,
     }
     return _digest(payload)
 
@@ -144,6 +143,7 @@ def sequential_key(
     params: Dict[str, Any],
     page_size: int,
     costs,
+    debug_checks: bool = False,
 ) -> str:
     """Cache key for one sequential (unlinked) baseline run."""
     payload = {
@@ -151,7 +151,8 @@ def sequential_key(
         "app": app,
         "params": _canonical(params),
         "page_size": page_size,
-        "costs": _canonical(asdict(costs)),
+        "costs": _canonical(costs),
+        "debug_checks": debug_checks,
     }
     return _digest(payload)
 
@@ -173,7 +174,11 @@ def key_for_spec(spec) -> str:
     """
     if spec.is_sequential:
         return sequential_key(
-            spec.app, spec.params, spec.cluster.page_size, spec.costs
+            spec.app,
+            spec.params,
+            spec.cluster.page_size,
+            spec.costs,
+            spec.debug_checks,
         )
     return run_key(spec.app, spec.params, spec.run_config())
 

@@ -33,8 +33,7 @@ from repro.harness.declaration import (
 )
 from repro.memory.policy import GRANULARITIES, HOMINGS, PREFETCHES
 from repro.harness.cache import ResultCache
-from repro.harness.runner import ExperimentContext
-from repro.options import SimOptions
+from repro.harness.runner import CONTEXT_KNOBS, ExperimentContext
 from repro.stats.export import EXPORT_FORMATS, export_runs
 from repro.stats.trace import diff_traces
 
@@ -109,7 +108,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--debug-checks",
         action="store_true",
-        help="re-verify permission-bitmap coherence at every barrier",
+        help=(
+            "re-verify the page tables at every barrier and the backing "
+            "store around each run (checked runs never share cache "
+            "entries with unchecked ones)"
+        ),
     )
     parser.add_argument(
         "--network",
@@ -174,20 +177,19 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
             cache_dir=Path(args.cache_dir) if args.cache_dir else None,
             refresh=args.refresh,
         )
-    options = SimOptions.from_flags(
-        debug_checks=args.debug_checks,
-        network=args.network,
-        granularity=args.granularity,
-        prefetch=args.prefetch,
-        homing=args.homing,
-    ).apply()
+    # Only the knobs actually given: the rest keep RunConfig's defaults.
+    overrides = {
+        name: getattr(args, name)
+        for name in CONTEXT_KNOBS
+        if getattr(args, name) not in (None, False)
+    }
     return ExperimentContext(
         scale=args.scale,
         warm_start=not args.cold_start,
         trace=args.trace_out is not None,
         jobs=args.jobs,
         cache=cache,
-        options=options,
+        overrides=overrides,
     )
 
 

@@ -18,7 +18,11 @@ the harness semantics exactly serial:
 
 Everything a worker needs travels in a :class:`PointSpec` — plain
 dataclasses of config values, never live protocol objects — so specs
-pickle cheaply under both fork and spawn start methods.
+pickle cheaply under both fork and spawn start methods.  Every run knob
+is a spec field or a ``RunConfig`` override: a worker holds no run
+state between specs.  :func:`point_spec` is the one place specs are
+built.  Values never cross a process boundary: a pool worker returns
+its result with ``values_sha256`` but without ``values``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.config import ClusterConfig, CostModel, RunConfig, variant_by_name
-from repro.options import SimOptions
+from repro.apps import registry
+from repro.config import (
+    ClusterConfig,
+    CostModel,
+    RunConfig,
+    Variant,
+    variant_by_name,
+)
+from repro.harness.configs import cluster_for
 
 #: Sentinel variant name marking a sequential (unlinked) baseline point.
 SEQUENTIAL = "sequential"
@@ -48,17 +59,16 @@ class PointSpec:
     costs: CostModel
     warm_start: bool = True
     trace: bool = False
+    # RunConfig fields; a sequential point reads only ``debug_checks``.
     overrides: Dict[str, Any] = field(default_factory=dict)
-    # Run options: debug checks never change results, and network and
-    # the policies reach the RunConfig through ``overrides``, so options
-    # never enter cache keys.  Shipping them in the spec makes worker
-    # processes honour the CLI flags under both fork and spawn start
-    # methods.
-    options: Optional[SimOptions] = None
 
     @property
     def is_sequential(self) -> bool:
         return self.variant_name == SEQUENTIAL
+
+    @property
+    def debug_checks(self) -> bool:
+        return bool(self.overrides.get("debug_checks", False))
 
     def run_config(self) -> RunConfig:
         if self.is_sequential:
@@ -74,14 +84,58 @@ class PointSpec:
         )
 
 
+def point_spec(
+    app: str,
+    variant: Union[str, Variant, None] = None,
+    nprocs: int = 1,
+    *,
+    scale: str = "small",
+    params: Optional[Mapping[str, Any]] = None,
+    cluster: Optional[ClusterConfig] = None,
+    costs: Optional[CostModel] = None,
+    warm_start: bool = True,
+    trace: bool = False,
+    **overrides: Any,
+) -> PointSpec:
+    """Build the :class:`PointSpec` of one point: the one builder.
+
+    ``repro.api.run_point``, the serving decoder and
+    ``ExperimentContext`` all build their specs here, which is what
+    guarantees a served result is byte-for-byte the result of the
+    equivalent direct call.  ``variant=None`` is the sequential
+    baseline.  ``params`` defaults to the app's
+    ``default_params(scale)``; ``cluster`` to the default cluster, grown
+    by nodes past its 32 CPUs; ``costs`` to the plain paper cost model.
+    Extra keywords are :class:`~repro.config.RunConfig` fields
+    (``network="rdma"``, ``debug_checks=True``, ...).
+    """
+    module = registry.load(app)
+    if isinstance(variant, str):
+        variant = variant_by_name(variant)
+    if cluster is None:
+        cluster = cluster_for(
+            nprocs, mechanism=None if variant is None else variant.mechanism
+        )
+    return PointSpec(
+        app=app,
+        variant_name=SEQUENTIAL if variant is None else variant.name,
+        nprocs=nprocs,
+        params=(
+            dict(params) if params is not None
+            else module.default_params(scale)
+        ),
+        cluster=cluster,
+        costs=costs or CostModel(),
+        warm_start=warm_start,
+        trace=trace,
+        overrides=overrides,
+    )
+
+
 def _runner(spec: PointSpec):
-    """Apply ``spec``'s options and load its app; returns the call that
-    runs the point."""
-    from repro.apps import registry
+    """Load ``spec``'s app; returns the call that runs the point."""
     from repro.core import run_program, run_sequential
 
-    if spec.options is not None:
-        spec.options.apply()
     module = registry.load(spec.app)
     if spec.is_sequential:
         return partial(
@@ -90,6 +144,7 @@ def _runner(spec: PointSpec):
             spec.params,
             page_size=spec.cluster.page_size,
             costs=spec.costs,
+            debug_checks=spec.debug_checks,
         )
     return partial(
         run_program, module.program(), spec.run_config(), spec.params
@@ -97,20 +152,20 @@ def _runner(spec: PointSpec):
 
 
 def execute_point(spec: PointSpec):
-    """Run one point to completion; the process-pool worker entry."""
+    """Run one point to completion in this process, values included."""
     return _runner(spec)()
 
 
 def execute_point_timed(spec: PointSpec):
     """Run one point and return ``(result, seconds)``, the result
-    without its values: the serving layer's cold-path entry keeps only
-    ``values_sha256``, which stays intact, so the arrays are dropped
-    here instead of being pickled through the pool pipe (a ``small``
-    sor 8p result is 4.2 MB with them, 3.8 KB without).
+    without its values: the one pool-worker entry.  ``values_sha256``
+    stays intact, so the arrays are dropped here instead of being
+    pickled through the pool pipe (a ``small`` sor 8p result is 4.2 MB
+    with them, 3.8 KB without).
 
-    The clock wraps only the simulation itself — app-module import and
-    option application are excluded — so pool workers report the same
-    quantity a serial caller would measure around :func:`execute_point`.
+    The clock wraps only the simulation itself — app-module import is
+    excluded — so pool workers report the same quantity a serial
+    caller would measure around :func:`execute_point`.
     """
     run = _runner(spec)
     started = time.perf_counter()
@@ -145,17 +200,17 @@ def run_points(
     survives the call — nothing is constructed or torn down here, so
     back-to-back batches pay no per-call spin-up.  Otherwise
     ``jobs <= 1`` (or a single spec) runs in-process — no pool, no
-    pickling — and ``jobs > 1`` builds a throwaway pool of
-    ``min(jobs, len(specs))`` workers for just this call.
-    ``Executor.map`` preserves order either way.
+    pickling, values kept — and ``jobs > 1`` builds a throwaway pool of
+    ``min(jobs, len(specs))`` workers for just this call.  Pool results
+    come from :func:`execute_point_timed`, so they carry
+    ``values_sha256`` but ``values=None``.  ``Executor.map`` preserves
+    order either way.
     """
     specs = list(specs)
     if pool is not None:
-        if not specs:
-            return []
-        return list(pool.map(execute_point, specs))
+        return [result for result, _ in pool.map(execute_point_timed, specs)]
     if jobs <= 1 or len(specs) <= 1:
         return [execute_point(spec) for spec in specs]
     workers = max_workers or min(jobs, len(specs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(execute_point, specs))
+        return [result for result, _ in pool.map(execute_point_timed, specs)]

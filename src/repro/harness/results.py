@@ -15,7 +15,7 @@ The trace/export layer is untouched: traced runs still land in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Tuple
 
 
@@ -38,8 +38,11 @@ class DriverResult:
     ``breakdown``
         Simulated microseconds per time category, summed the same way.
     ``provenance``
-        Package version, scale, options, job/cache setup — what you
-        need to know to rerun or trust the numbers.  When the context
+        Package version, scale, run knobs, job/cache setup — what you
+        need to know to rerun or trust the numbers.  ``overrides``
+        holds the context-wide knobs (``network``, the policy triple,
+        ``debug_checks``) at their effective values, plus any other
+        context override.  When the context
         carried a result cache, ``provenance["cache_stats"]`` holds its
         hit/miss/coalesced counters (None otherwise), so load
         generators and CI assert on them instead of scraping stderr.
@@ -68,7 +71,8 @@ def build(driver: str, ctx, rows, text: str, config: Dict[str, Any]) -> DriverRe
     that is exactly this invocation's work.
     """
     import repro
-    from repro import options as options_mod
+    from repro.config import RunConfig
+    from repro.harness.runner import CONTEXT_KNOBS
 
     provenance = {
         "package_version": repro.__version__,
@@ -79,7 +83,14 @@ def build(driver: str, ctx, rows, text: str, config: Dict[str, Any]) -> DriverRe
         "cache_stats": (
             ctx.cache.stats.as_dict() if ctx.cache is not None else None
         ),
-        "options": asdict(options_mod.current()),
+        "overrides": {
+            **{
+                knob.name: knob.default
+                for knob in fields(RunConfig)
+                if knob.name in CONTEXT_KNOBS
+            },
+            **ctx.overrides,
+        },
         "simulations": ctx.runs_executed,
     }
     return DriverResult(

@@ -14,9 +14,13 @@ from repro.config import (
 from repro.core import RunResult
 from repro.apps import registry
 from repro.harness.cache import ResultCache, key_for_spec
-from repro.harness.parallel import SEQUENTIAL, PointSpec, run_points
-from repro.options import SimOptions
+from repro.harness.parallel import PointSpec, point_spec, run_points
 from repro.stats.export import TraceRun
+
+#: The RunConfig knobs one invocation sets for all its points: the CLI's
+#: ``--debug-checks``, ``--network`` and policy flags, and the wire's
+#: ``options`` object.
+CONTEXT_KNOBS = ("debug_checks", "network", "granularity", "prefetch", "homing")
 
 
 @dataclass(frozen=True)
@@ -72,10 +76,9 @@ class ExperimentContext:
     # no per-batch pool is constructed or torn down.  The caller owns
     # the pool's lifetime; ``jobs`` is ignored while it is set.
     pool: Optional[Any] = None
-    # Run options (debug checks, network, policies) shipped
-    # to worker processes inside every PointSpec.  None inherits the
-    # process-wide repro.options.current().
-    options: Optional[SimOptions] = None
+    # RunConfig fields applied to every point (the CLI's --network,
+    # --debug-checks and policy flags); a point's own overrides win.
+    overrides: Dict[str, Any] = field(default_factory=dict)
     # Cumulative aggregates over every simulation this context has
     # executed, cached results included — the counters/breakdown fields
     # of the DriverResult envelope (see repro.harness.results).
@@ -170,27 +173,14 @@ class ExperimentContext:
     # -- internals -----------------------------------------------------
 
     def _spec_for(self, point: BatchPoint) -> PointSpec:
-        overrides = dict(point.overrides)
+        overrides = {**self.overrides, **dict(point.overrides)}
         trace = overrides.pop("trace", self.trace)
-        if self.options is not None:
-            # The network backend and the sharing-policy triple change
-            # simulated results, so they ride in the RunConfig overrides
-            # (and hence the cache key), not just in the shipped
-            # SimOptions.
-            overrides.setdefault("network", self.options.network)
-            overrides.setdefault("granularity", self.options.granularity)
-            overrides.setdefault("prefetch", self.options.prefetch)
-            overrides.setdefault("homing", self.options.homing)
-        return PointSpec(
-            app=point.app,
-            variant_name=(
-                SEQUENTIAL if point.variant is None else point.variant.name
-            ),
-            nprocs=point.nprocs,
-            params=(
-                dict(point.params) if point.params is not None
-                else self.params(point.app)
-            ),
+        return point_spec(
+            point.app,
+            point.variant,
+            point.nprocs,
+            scale=self.scale,
+            params=point.params,
             cluster=point.cluster if point.cluster is not None else self.cluster,
             costs=(
                 point.costs if point.costs is not None
@@ -198,8 +188,7 @@ class ExperimentContext:
             ),
             warm_start=self.warm_start,
             trace=trace,
-            overrides=overrides,
-            options=self.options,
+            **overrides,
         )
 
     def _key_for(self, spec: PointSpec) -> Optional[str]:
@@ -208,11 +197,13 @@ class ExperimentContext:
         return key_for_spec(spec)
 
     def _seq_memo_key(self, spec: PointSpec) -> Tuple:
-        # Keyed by (app, exact params): the baseline never touches the
-        # network, so swept cost models share one baseline (contexts
-        # created by the sweep drivers share this dict), while scaling
-        # sweeps with per-point params get distinct baselines.
-        return (spec.app, tuple(sorted(spec.params.items())))
+        # Keyed by (app, exact params, checks): the baseline never
+        # touches the network, so swept cost models share one baseline
+        # (contexts created by the sweep drivers share this dict), while
+        # scaling sweeps with per-point params get distinct baselines.
+        return (
+            spec.app, tuple(sorted(spec.params.items())), spec.debug_checks
+        )
 
     def _lookup(self, spec: PointSpec, key: Optional[str]):
         if spec.is_sequential:

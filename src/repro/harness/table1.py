@@ -133,6 +133,7 @@ def _run_probe(
         nprocs=nprocs,
         cluster=ctx.cluster,
         costs=ctx.costs,
+        **ctx.overrides,
     )
     result = run_program(program, cfg, {})
     ctx._accumulate(result)

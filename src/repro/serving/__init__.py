@@ -20,9 +20,9 @@ clients.  Every request resolves through a three-tier fast path:
 
 Served results are byte-for-byte identical to direct
 :func:`repro.api.run_point` calls: requests are decoded through the
-same :func:`repro.api.point_spec` builder the facade uses, and the
-simulator is deterministic.  See ``docs/SERVING.md`` for the protocol,
-semantics, and deployment knobs.
+same :func:`repro.harness.parallel.point_spec` builder the facade uses,
+and the simulator is deterministic.  See ``docs/SERVING.md`` for the
+protocol, semantics, and deployment knobs.
 """
 
 from repro.serving.batcher import ColdPointBatcher
@@ -38,7 +38,6 @@ from repro.serving.codec import (
     request_kwargs,
     result_digest,
     result_payload,
-    validate_request,
 )
 from repro.serving.server import (
     ExperimentServer,
@@ -66,5 +65,4 @@ __all__ = [
     "request_kwargs",
     "result_digest",
     "result_payload",
-    "validate_request",
 ]

@@ -6,8 +6,11 @@ A request is a plain JSON object naming one experiment point::
      "scale": "tiny", "params": {...}, "warm_start": true,
      "options": {"debug_checks": true}, "overrides": {"network": "rdma"}}
 
-Only ``app`` is required.  :func:`decode_request` funnels the request
-through :func:`repro.api.point_spec` — the exact builder behind
+Only ``app`` is required.  ``options`` and ``overrides`` both name
+:class:`~repro.config.RunConfig` fields: ``options`` the five
+context-wide knobs, ``overrides`` any field; an ``overrides`` entry
+wins.  :func:`decode_request` funnels the request through
+:func:`repro.harness.parallel.point_spec` — the exact builder behind
 ``api.run_point`` — so a served point and a direct call construct the
 same :class:`~repro.harness.parallel.PointSpec`, and the deterministic
 simulator does the rest: the served result is byte-for-byte the direct
@@ -41,8 +44,8 @@ from repro.harness.cache import (  # noqa: F401  (re-exported)
     result_payload,
 )
 from repro.harness.declaration import resolve
-from repro.harness.runner import ExperimentContext
-from repro.options import SimOptions
+from repro.harness.parallel import point_spec
+from repro.harness.runner import CONTEXT_KNOBS, ExperimentContext
 
 #: The wire-schema version.  A request's ``"v"`` field may be absent
 #: (meaning "current") or equal to this; anything else is a 400.
@@ -61,9 +64,9 @@ REQUEST_FIELDS = (
     "overrides",
 )
 
-#: ``options`` sub-object fields: exactly the SimOptions dataclass, so
-#: the wire surface cannot drift from it.
-OPTION_FIELDS = tuple(field.name for field in dataclasses.fields(SimOptions))
+#: ``options`` sub-object fields: the knobs the CLI sets for a whole
+#: invocation, folded into the overrides.
+OPTION_FIELDS = CONTEXT_KNOBS
 
 #: ``overrides`` sub-object fields: the RunConfig knobs, less the ones
 #: the request itself names (variant, processor count, machine, costs).
@@ -73,25 +76,14 @@ OVERRIDE_FIELDS = tuple(
     if field.name not in ("variant", "nprocs", "cluster", "costs")
 )
 
-#: Sharing-policy fields (docs/POLICIES.md), validated eagerly wherever
-#: they appear — in ``options`` or in ``overrides`` — so an unknown
-#: policy value is a negative-cacheable 400, not a worker-side crash.
+#: Sharing-policy fields (docs/POLICIES.md), validated eagerly — once,
+#: on the merged overrides — so an unknown policy value is a
+#: negative-cacheable 400, not a worker-side crash.
 _POLICY_VALIDATORS = {
     "granularity": "validate_granularity",
     "prefetch": "validate_prefetch",
     "homing": "validate_homing",
 }
-
-
-def _validate_policy_fields(container: Dict[str, Any], where: str) -> None:
-    from repro.memory import policy as sharing_policy
-
-    for field, validator in _POLICY_VALIDATORS.items():
-        if field in container:
-            try:
-                getattr(sharing_policy, validator)(container[field])
-            except (TypeError, ValueError) as exc:
-                raise ServingError(f"bad {where}: {exc}") from exc
 
 
 class ServingError(Exception):
@@ -112,14 +104,27 @@ class ServingError(Exception):
         self.retry_after = retry_after
 
 
+def _sub_object(request: Dict[str, Any], name: str, accepted) -> Dict:
+    """``request[name]``, an object whose keys are all ``accepted``."""
+    found = request.get(name) or {}
+    if not isinstance(found, dict):
+        raise ServingError(f"'{name}' must be an object")
+    unknown = set(found) - set(accepted)
+    if unknown:
+        raise ServingError(
+            f"unknown {name} field(s) {sorted(unknown)}; "
+            f"accepted: {list(accepted)}"
+        )
+    return found
+
+
 def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a request and return ``api.run_point`` keyword args.
 
     Rejects unknown fields loudly (a typo like ``"procs"`` must not
-    silently serve the default point).  ``options`` is always
-    materialised into a :class:`SimOptions` — absent means *defaults*,
-    never "whatever the previous request left applied in a pool
-    worker".
+    silently serve the default point).  ``options`` and ``overrides``
+    become RunConfig keywords, ``overrides`` winning; a knob absent
+    from both is RunConfig's default.
     """
     if not isinstance(request, dict):
         raise ServingError("request must be a JSON object")
@@ -154,35 +159,24 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     nprocs = request.get("nprocs", 1)
     if isinstance(nprocs, bool) or not isinstance(nprocs, int) or nprocs < 1:
         raise ServingError("'nprocs' must be a positive integer")
-    raw_options = request.get("options") or {}
-    unknown = set(raw_options) - set(OPTION_FIELDS)
-    if unknown:
-        raise ServingError(
-            f"unknown options field(s) {sorted(unknown)}; "
-            f"accepted: {list(OPTION_FIELDS)}"
-        )
-    _validate_policy_fields(raw_options, "options")
-    try:
-        options = SimOptions(**raw_options)
-    except TypeError as exc:
-        raise ServingError(f"bad options object: {exc}") from exc
-    overrides = request.get("overrides") or {}
-    if not isinstance(overrides, dict):
-        raise ServingError("'overrides' must be an object")
-    unknown = set(overrides) - set(OVERRIDE_FIELDS)
-    if unknown:
-        raise ServingError(
-            f"unknown overrides field(s) {sorted(unknown)}; "
-            f"accepted: {list(OVERRIDE_FIELDS)}"
-        )
-    _validate_policy_fields(overrides, "overrides")
+    overrides = {
+        **_sub_object(request, "options", OPTION_FIELDS),
+        **_sub_object(request, "overrides", OVERRIDE_FIELDS),
+    }
+    from repro.memory import policy as sharing_policy
+
+    for field, validator in _POLICY_VALIDATORS.items():
+        if field in overrides:
+            try:
+                getattr(sharing_policy, validator)(overrides[field])
+            except (TypeError, ValueError) as exc:
+                raise ServingError(f"bad {field}: {exc}") from exc
     kwargs: Dict[str, Any] = {
         "app": app,
         "variant": variant,
         "nprocs": nprocs,
         "scale": request.get("scale", "small"),
         "warm_start": bool(request.get("warm_start", True)),
-        "options": options,
     }
     params = request.get("params")
     if params is not None:
@@ -193,21 +187,11 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     return kwargs
 
 
-validate_request = request_kwargs
-"""Alias naming the v2 contract: the one validation entry shared by
-the point, batch, and sweep routes (each sweep expansion line is
-validated through it when resolved).  Pairs with :func:`encode_result`
-— requests come in through ``validate_request``, results leave through
-``encode_result``."""
-
-
 def decode_request(request: Dict[str, Any]):
     """A validated request, as the :class:`PointSpec` it names."""
-    from repro import api
-
     kwargs = request_kwargs(request)
     try:
-        return api.point_spec(**kwargs)
+        return point_spec(**kwargs)
     except (TypeError, ValueError, KeyError) as exc:
         raise ServingError(f"bad request: {exc}") from exc
 
@@ -333,7 +317,7 @@ def expand_sweep(
     ``points`` function lists the points — the ones the driver runs,
     in the order it enumerates them, with ``baselines: false``
     dropping the sequential ones.  Each becomes a wire request that
-    then flows through the ordinary ``validate_request`` → cache →
+    then flows through the ordinary ``request_kwargs`` → cache →
     coalesce → batch path.
     """
     if not isinstance(request, dict):
@@ -388,7 +372,7 @@ def expand_sweep(
 
 def _wire_point(point, common: Dict[str, Any]) -> Dict[str, Any]:
     """One driver :class:`~repro.harness.runner.BatchPoint` as a point
-    request.  Its cluster is not sent: ``api.point_spec`` grows the
+    request.  Its cluster is not sent: ``point_spec`` grows the
     same one from the processor count.  Nor are its costs, so an app
     with ``cost_overrides`` (gauss) runs on the plain cost model."""
     wire = dict(common, app=point.app)

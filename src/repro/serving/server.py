@@ -254,8 +254,8 @@ class ExperimentService:
                 )
             )
         else:
-            # Single in-process worker thread: serialized execution, so
-            # per-spec SimOptions never race on the process globals.
+            # Single in-process worker thread: serialized execution
+            # with no fork cost.
             self._pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve"
             )

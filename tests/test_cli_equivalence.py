@@ -17,7 +17,6 @@ from repro.config import CSM_POLL
 from repro.harness import cross_era, plots
 from repro.harness.cache import ResultCache
 from repro.harness.cli import main
-from repro.options import SimOptions
 
 TINY = ["--scale", "tiny"]
 
@@ -46,7 +45,7 @@ CASES = {
         "figure5",
         {"apps": ["sor", "lu"], "variants": [CSM_POLL],
          "counts": [1, 2, 4, 8, 12, 16, 24, 32]},
-        None,
+        {},
     ),
     "cross_era-networks-chart": (
         ["cross_era", "--apps", "sor", "--counts", "1", "2",
@@ -54,7 +53,7 @@ CASES = {
         "cross_era",
         {"apps": ["sor"], "variants": None, "counts": [1, 2],
          "networks": ["memch", "rdma"]},
-        None,
+        {},
     ),
     "scaling-strong": (
         ["scaling", "--mode", "strong", "--app", "sor", "--counts", "2",
@@ -62,7 +61,7 @@ CASES = {
         "scaling",
         {"app": "sor", "mode": "strong", "counts": [2, 4],
          "variants": None},
-        None,
+        {},
     ),
     "scaling-knobs": (
         ["scaling", "--app", "sor", "--counts", "2", "4", "--variants",
@@ -72,7 +71,7 @@ CASES = {
         {"app": "sor", "mode": "weak", "counts": [2, 4],
          "variants": [CSM_POLL], "barrier_fanin": 4, "dir_shards": 2,
          "node_mem_pages": 64},
-        None,
+        {},
     ),
     "policies-default-network": (
         ["policies", "--app", "sor", "--variants", "csm_poll", "--procs",
@@ -80,7 +79,7 @@ CASES = {
         "policies",
         {"app": "sor", "variants": [CSM_POLL], "nprocs": 4,
          "network": "rdma"},
-        None,
+        {},
     ),
     "policies-network": (
         ["policies", "--app", "sor", "--variants", "csm_poll", "--procs",
@@ -88,25 +87,25 @@ CASES = {
         "policies",
         {"app": "sor", "variants": [CSM_POLL], "nprocs": 4,
          "network": "ethernet"},
-        SimOptions(network="ethernet"),
+        {"network": "ethernet"},
     ),
     "sweep-latency": (
         ["sweep", "--knob", "latency", "--app", "sor", "--procs", "4"],
         "sweep",
         {"knob": "latency", "app": "sor", "nprocs": 4},
-        None,
+        {},
     ),
     "table3-procs": (
         ["table3", "--apps", "sor", "--procs", "4"],
         "table3",
         {"apps": ["sor"], "nprocs": 4},
-        None,
+        {},
     ),
     "figure6-procs-chart": (
         ["figure6", "--apps", "sor", "--procs", "4", "--chart"],
         "figure6",
         {"apps": ["sor"], "nprocs": 4},
-        None,
+        {},
     ),
 }
 
@@ -116,23 +115,16 @@ def shared_cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-equivalence-cache")
 
 
-@pytest.fixture(autouse=True)
-def _default_options():
-    # The CLI installs its options process-wide; leave the defaults.
-    yield
-    SimOptions().apply()
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_prints_run_experiment_text(case, shared_cache_dir, capsys):
-    argv, driver, kwargs, options = CASES[case]
+    argv, driver, kwargs, overrides = CASES[case]
     assert main(argv + TINY + ["--cache-dir", str(shared_cache_dir)]) == 0
     printed = capsys.readouterr().out
     result = api.run_experiment(
         driver,
         scale="tiny",
         cache=ResultCache(cache_dir=shared_cache_dir),
-        options=options,
+        overrides=overrides,
         **kwargs,
     )
     expected = result.text + "\n"

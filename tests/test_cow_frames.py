@@ -21,7 +21,7 @@ from hypothesis import given
 from repro import api
 from repro.apps import registry
 from repro.config import HLRC_POLL, TMK_MC_POLL, ClusterConfig, RunConfig
-from repro.core import Program, SharedArray, fastpath, run_program
+from repro.core import Program, SharedArray, run_program
 from repro.core import lrc as lrc_mod
 from repro.core.hlrc import protocol as hlrc_mod
 from repro.core.treadmarks import protocol as tmk_mod
@@ -189,7 +189,7 @@ def test_build_system_warm_start_needs_a_space():
     assert system.protocol.perms.read_ready(3, 0, 2)
 
 
-def test_debug_checks_catch_a_written_backing_store(monkeypatch):
+def test_debug_checks_catch_a_written_backing_store():
     def worker(env, shared, params):
         yield from env.barrier(0)
         if env.rank == 0 and params.get("vandal"):
@@ -197,7 +197,7 @@ def test_debug_checks_catch_a_written_backing_store(monkeypatch):
         env.stop_timer()
 
     program = Program("vandal", _two_writers().setup, worker)
-    monkeypatch.setattr(fastpath, "DEBUG", True)
-    run_program(program, _warm_cfg(TMK_MC_POLL), {})
+    checked = replace(_warm_cfg(TMK_MC_POLL), debug_checks=True)
+    run_program(program, checked, {})
     with pytest.raises(AssertionError, match="backing store"):
-        run_program(program, _warm_cfg(TMK_MC_POLL), {"vandal": True})
+        run_program(program, checked, {"vandal": True})

@@ -10,8 +10,8 @@ readable mapping has one, a writable one is private, and under
 Cashmere exactly the home node's processors alias the master copy.
 
 These tests drive fault/invalidate/downgrade sequences through all
-three page-based protocols (Cashmere, TreadMarks, HLRC) with
-``fastpath.DEBUG`` forced on, so ``Env.barrier`` re-checks coherence at
+three page-based protocols (Cashmere, TreadMarks, HLRC) on
+``debug_checks=True`` configs, so ``Env.barrier`` re-checks coherence at
 every synchronization point and ``run_program`` checks it again at the
 end.  A hypothesis-generated schedule shrinks any drift to a minimal
 failing program.  Direct unit tests pin down the checker itself —
@@ -28,7 +28,7 @@ from repro import api
 from repro.apps.registry import APP_NAMES
 from repro.config import CSM_POLL, HLRC_POLL, TMK_MC_POLL, RunConfig
 from repro.core import Program, SharedArray, run_program
-from repro.core import fastpath
+from repro.core.base import DsmProtocol
 from repro.core.fastpath import PermBitmaps
 from repro.memory.page import Protection
 from repro.serving.codec import result_digest
@@ -38,19 +38,16 @@ VARIANTS = (CSM_POLL, TMK_MC_POLL, HLRC_POLL)
 SLOTS = 96
 
 
-def force_debug():
-    """``fastpath.DEBUG`` on inside the block, so the barrier hook
-    re-checks bitmap coherence mid-run."""
-    return mock.patch.object(fastpath, "DEBUG", True)
-
-
 @given(rounds=write_rounds, data=st.data())
 def test_bitmaps_coherent_through_random_sharing(rounds, data):
     variant = data.draw(st.sampled_from(VARIANTS))
     nprocs = data.draw(st.sampled_from([2, 4]))
     program, _reference = make_barrier_program(rounds)
-    with force_debug():
-        run_program(program, RunConfig(variant=variant, nprocs=nprocs), {})
+    run_program(
+        program,
+        RunConfig(variant=variant, nprocs=nprocs, debug_checks=True),
+        {},
+    )
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
@@ -67,8 +64,9 @@ def test_bitmaps_coherent_dense_schedule(variant, access_path):
         for r in range(4)
     ]
     program, _reference = make_barrier_program(rounds)
-    with force_debug():
-        run_program(program, RunConfig(variant=variant, nprocs=4), {})
+    run_program(
+        program, RunConfig(variant=variant, nprocs=4, debug_checks=True), {}
+    )
 
 
 @pytest.mark.parametrize("app", APP_NAMES)
@@ -76,11 +74,18 @@ def test_debug_checks_pass_on_sequential_baseline(app):
     """The unlinked Figure-5 baseline maps each page read/write to its
     backing page at first touch, bitmaps and frames both: its
     ``--debug-checks`` barriers must find them coherent and leave its
-    result unchanged."""
-    plain = result_digest(api.run_point(app, None, 1, scale="tiny"))
-    with force_debug():
-        checked = result_digest(api.run_point(app, None, 1, scale="tiny"))
-    assert checked == plain
+    result unchanged.  Every barrier the baseline passes is checked
+    (tsp synchronises with locks only)."""
+    plain = api.run_point(app, None, 1, scale="tiny")
+    check = DsmProtocol.check_page_tables
+    with mock.patch.object(
+        DsmProtocol, "check_page_tables", autospec=True, side_effect=check
+    ) as checks:
+        checked = api.run_point(app, None, 1, scale="tiny", debug_checks=True)
+    barriers = checked.stats.aggregate_counters().get("barriers", 0)
+    assert checks.call_count == barriers
+    assert barriers > 0 or app == "tsp"
+    assert result_digest(checked) == result_digest(plain)
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
@@ -109,13 +114,12 @@ def test_corrupted_bitmap_is_caught(variant):
         yield from env.barrier(1)
         env.stop_timer()
 
-    with force_debug():
-        with pytest.raises(AssertionError, match="bitmap disagrees"):
-            run_program(
-                Program("corrupt", setup, worker),
-                RunConfig(variant=variant, nprocs=2),
-                {},
-            )
+    with pytest.raises(AssertionError, match="bitmap disagrees"):
+        run_program(
+            Program("corrupt", setup, worker),
+            RunConfig(variant=variant, nprocs=2, debug_checks=True),
+            {},
+        )
     assert captured.get("corrupted")
 
 
@@ -163,15 +167,12 @@ def test_corrupted_frame_is_caught(variant, corruption):
         yield from env.barrier(1)
         env.stop_timer()
 
-    with force_debug():
-        with pytest.raises(
-            AssertionError, match=FRAME_CORRUPTIONS[corruption]
-        ):
-            run_program(
-                Program("corrupt", setup, worker),
-                RunConfig(variant=variant, nprocs=2),
-                {},
-            )
+    with pytest.raises(AssertionError, match=FRAME_CORRUPTIONS[corruption]):
+        run_program(
+            Program("corrupt", setup, worker),
+            RunConfig(variant=variant, nprocs=2, debug_checks=True),
+            {},
+        )
     assert captured.get("corrupted")
 
 

@@ -1,11 +1,15 @@
 """Tests for the experiment harness (tables, figures, CLI)."""
 
+from unittest import mock
+
 import pytest
 
+from repro import api
 from repro.config import CSM_POLL, CSM_PP, TMK_MC_POLL, TMK_UDP_INT
 from repro.harness import figure5, figure6, table1, table2, table3
 from repro.harness.cli import build_parser, main
 from repro.harness.runner import ExperimentContext, feasible_counts
+from repro.memory.address_space import AddressSpace
 from repro.stats import Category
 
 
@@ -256,3 +260,49 @@ def test_sweep_module_shapes():
     assert set(gains) == {"csm_poll", "tmk_mc_poll"}
     rendered = sweep.render(points)
     assert "bandwidth" in rendered
+
+
+def test_run_experiment_overrides_end_with_the_call():
+    """Knobs passed to one call leave nothing behind: the next call
+    without them runs on memch, unchecked (no backing-store digest),
+    and its provenance says so."""
+    kwargs = dict(scale="tiny", apps=["sor"], variants=[CSM_POLL], counts=[2])
+    rdma = api.run_experiment(
+        "figure5", overrides={"network": "rdma", "debug_checks": True}, **kwargs
+    )
+    with mock.patch.object(
+        AddressSpace, "backing_digest", autospec=True
+    ) as checks:
+        plain = api.run_experiment("figure5", **kwargs)
+    assert checks.call_count == 0
+    assert rdma.provenance["overrides"]["network"] == "rdma"
+    assert rdma.provenance["overrides"]["debug_checks"] is True
+    assert plain.provenance["overrides"]["network"] == "memch"
+    assert plain.provenance["overrides"]["debug_checks"] is False
+    memch = api.run_experiment(
+        "figure5", overrides={"network": "memch"}, **kwargs
+    )
+    assert plain.text == memch.text != rdma.text
+
+
+def test_run_experiment_refuses_overrides_beside_a_context():
+    """A passed context keeps its own overrides; per-call ones would be
+    dropped, so the call refuses them instead of running unchecked."""
+    ctx = ExperimentContext(scale="tiny")
+    with pytest.raises(ValueError, match="overrides"):
+        api.run_experiment(
+            "figure5",
+            ctx=ctx,
+            overrides={"debug_checks": True},
+            apps=["sor"],
+            variants=[CSM_POLL],
+            counts=[2],
+        )
+
+
+def test_table1_runs_on_the_overridden_network():
+    memch = api.run_experiment("table1").text
+    ethernet = api.run_experiment(
+        "table1", overrides={"network": "ethernet"}
+    ).text
+    assert ethernet != memch

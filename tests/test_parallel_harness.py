@@ -8,19 +8,28 @@ time, counter, and breakdown is bit-identical to a fresh serial run.
 from __future__ import annotations
 
 import pickle
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.config import CSM_POLL, TMK_MC_POLL, CostModel
+from repro.config import (
+    CSM_POLL,
+    TMK_MC_POLL,
+    ClusterConfig,
+    CostModel,
+    RunConfig,
+)
 from repro.harness import sweep
 from repro.harness.cache import (
     ResultCache,
+    key_for_spec,
     run_key,
     sequential_key,
     source_fingerprint,
 )
 from repro.harness.cli import main
 from repro.harness.runner import BatchPoint, ExperimentContext
+from repro.memory.address_space import AddressSpace
 from repro.harness.parallel import (
     PointSpec,
     execute_point_timed,
@@ -79,6 +88,40 @@ def test_timed_worker_ships_the_digest_not_the_values():
     assert timed.values_sha256 == direct.values_sha256
     assert _signature(timed) == _signature(direct)
     assert seconds > 0
+
+
+def test_pooled_run_batch_ships_the_digest_not_the_values():
+    """Values never cross a process boundary: a ``jobs=2`` batch gets
+    the digest a ``jobs=1`` batch computes, without the arrays."""
+    points = [BatchPoint("sor", CSM_POLL, 4), BatchPoint("sor", TMK_MC_POLL, 4)]
+    serial = ExperimentContext(scale="tiny", jobs=1).run_batch(points)
+    pooled = ExperimentContext(scale="tiny", jobs=2).run_batch(points)
+    for direct, fanned in zip(serial, pooled):
+        assert direct.values is not None
+        assert fanned.values is None
+        assert fanned.values_sha256 == direct.values_sha256
+
+
+def test_pool_worker_keeps_no_checks_between_specs(monkeypatch):
+    """A persistent worker that ran a checked spec runs the next
+    unchecked spec unchecked: checking is a field of the run, not state
+    left in the worker.  The workers fork after the patch, so the
+    backing-store digest only a checked run takes raises in them."""
+
+    def refuse(self):
+        raise AssertionError("backing store checked")
+
+    monkeypatch.setattr(AddressSpace, "backing_digest", refuse)
+    spec = _specs()[1]
+    checked = replace(spec, overrides={"debug_checks": True})
+    pool = persistent_pool(1)
+    try:
+        with pytest.raises(AssertionError, match="backing store checked"):
+            pool.submit(execute_point_timed, checked).result()
+        result, _ = pool.submit(execute_point_timed, spec).result()
+    finally:
+        pool.shutdown()
+    assert result.values_sha256 is not None
 
 
 def test_persistent_pool_reused_across_batches_matches_serial():
@@ -216,6 +259,67 @@ def test_cache_keys_are_sensitive_to_inputs():
     assert run_key(spec.app, spec.params, spec.run_config()) == base
 
 
+#: A non-default value for every RunConfig field (the base is
+#: ``RunConfig(CSM_POLL, 4)``).
+NON_DEFAULT = {
+    "variant": TMK_MC_POLL,
+    "nprocs": 8,
+    "cluster": ClusterConfig(n_nodes=4),
+    "costs": CostModel(mc_latency=99.0),
+    "network": "rdma",
+    "exclusive_mode": False,
+    "write_double_dummy": True,
+    "remote_reads": True,
+    "weak_state": True,
+    "trace": True,
+    "debug_checks": True,
+    "warm_start": True,
+    "barrier_fanin": 4,
+    "dir_shards": 2,
+    "node_mem_pages": 64,
+    "granularity": "block1k",
+    "prefetch": "seq",
+    "homing": "dynamic",
+}
+
+#: Explicit settings that resolve to what the automatic policy picks at
+#: 4 processors: they share the automatic setting's entry.
+SAME_RESOLVED = {"dir_shards": 1}
+
+
+def test_every_run_config_field_enters_the_key():
+    """A field added to RunConfig later (as ``debug_checks`` was) cannot
+    silently share entries: it must be listed in NON_DEFAULT, and its
+    non-default value must change the key."""
+    assert set(NON_DEFAULT) == {knob.name for knob in fields(RunConfig)}
+    base = RunConfig(variant=CSM_POLL, nprocs=4)
+    key = run_key("sor", {}, base)
+    for name, value in NON_DEFAULT.items():
+        assert run_key("sor", {}, replace(base, **{name: value})) != key, name
+    for name, value in SAME_RESOLVED.items():
+        assert run_key("sor", {}, replace(base, **{name: value})) == key, name
+
+
+def test_checked_sequential_baseline_has_its_own_key():
+    ctx = ExperimentContext(scale="tiny")
+    spec = ctx._spec_for(BatchPoint("sor", None))
+    checked = ExperimentContext(
+        scale="tiny", overrides={"debug_checks": True}
+    )._spec_for(BatchPoint("sor", None))
+    assert checked.debug_checks and not spec.debug_checks
+    assert key_for_spec(checked) != key_for_spec(spec)
+
+
+def test_context_overrides_reach_every_point_and_points_win():
+    ctx = ExperimentContext(scale="tiny", overrides={"network": "rdma"})
+    spec = ctx._spec_for(BatchPoint("sor", CSM_POLL, 4))
+    own = ctx._spec_for(
+        BatchPoint("sor", CSM_POLL, 4, overrides=(("network", "ethernet"),))
+    )
+    assert spec.run_config().network == "rdma"
+    assert own.run_config().network == "ethernet"
+
+
 def test_sequential_key_distinct_namespace():
     ctx = ExperimentContext(scale="tiny")
     spec = ctx._spec_for(BatchPoint("sor", None))
@@ -308,3 +412,19 @@ def test_cli_jobs_output_matches_serial(tmp_path, capsys):
     assert main(base + ["--jobs", "4"]) == 0
     fanned = capsys.readouterr().out
     assert serial == fanned
+
+
+def test_cli_debug_checks_miss_an_unchecked_cache(tmp_path, capsys):
+    """``--debug-checks`` over a cache an unchecked run filled runs
+    (and checks) every point instead of serving the unchecked ones."""
+    argv = [
+        "figure5", "--scale", "tiny", "--apps", "sor",
+        "--variants", "csm_poll", "--counts", "2",
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main(argv) == 0
+    unchecked = capsys.readouterr()
+    assert main(argv + ["--debug-checks"]) == 0
+    checked = capsys.readouterr()
+    assert "cache: 0 hit(s), 2 miss(es)" in checked.err
+    assert checked.out == unchecked.out

@@ -14,15 +14,14 @@ queueing unboundedly.  Every payload stays byte-identical to direct
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import time
 
 import pytest
 
 from repro import api
-from repro.harness.cache import CacheStats, ResultCache
-from repro.options import SimOptions
+from repro.harness.cache import CacheStats, ResultCache, key_for_spec
+from repro.serving import codec
 from repro.serving import (
     NegativeCache,
     ServingClient,
@@ -30,7 +29,6 @@ from repro.serving import (
     encode_result,
     expand_sweep,
     request_kwargs,
-    validate_request,
 )
 from repro.serving.server import (
     ExperimentServer,
@@ -154,12 +152,30 @@ def test_retired_scheduler_options_are_negative_cached_400s(tmp_path, retired):
             assert exc_info.value.status == 400
         message = str(exc_info.value)
         assert f"unknown options field(s) ['{retired}']" in message
-        fields = [f.name for f in dataclasses.fields(SimOptions)]
-        assert f"accepted: {fields}" in message
+        assert f"accepted: {list(codec.OPTION_FIELDS)}" in message
         assert service.stats.negative_hits == 1
         assert service.negative.as_dict()["stores"] == 1
 
     _with_server(tmp_path, go)
+
+
+def test_options_fold_into_overrides_and_overrides_win():
+    kwargs = request_kwargs(
+        dict(
+            SOR,
+            options={"network": "rdma", "homing": "dynamic"},
+            overrides={"network": "ethernet"},
+        )
+    )
+    assert kwargs["network"] == "ethernet"
+    assert kwargs["homing"] == "dynamic"
+    assert "options" not in kwargs
+
+
+def test_checked_request_keys_apart_from_unchecked():
+    plain = key_for_spec(codec.decode_request(dict(SOR)))
+    checked = dict(SOR, options={"debug_checks": True})
+    assert key_for_spec(codec.decode_request(checked)) != plain
 
 
 def test_negative_cache_entries_expire():
@@ -314,7 +330,7 @@ def test_expand_sweep_validates_and_caps():
     )
     assert [p["nprocs"] for p in points] == [1, 2]
     for point in points:
-        validate_request(dict(point))
+        request_kwargs(dict(point))
     with pytest.raises(ServingError) as exc_info:
         expand_sweep({"kind": "figure5"}, max_points=3)
     assert exc_info.value.status == 413
