@@ -294,14 +294,15 @@ class RunConfig:
     # exact legacy behaviour, keeping every golden bit-identical; above
     # 32 it switches to the scalable structures.  Setting a value
     # explicitly forces that structure at any processor count (that is
-    # how the equivalence tests compare hierarchical vs flat at 8p).
+    # how the tests run several LRC barrier groups at 8p).
     # All three change simulated results when active, so their resolved
     # values enter the result-cache key.
     #
     # Barrier fan-in: Cashmere's MC tree barrier arity (2 is the legacy
-    # tree), and the group size of the LRC hierarchical group-leader
-    # barrier (None picks ~sqrt(nprocs) groups above 32 processors;
-    # <= 32 stays with the paper's flat single-manager barrier).
+    # tree), and the group size of the LRC group-leader barrier (None
+    # puts all processors in one group at <= 32 processors, which is
+    # the paper's centralized barrier manager, and picks ~sqrt(nprocs)
+    # groups above 32).
     barrier_fanin: Optional[int] = None
     # Cashmere directory shards: page-interleaved directory segments,
     # each anchored at a home node that receives *unicast* directory
@@ -387,17 +388,16 @@ class RunConfig:
         return 2 if self.nprocs <= 32 else 4
 
     @property
-    def hierarchical_barriers(self) -> bool:
-        """Whether the LRC barrier runs the two-stage group-leader
-        scheme instead of the paper's flat single-manager round."""
-        return self.barrier_fanin is not None or self.nprocs > 32
-
-    @property
     def lrc_barrier_group(self) -> int:
-        """Member count per group of the hierarchical LRC barrier."""
+        """Processors per group of the LRC group-leader barrier (the
+        leader included): ``barrier_fanin`` when set, else all of them
+        at <= 32 processors (one group: rank 0 is the paper's barrier
+        manager) and ~sqrt(nprocs) above."""
         if self.barrier_fanin is not None:
-            return max(2, self.barrier_fanin)
-        return max(2, math.isqrt(max(self.nprocs - 1, 1)) + 1)
+            return self.barrier_fanin
+        if self.nprocs <= 32:
+            return self.nprocs
+        return math.isqrt(self.nprocs - 1) + 1
 
     @property
     def resolved_dir_shards(self) -> int:

@@ -29,7 +29,6 @@ from typing import Dict, Generator, Optional
 
 import numpy as np
 
-from repro.config import WorkingSet
 from repro.cluster.machine import Processor
 from repro.cluster.messaging import Request
 from repro.core.lrc import LrcProcState, LrcProtocolBase
@@ -363,15 +362,6 @@ class HlrcProtocol(LrcProtocolBase):
         # no page state depends on old interval records.
         return
         yield  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # cost modelling
-    # ------------------------------------------------------------------
-
-    def compute_factors(self, ws: WorkingSet):
-        user = self.cache.total_factor(ws)
-        total = self.cache.total_factor(ws, ws.twin, ws.twin_l2)
-        return user, total, Category.PROTOCOL
 
     # ------------------------------------------------------------------
     # invariants

@@ -3,7 +3,7 @@
 TreadMarks (``repro.core.treadmarks``) and home-based LRC
 (``repro.core.hlrc``) share everything about *when* consistency
 information moves — vector timestamps, interval records, write notices,
-distributed locks, a centralized barrier manager, owner-resident flags,
+distributed locks, a group-leader barrier, owner-resident flags,
 and record garbage collection — and one page-fault path, with one twin
 pool.  They differ in *how data* moves (lazy diffs vs. eager diffs to a
 home), which subclasses provide through ``_validate_page``, their
@@ -18,7 +18,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import RunConfig
+from repro.config import RunConfig, WorkingSet
 from repro.cluster.machine import Cluster, Processor
 from repro.cluster.messaging import Messenger, Request
 from repro.cluster.network import MemoryChannel
@@ -59,7 +59,7 @@ class LockState:
 
 @dataclass
 class BarrierState:
-    """Arrival collection at the barrier manager."""
+    """Arrival collection at a group leader or the root."""
 
     arrivals: List[Request] = field(default_factory=list)
     complete: Optional[Event] = None
@@ -151,26 +151,22 @@ class LrcProtocolBase(DsmProtocol):
         self.prefetcher = run_cfg.make_prefetcher()
         self._twin_pool: List[np.ndarray] = []  # see ``_retire_twin``
         self.lock_last_owner: Dict[int, int] = {}
-        self.barriers: Dict = {}  # barrier_id (flat) or hier key -> state
-        # Hierarchical group-leader barrier topology (PR 7): above the
-        # paper's 32 processors (or whenever ``barrier_fanin`` is set)
-        # ranks are partitioned into contiguous groups; members arrive
-        # at their group leader, leaders forward one combined arrival
-        # to the root (rank 0), and releases fan back out the same way.
-        # ``None`` keeps the paper's flat single-manager barrier.
-        self._bleader: Optional[List[int]] = None
-        self._bgroup_members: Dict[int, int] = {}
-        self._bleaders: List[int] = []
-        if run_cfg.hierarchical_barriers and self.nprocs > 2:
-            size = min(run_cfg.lrc_barrier_group, self.nprocs)
-            self._bleader = [
-                (pid // size) * size for pid in range(self.nprocs)
-            ]
-            self._bleaders = list(range(0, self.nprocs, size))
-            for leader in self._bleaders:
-                self._bgroup_members[leader] = (
-                    min(leader + size, self.nprocs) - leader - 1
-                )
+        # (barrier_id, kind, collecting pid) -> arrivals so far
+        self.barriers: Dict[tuple, BarrierState] = {}
+        # Group-leader barrier topology: ranks are partitioned
+        # into contiguous groups of ``lrc_barrier_group``; members arrive
+        # at their group leader, leaders forward one combined arrival to
+        # the root (rank 0), and releases fan back out the same way.
+        # One group (the default at <= 32 processors) is the paper's
+        # centralized barrier manager.
+        size = run_cfg.lrc_barrier_group
+        self._bleader = [(pid // size) * size for pid in range(self.nprocs)]
+        leaders = range(0, self.nprocs, size)
+        # (kind, collecting pid) -> how many arrivals complete a stage
+        self._bexpected = {(BARRIER_GROUP, 0): len(leaders) - 1}
+        for leader in leaders:
+            members = min(leader + size, self.nprocs) - leader - 1
+            self._bexpected[BARRIER_ARRIVE, leader] = members
 
     # -- state construction (subclass hook) -----------------------------
 
@@ -459,158 +455,96 @@ class LrcProtocolBase(DsmProtocol):
 
     # -- barriers ------------------------------------------------------------
 
-    def _barrier_state(self, barrier_id: int) -> BarrierState:
-        found = self.barriers.get(barrier_id)
+    def _barrier_state(self, key: tuple) -> BarrierState:
+        found = self.barriers.get(key)
         if found is None:
             found = BarrierState(complete=self.engine.event())
-            self.barriers[barrier_id] = found
+            self.barriers[key] = found
         return found
 
     def barrier(self, proc: Processor, barrier_id: int) -> Generator:
+        """A member arrives at its group leader.  A leader collects its
+        group; the root (rank 0) also collects the other leaders,
+        decides the GC round and releases them, while any other leader
+        forwards one :data:`BARRIER_GROUP` arrival to the root.  Every
+        leader then releases its members.  One group is the paper's
+        barrier manager; ~sqrt(P) groups keep any processor's reply
+        count at ``group + leaders``."""
         yield from self._close_interval(proc)
         self.trace(proc, "barrier_arrive", barrier=barrier_id)
-        if self.nprocs == 1:
-            state = self._state(proc)
-            if state.store.record_count() > self.gc_record_threshold:
-                yield from self._gc_flush(proc)
-            return
-        state = self._state(proc)
-        if self._bleader is not None:
-            gc_round = yield from self._barrier_hier(proc, barrier_id)
-        elif proc.pid == 0:
-            gc_round = yield from self._barrier_manager(proc, barrier_id)
-        else:
-            guess = state.manager_guess or (0,) * self.nprocs
-            records = state.store.records_after(guess)
-            reply = yield from self.messenger.request(
-                proc,
-                self.cluster.proc(0),
-                BARRIER_ARRIVE,
-                payload=(barrier_id, tuple(state.vts), records),
-                size=self._records_size(records),
-            )
-            new_records, merged_vts, gc_round = reply
-            yield from self._incorporate(proc, new_records)
-            state.vts[:] = vts_max(state.vts, merged_vts)
-            state.manager_guess = merged_vts
-        if gc_round and barrier_id != GC_BARRIER_ID:
-            yield from self._gc_flush(proc)
-
-    def _barrier_manager(self, proc: Processor, barrier_id: int) -> Generator:
-        state = self._state(proc)
-        barrier = self._barrier_state(barrier_id)
-        yield from proc.wait(barrier.complete, Category.COMM_WAIT)
-        arrivals = barrier.arrivals
-        # Reset before replying: released processors may re-arrive.
-        self.barriers[barrier_id] = BarrierState(complete=self.engine.event())
-        for request in arrivals:
-            _bid, _vts, records = request.payload
-            yield from self._incorporate(proc, records)
-        merged = tuple(state.vts)
-        gc_round = (
-            barrier_id != GC_BARRIER_ID
-            and state.store.record_count() > self.gc_record_threshold
-        )
-        for request in arrivals:
-            _bid, arriver_vts, _records = request.payload
-            records = state.store.records_after(arriver_vts)
-            yield from self.messenger.reply(
-                proc,
-                request,
-                payload=(records, merged, gc_round),
-                size=self._records_size(records),
-            )
-        return gc_round
-
-    def _barrier_hier(self, proc: Processor, barrier_id: int) -> Generator:
-        """Two-stage group-leader barrier (PR 7, > 32 processors).
-
-        Members arrive at their group leader exactly as flat arrivals
-        at the manager; each leader incorporates its group, forwards
-        one combined :data:`BARRIER_GROUP` arrival to the root, and
-        releases its members from its post-merge store.  The root (the
-        leader of group 0) plays the flat manager's role over group
-        leaders only, so no processor ever serializes more than
-        ``group + leaders`` replies — O(sqrt(P)) with the automatic
-        group size instead of the flat barrier's O(P) storm at rank 0.
-        """
-        state = self._state(proc)
         pid = proc.pid
         leader = self._bleader[pid]
         if pid != leader:
-            # Member: indistinguishable from a flat arrival, aimed at
-            # the group leader instead of rank 0.
-            guess = state.manager_guess or (0,) * self.nprocs
-            records = state.store.records_after(guess)
-            reply = yield from self.messenger.request(
-                proc,
-                self.cluster.proc(leader),
-                BARRIER_ARRIVE,
-                payload=(barrier_id, tuple(state.vts), records),
-                size=self._records_size(records),
+            gc_round = yield from self._barrier_arrive(
+                proc, leader, BARRIER_ARRIVE, barrier_id
             )
-            new_records, merged_vts, gc_round = reply
-            yield from self._incorporate(proc, new_records)
-            state.vts[:] = vts_max(state.vts, merged_vts)
-            state.manager_guess = merged_vts
-            return gc_round
-        # Leader: collect this group's arrivals.
-        arrivals: List[Request] = []
-        nmembers = self._bgroup_members[pid]
-        if nmembers:
-            key = (barrier_id, pid)
-            group = self._barrier_state(key)
-            yield from proc.wait(group.complete, Category.COMM_WAIT)
-            arrivals = group.arrivals
-            # Reset before replying: released members may re-arrive.
-            del self.barriers[key]
-            for request in arrivals:
-                _bid, _vts, records = request.payload
-                yield from self._incorporate(proc, records)
-        if pid == 0:
-            # Root: additionally collect the other group leaders.
-            leader_arrivals: List[Request] = []
-            nleaders = len(self._bleaders) - 1
-            if nleaders:
-                key = (barrier_id, "leaders")
-                stage = self._barrier_state(key)
-                yield from proc.wait(stage.complete, Category.COMM_WAIT)
-                leader_arrivals = stage.arrivals
-                del self.barriers[key]
-                for request in leader_arrivals:
-                    _bid, _vts, records = request.payload
-                    yield from self._incorporate(proc, records)
-            merged = tuple(state.vts)
-            gc_round = (
-                barrier_id != GC_BARRIER_ID
-                and state.store.record_count() > self.gc_record_threshold
-            )
-            for request in leader_arrivals:
-                _bid, arriver_vts, _records = request.payload
-                records = state.store.records_after(arriver_vts)
-                yield from self.messenger.reply(
-                    proc,
-                    request,
-                    payload=(records, merged, gc_round),
-                    size=self._records_size(records),
-                )
-            state.manager_guess = merged
         else:
-            # Forward the combined group as one arrival at the root.
-            guess = state.manager_guess or (0,) * self.nprocs
-            records = state.store.records_after(guess)
-            reply = yield from self.messenger.request(
-                proc,
-                self.cluster.proc(0),
-                BARRIER_GROUP,
-                payload=(barrier_id, tuple(state.vts), records),
-                size=self._records_size(records),
+            members = yield from self._barrier_collect(
+                proc, BARRIER_ARRIVE, barrier_id
             )
-            new_records, merged, gc_round = reply
-            yield from self._incorporate(proc, new_records)
-            state.vts[:] = vts_max(state.vts, merged)
-            state.manager_guess = merged
-        # Release this group's members from the post-merge store.
+            if pid == 0:
+                leaders = yield from self._barrier_collect(
+                    proc, BARRIER_GROUP, barrier_id
+                )
+                state = self._state(proc)
+                state.manager_guess = tuple(state.vts)
+                gc_round = (
+                    barrier_id != GC_BARRIER_ID
+                    and state.store.record_count() > self.gc_record_threshold
+                )
+                yield from self._barrier_release(proc, leaders, gc_round)
+            else:
+                gc_round = yield from self._barrier_arrive(
+                    proc, 0, BARRIER_GROUP, barrier_id
+                )
+            yield from self._barrier_release(proc, members, gc_round)
+        if gc_round:
+            yield from self._gc_flush(proc)
+
+    def _barrier_arrive(
+        self, proc: Processor, to: int, kind: str, barrier_id: int
+    ) -> Generator:
+        """Send this processor's records past its last merged timestamp
+        to ``to``; incorporate the release.  Returns the GC decision."""
+        state = self._state(proc)
+        guess = state.manager_guess or (0,) * self.nprocs
+        records = state.store.records_after(guess)
+        reply = yield from self.messenger.request(
+            proc,
+            self.cluster.proc(to),
+            kind,
+            payload=(barrier_id, tuple(state.vts), records),
+            size=self._records_size(records),
+        )
+        new_records, merged, gc_round = reply
+        yield from self._incorporate(proc, new_records)
+        state.vts[:] = vts_max(state.vts, merged)
+        state.manager_guess = merged
+        return gc_round
+
+    def _barrier_collect(
+        self, proc: Processor, kind: str, barrier_id: int
+    ) -> Generator:
+        """Wait for every ``kind`` arrival due at this processor and
+        incorporate their records.  Returns the arrivals."""
+        if not self._bexpected[kind, proc.pid]:
+            return []
+        key = (barrier_id, kind, proc.pid)
+        stage = self._barrier_state(key)
+        yield from proc.wait(stage.complete, Category.COMM_WAIT)
+        # Reset before replying: released processors may re-arrive.
+        del self.barriers[key]
+        for request in stage.arrivals:
+            _bid, _vts, records = request.payload
+            yield from self._incorporate(proc, records)
+        return stage.arrivals
+
+    def _barrier_release(
+        self, proc: Processor, arrivals: List[Request], gc_round: bool
+    ) -> Generator:
+        """Reply to each arrival with the records it lacks."""
+        state = self._state(proc)
+        merged = state.manager_guess
         for request in arrivals:
             _bid, arriver_vts, _records = request.payload
             records = state.store.records_after(arriver_vts)
@@ -620,27 +554,13 @@ class LrcProtocolBase(DsmProtocol):
                 payload=(records, merged, gc_round),
                 size=self._records_size(records),
             )
-        return gc_round
 
     def _serve_barrier_arrive(self, proc: Processor, request: Request) -> None:
-        barrier_id, _vts, _records = request.payload
-        if self._bleader is not None:
-            key = (barrier_id, proc.pid)
-            expected = self._bgroup_members[proc.pid]
-        else:
-            key = barrier_id
-            expected = self.nprocs - 1
-        barrier = self._barrier_state(key)
-        barrier.arrivals.append(request)
-        if len(barrier.arrivals) == expected:
-            barrier.complete.succeed()
-
-    def _serve_barrier_group(self, proc: Processor, request: Request) -> None:
-        barrier_id, _vts, _records = request.payload
-        barrier = self._barrier_state((barrier_id, "leaders"))
-        barrier.arrivals.append(request)
-        if len(barrier.arrivals) == len(self._bleaders) - 1:
-            barrier.complete.succeed()
+        key = (request.payload[0], request.kind, proc.pid)
+        stage = self._barrier_state(key)
+        stage.arrivals.append(request)
+        if len(stage.arrivals) == self._bexpected[key[1:]]:
+            stage.complete.succeed()
 
     # -- flags ------------------------------------------------------------------
 
@@ -719,15 +639,21 @@ class LrcProtocolBase(DsmProtocol):
         state.store.collect(state.vts)
         yield from self._gc_drop_caches(proc)
 
+    # -- cost modelling ----------------------------------------------------------
+
+    def compute_factors(self, ws: WorkingSet):
+        """Twins add their footprint to every compute phase's cache cost."""
+        user = self.cache.total_factor(ws)
+        total = self.cache.total_factor(ws, ws.twin, ws.twin_l2)
+        return user, total, Category.PROTOCOL
+
     # -- request dispatch --------------------------------------------------------
 
     def serve(self, proc: Processor, request: Request) -> Generator:
         if request.kind == LOCK_ACQUIRE:
             yield from self._serve_lock_acquire(proc, request)
-        elif request.kind == BARRIER_ARRIVE:
+        elif request.kind in (BARRIER_ARRIVE, BARRIER_GROUP):
             self._serve_barrier_arrive(proc, request)
-        elif request.kind == BARRIER_GROUP:
-            self._serve_barrier_group(proc, request)
         elif request.kind == FLAG_WAIT:
             yield from self._serve_flag_wait(proc, request)
         else:

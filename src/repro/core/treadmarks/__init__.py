@@ -1,7 +1,6 @@
 """TreadMarks: lazy release consistency with twins and diffs
 (Section 2.2 of the paper)."""
 
-from repro.core.treadmarks.intervals import IntervalRecord, IntervalStore
 from repro.core.treadmarks.protocol import TreadMarksProtocol
 
-__all__ = ["IntervalRecord", "IntervalStore", "TreadMarksProtocol"]
+__all__ = ["TreadMarksProtocol"]

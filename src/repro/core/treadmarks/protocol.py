@@ -24,7 +24,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import WorkingSet
 from repro.cluster.machine import Processor
 from repro.cluster.messaging import Request
 from repro.core.lrc import LrcProcState, LrcProtocolBase
@@ -470,15 +469,6 @@ class TreadMarksProtocol(LrcProtocolBase):
             writer_diffs.cache.clear()
         return
         yield  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # cost modelling
-    # ------------------------------------------------------------------
-
-    def compute_factors(self, ws: WorkingSet):
-        user = self.cache.total_factor(ws)
-        total = self.cache.total_factor(ws, ws.twin, ws.twin_l2)
-        return user, total, Category.PROTOCOL
 
     # ------------------------------------------------------------------
     # invariants

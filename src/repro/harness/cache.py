@@ -106,8 +106,7 @@ def _canonical(value: Any) -> Any:
 _RESOLVED: Dict[str, Callable[[RunConfig], Any]] = {
     "barrier_fanin": lambda cfg: (
         cfg.resolved_barrier_fanin,
-        cfg.hierarchical_barriers,
-        cfg.lrc_barrier_group,
+        min(cfg.lrc_barrier_group, cfg.nprocs),
     ),
     "dir_shards": lambda cfg: cfg.resolved_dir_shards,
     "granularity": lambda cfg: cfg.resolved_unit_bytes,

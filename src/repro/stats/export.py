@@ -24,13 +24,13 @@ Schemas are documented in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, IO, List, Optional, Sequence, Union
 
 from repro.stats.trace import TraceEvent, Tracer
 
 #: bumped when a record's shape changes; readers should check it
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 EXPORT_FORMATS = ("jsonl", "chrome")
 
@@ -53,8 +53,9 @@ def run_metadata(result, scale: Optional[str] = None) -> Dict[str, Any]:
     """Provenance for one :class:`repro.core.RunResult`.
 
     Everything needed to interpret (or re-run) the trace: program,
-    variant, processor count, cluster topology, protocol feature flags,
-    and the full cost model, plus the run's aggregate outcome.
+    variant, processor count, cluster topology, the full cost model and
+    every other ``RunConfig`` field under ``flags``, plus the run's
+    aggregate outcome.
     """
     cfg = result.config
     meta: Dict[str, Any] = {
@@ -71,18 +72,17 @@ def run_metadata(result, scale: Optional[str] = None) -> Dict[str, Any]:
         "network": cfg.network,
         "cluster": asdict(cfg.cluster),
         "costs": asdict(cfg.costs),
-        "flags": {
-            "warm_start": cfg.warm_start,
-            "exclusive_mode": cfg.exclusive_mode,
-            "write_double_dummy": cfg.write_double_dummy,
-            "remote_reads": cfg.remote_reads,
-            "weak_state": cfg.weak_state,
-        },
+        "flags": {},
         "exec_time_us": result.exec_time,
         "network_bytes": result.network_bytes,
         "counters": dict(result.stats.aggregate_counters()),
         "breakdown_us": result.breakdown.as_dict(),
     }
+    # Every other run knob, so a file names the exact run (a field
+    # added to RunConfig later lands here without being listed).
+    for knob in fields(cfg):
+        if knob.name not in meta:
+            meta["flags"][knob.name] = getattr(cfg, knob.name)
     if result.trace is not None:
         meta["events"] = len(result.trace)
     return meta

@@ -29,9 +29,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import api
-from repro.config import ClusterConfig, CostModel, NETWORK_BACKENDS, Transport
+from repro.config import (
+    CSM_POLL,
+    ClusterConfig,
+    CostModel,
+    NETWORK_BACKENDS,
+    Transport,
+)
 from repro.cluster.network import NETWORK_MODELS, build_network
-from repro.harness import cross_era
+from repro.harness import cross_era, table1
 from repro.harness.runner import ExperimentContext
 from tests.helpers import replay_ids
 
@@ -103,6 +109,23 @@ def test_cross_era_rendered_output_matches_golden(network):
     )
     golden = (HERE / f"golden_cross_era_{network}.txt").read_text()
     assert result.text + "\n" == golden
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Cashmere's McLock and TreeBarrier (core/cashmere/sync.py) "
+    "charge Memory Channel costs on every backend",
+)
+def test_cashmere_lock_acquire_costs_more_on_ethernet():
+    """Table 1's 2-processor lock probe: a lock passed over ethernet
+    must cost Cashmere more than over the Memory Channel, as it does
+    TreadMarks."""
+
+    def acquire(network):
+        ctx = ExperimentContext(overrides={"network": network})
+        return table1._run_probe(table1._lock_program(), ctx, CSM_POLL, 2)[0]
+
+    assert acquire("ethernet") > acquire("memch")
 
 
 # --- NetworkModel interface conformance (property-based) ----------------

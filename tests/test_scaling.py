@@ -64,8 +64,8 @@ TINY_SOR = dict(rows=24, cols=32, iters=4)
     "variant", [TMK_MC_POLL, HLRC_POLL], ids=lambda v: v.name
 )
 def test_degenerate_lrc_hierarchy_is_bit_identical(variant):
-    """``barrier_fanin == nprocs`` puts every processor in one group:
-    the hierarchical LRC barrier must reproduce the flat one exactly."""
+    """At <= 32p the default puts every processor in one LRC barrier
+    group; asking for that group size explicitly must change nothing."""
     flat = api.run_point("sor", variant, 8, scale="tiny")
     one_group = api.run_point("sor", variant, 8, scale="tiny", barrier_fanin=8)
     assert result_digest(flat) == result_digest(one_group)
@@ -110,6 +110,24 @@ def test_dir_sharding_on_rdma_computes_identical_values():
     )
     assert values_match(single.values, sharded.values)
     assert single.exec_time > 0 and sharded.exec_time > 0
+
+
+@pytest.mark.parametrize(
+    "variant", [TMK_MC_POLL, HLRC_POLL], ids=lambda v: v.name
+)
+@pytest.mark.parametrize("nprocs, fanin", [(5, 2), (7, 3)])
+def test_uneven_lrc_barrier_groups_compute_identical_values(
+    variant, nprocs, fanin
+):
+    """Groups whose last leader has no members (5 = 2 + 2 + 1,
+    7 = 3 + 3 + 1) re-time the barriers but compute the one-group
+    run's answer."""
+    one_group = api.run_point("sor", variant, nprocs, scale="tiny")
+    groups = api.run_point(
+        "sor", variant, nprocs, scale="tiny", barrier_fanin=fanin
+    )
+    assert groups.values_sha256 == one_group.values_sha256
+    assert groups.exec_time != one_group.exec_time
 
 
 # -- one event order at scale -------------------------------------------
@@ -394,7 +412,7 @@ def test_run_point_auto_grows_cluster_past_32():
 def test_resolved_knobs_default_to_legacy_below_32p():
     cfg = RunConfig(variant=CSM_POLL, nprocs=8)
     assert cfg.resolved_barrier_fanin == 2
-    assert not cfg.hierarchical_barriers
+    assert cfg.lrc_barrier_group == cfg.nprocs  # one group: the manager
     assert cfg.resolved_dir_shards == 1
 
 
@@ -402,7 +420,7 @@ def test_resolved_knobs_scale_past_32p():
     cfg = RunConfig(
         variant=CSM_POLL, nprocs=64, cluster=cluster_for(64)
     )
-    assert cfg.hierarchical_barriers
+    assert cfg.lrc_barrier_group < cfg.nprocs
     assert cfg.resolved_barrier_fanin == 4
     assert cfg.resolved_dir_shards == cfg.cluster.n_nodes
 

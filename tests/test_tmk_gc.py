@@ -139,8 +139,8 @@ def _one_barrier_program():
     """Each rank writes its own page, then every rank barriers once."""
 
     def setup(space, params):
-        arr = SharedArray.alloc(space, "data", np.float64, (4 * 1024,))
-        arr.initialize(np.zeros(4 * 1024))
+        arr = SharedArray.alloc(space, "data", np.float64, (8 * 1024,))
+        arr.initialize(np.zeros(8 * 1024))
         return {"arr": arr}
 
     def worker(env, shared, params):
@@ -153,17 +153,26 @@ def _one_barrier_program():
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"nprocs": 1}, {"nprocs": 4}, {"nprocs": 4, "barrier_fanin": 2}],
-    ids=["single", "flat", "hierarchical"],
+    [
+        {"nprocs": 1},
+        {"nprocs": 4},
+        {"nprocs": 4, "barrier_fanin": 2},
+        {"nprocs": 5, "barrier_fanin": 2},
+    ],
+    ids=["single", "flat", "hierarchical", "lone-leader"],
 )
 def test_gc_flushes_only_above_the_record_threshold(monkeypatch, overrides):
     """The barrier's collection test is ``record_count() > threshold``:
     no flush when the deciding store holds exactly ``threshold``
-    records, a flush at one more.  Runs the one-processor barrier, the
-    flat manager and the hierarchical root."""
+    records, a flush at one more.  Runs the root with no members (one
+    processor), with every processor in its group, with other leaders,
+    and with a last leader that has no members (5 = 2 + 2 + 1)."""
     created = _grab_protocols(monkeypatch)
     cfg = RunConfig(variant=TMK_MC_POLL, **overrides)
-    assert cfg.hierarchical_barriers == ("barrier_fanin" in overrides)
+    if "barrier_fanin" in overrides:
+        assert cfg.lrc_barrier_group < cfg.nprocs
+    else:
+        assert cfg.lrc_barrier_group == cfg.nprocs
     monkeypatch.setattr(tmk_protocol, "GC_RECORD_THRESHOLD", 10**9)
     run_program(_one_barrier_program(), cfg, {})
     records = created[-1].procs[0].store.record_count()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.treadmarks.intervals import (
+from repro.core.intervals import (
     IntervalRecord,
     IntervalStore,
     vts_leq,

@@ -79,8 +79,10 @@ def test_run_metadata_is_self_describing(traced_results):
     assert meta["cluster"]["page_size"] > 0
     assert meta["costs"]  # full cost-model constants
     assert set(meta["flags"]) == {
-        "warm_start", "exclusive_mode",
-        "write_double_dummy", "remote_reads", "weak_state",
+        "exclusive_mode", "write_double_dummy", "remote_reads",
+        "weak_state", "trace", "debug_checks", "warm_start",
+        "barrier_fanin", "dir_shards", "node_mem_pages",
+        "granularity", "prefetch", "homing",
     }
     assert meta["exec_time_us"] > 0
     assert meta["events"] == len(traced_results["csm_poll"].trace)
