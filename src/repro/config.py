@@ -24,6 +24,9 @@ class SystemKind(enum.Enum):
     # Extension beyond the paper: home-based LRC, the hybrid the field
     # converged on shortly afterwards (see repro.core.hlrc).
     HLRC = "hlrc"
+    # The paper's unlinked baseline: the program on one processor with
+    # no DSM system (``repro.core.runtime.sequential``).
+    SEQUENTIAL = "sequential"
 
 
 class Mechanism(enum.Enum):
@@ -66,6 +69,10 @@ TMK_MC_POLL = Variant("tmk_mc_poll", SystemKind.TREADMARKS, Mechanism.POLL)
 # Extension variants (not part of the paper's six).
 HLRC_POLL = Variant("hlrc_poll", SystemKind.HLRC, Mechanism.POLL)
 HLRC_INT = Variant("hlrc_int", SystemKind.HLRC, Mechanism.INTERRUPT)
+
+# The sequential baseline.  Not selectable by name: an omitted variant
+# means the baseline (``repro.harness.parallel.point_spec``).
+SEQUENTIAL = Variant("sequential", SystemKind.SEQUENTIAL, Mechanism.INTERRUPT)
 
 ALL_VARIANTS = (CSM_PP, CSM_INT, CSM_POLL, TMK_UDP_INT, TMK_MC_INT, TMK_MC_POLL)
 EXTENSION_VARIANTS = (HLRC_POLL, HLRC_INT)
@@ -412,3 +419,23 @@ class RunConfig:
         if self.variant.mechanism is Mechanism.PROTOCOL_PROCESSOR:
             per_node -= 1  # one CPU per node is dedicated to requests
         return self.cluster.n_nodes * per_node
+
+
+def sequential_config(
+    page_size: int = 8192,
+    costs: Optional[CostModel] = None,
+    debug_checks: bool = False,
+) -> RunConfig:
+    """The run of the paper's unlinked sequential baseline: one processor
+    on a one-CPU cluster at ``page_size``, with ``costs`` (scaled cache
+    parameters matter to the baseline too) and ``debug_checks``.  Every
+    other field stays at its default: network, policy, trace and
+    warm-start knobs mean nothing without a DSM system, so they never
+    reach the baseline (nor its cache key)."""
+    return RunConfig(
+        variant=SEQUENTIAL,
+        nprocs=1,
+        cluster=ClusterConfig(n_nodes=1, cpus_per_node=1, page_size=page_size),
+        costs=costs or CostModel(),
+        debug_checks=debug_checks,
+    )

@@ -27,9 +27,6 @@ Span = Tuple[int, int, int]  # (page, start_within_page, length)
 class DsmProtocol(abc.ABC):
     """Coherence, synchronization, and data access for one DSM system."""
 
-    #: whether poll instrumentation costs apply to this run
-    counts_polling = True
-
     #: installed by the program runner; a disabled tracer is free
     tracer = None
 

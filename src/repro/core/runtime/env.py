@@ -64,8 +64,6 @@ class Env:
         crosses one frame fewer (``env.compute`` contributes no frame of
         its own to the ``yield from`` chain).
         """
-        if not self.protocol.counts_polling:
-            polls = 0
         tracer = self.protocol.tracer
         if ws is None and (tracer is None or not tracer.enabled):
             return self.proc.compute(us, polls=polls)

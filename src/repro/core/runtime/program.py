@@ -16,14 +16,14 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.config import RunConfig, SystemKind
+from repro.config import RunConfig, SystemKind, sequential_config
 from repro.cluster.machine import Cluster
 from repro.cluster.messaging import Messenger
 from repro.cluster.network import NetworkModel, build_network
 from repro.core.runtime.env import Env
 from repro.memory.address_space import AddressSpace
 from repro.sim import Engine
-from repro.stats import Breakdown, Category, StatsBoard
+from repro.stats import Breakdown, StatsBoard
 from repro.stats.trace import Tracer
 
 
@@ -221,6 +221,10 @@ def _build_protocol(
         return HlrcProtocol(
             engine, cluster, network, messenger, space, stats, run_cfg
         )
+    if system is SystemKind.SEQUENTIAL:
+        from repro.core.runtime.sequential import SequentialProtocol
+
+        return SequentialProtocol(space, costs=run_cfg.costs)
     raise ValueError(f"unknown system {system!r}")
 
 
@@ -230,7 +234,14 @@ def run_program(
     params: Optional[Dict] = None,
     placement: Optional[List[tuple]] = None,
 ) -> RunResult:
-    """Execute ``program`` on ``run_cfg.nprocs`` simulated processors."""
+    """Execute ``program`` on ``run_cfg.nprocs`` simulated processors.
+
+    The unlinked sequential baseline (``SystemKind.SEQUENTIAL``) runs
+    here too; it differs only in what a linked run adds: idle processes
+    that keep serving requests, and the check that the protocol left
+    the backing store alone (the baseline works in it directly).
+    """
+    linked = run_cfg.variant.system is not SystemKind.SEQUENTIAL
     params = dict(params or {})
     # The space's "pages" are the run's sharing units (docs/POLICIES.md);
     # unit_bytes is None at the default granularity, reconstructing the
@@ -239,7 +250,9 @@ def run_program(
         run_cfg.cluster.page_size, unit_size=run_cfg.unit_bytes
     )
     shared = program.setup(space, params)
-    backing = space.backing_digest() if run_cfg.debug_checks else None
+    backing = (
+        space.backing_digest() if linked and run_cfg.debug_checks else None
+    )
     system = build_system(run_cfg, space=space, placement=placement)
     engine = system.engine
     cluster = system.cluster
@@ -260,13 +273,15 @@ def run_program(
         values[rank] = result
         if not stats[rank].frozen:
             stats[rank].freeze(engine.now)
-        # The real process stays alive after its work is done and keeps
-        # fielding remote requests (polls/interrupts) while idle.
-        engine.process(
-            cluster.proc(rank).serve_forever(),
-            name=f"idle-p{rank}",
-            daemon=True,
-        )
+        if linked:
+            # The real process stays alive after its work is done and
+            # keeps fielding remote requests (polls/interrupts) while
+            # idle.
+            engine.process(
+                cluster.proc(rank).serve_forever(),
+                name=f"idle-p{rank}",
+                daemon=True,
+            )
 
     for rank in range(run_cfg.nprocs):
         engine.process(run_worker(rank), name=f"{program.name}-w{rank}")
@@ -301,52 +316,6 @@ def run_sequential(
     callers keep scaled cache parameters consistent with parallel runs;
     ``debug_checks`` re-checks the page table at every barrier.
     """
-    from repro.config import ClusterConfig, Mechanism, Variant, Transport
-    from repro.core.runtime.sequential import SequentialProtocol
-
-    params = dict(params or {})
-    engine = Engine()
-    stats = StatsBoard(1)
-    cluster_cfg = ClusterConfig(n_nodes=1, cpus_per_node=1, page_size=page_size)
-    seq_variant = Variant(
-        "sequential",
-        SystemKind.CASHMERE,  # placeholder; no protocol is built
-        Mechanism.INTERRUPT,
-        Transport.MEMORY_CHANNEL,
-    )
-    run_cfg = RunConfig(
-        variant=seq_variant,
-        nprocs=1,
-        cluster=cluster_cfg,
-        debug_checks=debug_checks,
-    )
-    cluster = Cluster(
-        engine,
-        cluster_cfg,
-        run_cfg.costs,
-        Mechanism.INTERRUPT,
-        [(0, 0)],
-        stats,
-    )
-    space = AddressSpace(page_size)
-    shared = program.setup(space, params)
-    protocol = SequentialProtocol(space, costs=costs)
-
-    values: List[Any] = [None]
-
-    def run_worker():
-        env = Env(0, 1, cluster.proc(0), protocol, debug_checks)
-        values[0] = yield from program.worker(env, shared, params)
-        if not stats[0].frozen:
-            stats[0].freeze(engine.now)
-
-    engine.process(run_worker(), name=f"{program.name}-seq")
-    engine.run()
-    return RunResult(
-        program=program.name,
-        config=run_cfg,
-        exec_time=stats.finish_time,
-        stats=stats,
-        values=values,
-        values_sha256=values_digest(values),
+    return run_program(
+        program, sequential_config(page_size, costs, debug_checks), params
     )

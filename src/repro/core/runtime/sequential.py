@@ -22,9 +22,9 @@ def _noop() -> Generator:
 
 
 class SequentialProtocol(DsmProtocol):
-    """Free memory access for a single processor."""
-
-    counts_polling = False
+    """Free memory access for a single processor.  Poll points cost
+    nothing: the baseline runs under ``Mechanism.INTERRUPT``, and only
+    ``Mechanism.POLL`` charges them (``Processor.compute``)."""
 
     def __init__(self, space: AddressSpace, costs=None):
         from repro.cluster.cache import CacheModel

@@ -120,8 +120,9 @@ def run_key(
     params: Dict[str, Any],
     run_cfg: RunConfig,
 ) -> str:
-    """Cache key for one parallel protocol run: every RunConfig field,
-    so a field added later enters the key without being listed here."""
+    """Cache key for one run, the sequential baseline included: every
+    RunConfig field, so a field added later enters the key without being
+    listed here."""
     config = {}
     for name in _RUN_FIELDS:
         resolve = _RESOLVED.get(name)
@@ -133,25 +134,6 @@ def run_key(
         "app": app,
         "params": _canonical(params),
         "config": config,
-    }
-    return _digest(payload)
-
-
-def sequential_key(
-    app: str,
-    params: Dict[str, Any],
-    page_size: int,
-    costs,
-    debug_checks: bool = False,
-) -> str:
-    """Cache key for one sequential (unlinked) baseline run."""
-    payload = {
-        "kind": "sequential",
-        "app": app,
-        "params": _canonical(params),
-        "page_size": page_size,
-        "costs": _canonical(costs),
-        "debug_checks": debug_checks,
     }
     return _digest(payload)
 
@@ -170,16 +152,12 @@ def key_for_spec(spec) -> str:
     (:class:`~repro.harness.runner.ExperimentContext`), the serving
     layer (``repro.serving``), and the serving-aware
     ``repro.api.run_point`` — one spec, one fingerprint, everywhere.
+    A sequential point's config fixes every field but page size, costs
+    and ``debug_checks`` (:func:`~repro.config.sequential_config`), so
+    two baselines share an entry exactly when those, the app and its
+    params agree.
     """
-    if spec.is_sequential:
-        return sequential_key(
-            spec.app,
-            spec.params,
-            spec.cluster.page_size,
-            spec.costs,
-            spec.debug_checks,
-        )
-    return run_key(spec.app, spec.params, spec.run_config())
+    return run_key(spec.app, spec.params, spec.config)
 
 
 @dataclass

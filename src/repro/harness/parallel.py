@@ -19,8 +19,9 @@ the harness semantics exactly serial:
 Everything a worker needs travels in a :class:`PointSpec` — plain
 dataclasses of config values, never live protocol objects — so specs
 pickle cheaply under both fork and spawn start methods.  Every run knob
-is a spec field or a ``RunConfig`` override: a worker holds no run
-state between specs.  :func:`point_spec` is the one place specs are
+is a field of the spec's ``RunConfig``: a worker holds no run state
+between specs, and every point, the sequential baseline included, runs
+through ``run_program``.  :func:`point_spec` is the one place specs are
 built.  Values never cross a process boundary: a pool worker returns
 its result with ``values_sha256`` but without ``values``.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -38,50 +39,28 @@ from repro.config import (
     ClusterConfig,
     CostModel,
     RunConfig,
+    SystemKind,
     Variant,
+    sequential_config,
     variant_by_name,
 )
 from repro.harness.configs import cluster_for
 
-#: Sentinel variant name marking a sequential (unlinked) baseline point.
-SEQUENTIAL = "sequential"
-
 
 @dataclass(frozen=True)
 class PointSpec:
-    """One self-contained experiment point, ready to run anywhere."""
+    """One self-contained experiment point, ready to run anywhere: an
+    app, its params, and the :class:`~repro.config.RunConfig` of the
+    run (the sequential baseline's is
+    :func:`~repro.config.sequential_config`)."""
 
     app: str
-    variant_name: str  # a protocol variant, or SEQUENTIAL
-    nprocs: int
     params: Dict[str, Any]
-    cluster: ClusterConfig
-    costs: CostModel
-    warm_start: bool = True
-    trace: bool = False
-    # RunConfig fields; a sequential point reads only ``debug_checks``.
-    overrides: Dict[str, Any] = field(default_factory=dict)
+    config: RunConfig
 
     @property
     def is_sequential(self) -> bool:
-        return self.variant_name == SEQUENTIAL
-
-    @property
-    def debug_checks(self) -> bool:
-        return bool(self.overrides.get("debug_checks", False))
-
-    def run_config(self) -> RunConfig:
-        if self.is_sequential:
-            raise ValueError("sequential points carry no RunConfig")
-        return RunConfig(
-            variant=variant_by_name(self.variant_name),
-            nprocs=self.nprocs,
-            cluster=self.cluster,
-            costs=self.costs,
-            warm_start=self.warm_start,
-            trace=self.trace,
-            **self.overrides,
-        )
+        return self.config.variant.system is SystemKind.SEQUENTIAL
 
 
 def point_spec(
@@ -102,12 +81,16 @@ def point_spec(
     ``repro.api.run_point``, the serving decoder and
     ``ExperimentContext`` all build their specs here, which is what
     guarantees a served result is byte-for-byte the result of the
-    equivalent direct call.  ``variant=None`` is the sequential
-    baseline.  ``params`` defaults to the app's
+    equivalent direct call.  ``params`` defaults to the app's
     ``default_params(scale)``; ``cluster`` to the default cluster, grown
     by nodes past its 32 CPUs; ``costs`` to the plain paper cost model.
     Extra keywords are :class:`~repro.config.RunConfig` fields
     (``network="rdma"``, ``debug_checks=True``, ...).
+
+    ``variant=None`` is the sequential baseline: its config keeps only
+    the cluster's page size, ``costs`` and ``debug_checks``
+    (:func:`~repro.config.sequential_config`); ``nprocs`` and every
+    other knob are ignored.
     """
     module = registry.load(app)
     if isinstance(variant, str):
@@ -116,39 +99,38 @@ def point_spec(
         cluster = cluster_for(
             nprocs, mechanism=None if variant is None else variant.mechanism
         )
+    if variant is None:
+        config = sequential_config(
+            cluster.page_size,
+            costs,
+            bool(overrides.get("debug_checks", False)),
+        )
+    else:
+        config = RunConfig(
+            variant=variant,
+            nprocs=nprocs,
+            cluster=cluster,
+            costs=costs or CostModel(),
+            warm_start=warm_start,
+            trace=trace,
+            **overrides,
+        )
     return PointSpec(
         app=app,
-        variant_name=SEQUENTIAL if variant is None else variant.name,
-        nprocs=nprocs,
         params=(
             dict(params) if params is not None
             else module.default_params(scale)
         ),
-        cluster=cluster,
-        costs=costs or CostModel(),
-        warm_start=warm_start,
-        trace=trace,
-        overrides=overrides,
+        config=config,
     )
 
 
 def _runner(spec: PointSpec):
     """Load ``spec``'s app; returns the call that runs the point."""
-    from repro.core import run_program, run_sequential
+    from repro.core import run_program
 
     module = registry.load(spec.app)
-    if spec.is_sequential:
-        return partial(
-            run_sequential,
-            module.program(),
-            spec.params,
-            page_size=spec.cluster.page_size,
-            costs=spec.costs,
-            debug_checks=spec.debug_checks,
-        )
-    return partial(
-        run_program, module.program(), spec.run_config(), spec.params
-    )
+    return partial(run_program, module.program(), spec.config, spec.params)
 
 
 def execute_point(spec: PointSpec):

@@ -152,7 +152,7 @@ class ExperimentContext:
         for spec, result in zip(specs, results):
             if spec.is_sequential:
                 self._sequential.setdefault(self._seq_memo_key(spec), result)
-            elif spec.trace:
+            elif spec.config.trace:
                 self.trace_runs.append(
                     TraceRun.from_result(result, scale=self.scale)
                 )
@@ -198,11 +198,13 @@ class ExperimentContext:
 
     def _seq_memo_key(self, spec: PointSpec) -> Tuple:
         # Keyed by (app, exact params, checks): the baseline never
-        # touches the network, so swept cost models share one baseline
-        # (contexts created by the sweep drivers share this dict), while
-        # scaling sweeps with per-point params get distinct baselines.
+        # touches the network, so swept cost models share one baseline,
+        # while scaling sweeps with per-point params get distinct
+        # baselines.
         return (
-            spec.app, tuple(sorted(spec.params.items())), spec.debug_checks
+            spec.app,
+            tuple(sorted(spec.params.items())),
+            spec.config.debug_checks,
         )
 
     def _lookup(self, spec: PointSpec, key: Optional[str]):

@@ -419,8 +419,8 @@ class ExperimentService:
             entry = {
                 "key": key,
                 "app": spec.app,
-                "variant": spec.variant_name,
-                "nprocs": spec.nprocs,
+                "variant": spec.config.variant.name,
+                "nprocs": spec.config.nprocs,
                 "digest": hit.digest,
                 "result": hit.data,
             }

@@ -163,7 +163,11 @@ def main() -> int:
     for run, layers in layers_of.values():
         spec = run.args[0]
         digest = _outcome(run)[1]
-        line = f"{spec.app}/{spec.variant_name}/{spec.nprocs}p {digest[:16]}"
+        config = spec.config
+        line = (
+            f"{spec.app}/{config.variant.name}/{config.nprocs}p"
+            f" {digest[:16]}"
+        )
         for layer in layers:
             oracle_digest = _outcome(run, (layer,))[1]
             same = oracle_digest == digest

@@ -24,7 +24,6 @@ from repro.harness.cache import (
     ResultCache,
     key_for_spec,
     run_key,
-    sequential_key,
     source_fingerprint,
 )
 from repro.harness.cli import main
@@ -33,6 +32,7 @@ from repro.memory.address_space import AddressSpace
 from repro.harness.parallel import (
     PointSpec,
     execute_point_timed,
+    point_spec,
     persistent_pool,
     run_points,
 )
@@ -113,7 +113,7 @@ def test_pool_worker_keeps_no_checks_between_specs(monkeypatch):
 
     monkeypatch.setattr(AddressSpace, "backing_digest", refuse)
     spec = _specs()[1]
-    checked = replace(spec, overrides={"debug_checks": True})
+    checked = replace(spec, config=replace(spec.config, debug_checks=True))
     pool = persistent_pool(1)
     try:
         with pytest.raises(AssertionError, match="backing store checked"):
@@ -237,26 +237,26 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 def test_cache_keys_are_sensitive_to_inputs():
     ctx = ExperimentContext(scale="tiny")
     spec = ctx._spec_for(BatchPoint("sor", CSM_POLL, 4))
-    base = run_key(spec.app, spec.params, spec.run_config())
+    base = run_key(spec.app, spec.params, spec.config)
 
     other_procs = ctx._spec_for(BatchPoint("sor", CSM_POLL, 8))
-    assert run_key("sor", spec.params, other_procs.run_config()) != base
+    assert run_key("sor", spec.params, other_procs.config) != base
 
     other_variant = ctx._spec_for(BatchPoint("sor", TMK_MC_POLL, 4))
-    assert run_key("sor", spec.params, other_variant.run_config()) != base
+    assert run_key("sor", spec.params, other_variant.config) != base
 
     swept = ctx._spec_for(
         BatchPoint("sor", CSM_POLL, 4, costs=CostModel(mc_latency=99.0))
     )
-    assert run_key("sor", spec.params, swept.run_config()) != base
+    assert run_key("sor", spec.params, swept.config) != base
 
     other_params = dict(spec.params)
     first = sorted(other_params)[0]
     other_params[first] = other_params[first] + 1
-    assert run_key("sor", other_params, spec.run_config()) != base
+    assert run_key("sor", other_params, spec.config) != base
 
     # Stability: recomputing the same key yields the same digest.
-    assert run_key(spec.app, spec.params, spec.run_config()) == base
+    assert run_key(spec.app, spec.params, spec.config) == base
 
 
 #: A non-default value for every RunConfig field (the base is
@@ -306,7 +306,7 @@ def test_checked_sequential_baseline_has_its_own_key():
     checked = ExperimentContext(
         scale="tiny", overrides={"debug_checks": True}
     )._spec_for(BatchPoint("sor", None))
-    assert checked.debug_checks and not spec.debug_checks
+    assert checked.config.debug_checks and not spec.config.debug_checks
     assert key_for_spec(checked) != key_for_spec(spec)
 
 
@@ -316,20 +316,38 @@ def test_context_overrides_reach_every_point_and_points_win():
     own = ctx._spec_for(
         BatchPoint("sor", CSM_POLL, 4, overrides=(("network", "ethernet"),))
     )
-    assert spec.run_config().network == "rdma"
-    assert own.run_config().network == "ethernet"
+    assert spec.config.network == "rdma"
+    assert own.config.network == "ethernet"
 
 
 def test_sequential_key_distinct_namespace():
-    ctx = ExperimentContext(scale="tiny")
-    spec = ctx._spec_for(BatchPoint("sor", None))
-    a = sequential_key("sor", spec.params, ctx.cluster.page_size, spec.costs)
-    b = sequential_key("sor", spec.params, ctx.cluster.page_size + 1024,
-                       spec.costs)
-    assert a != b
-    assert a == sequential_key(
-        "sor", spec.params, ctx.cluster.page_size, spec.costs
-    )
+    """The sequential rule keeps only page size, costs and
+    ``debug_checks`` of a baseline's knobs: network, policy, trace and
+    warm-start knobs never reach its config or its cache key."""
+    base = point_spec("sor", None, 1, scale="tiny")
+    key = key_for_spec(base)
+    assert key_for_spec(point_spec("sor", None, 1, scale="tiny")) == key
+    assert key != key_for_spec(point_spec("sor", CSM_POLL, 1, scale="tiny"))
+    ignored = {
+        "network": "rdma",
+        "granularity": "block1k",
+        "prefetch": "seq",
+        "homing": "round-robin",
+        "trace": True,
+        "warm_start": False,
+    }
+    for name, value in ignored.items():
+        spec = point_spec("sor", None, 1, scale="tiny", **{name: value})
+        assert key_for_spec(spec) == key, name
+    page_size = base.config.cluster.page_size
+    kept = {
+        "debug_checks": {"debug_checks": True},
+        "page size": {"cluster": ClusterConfig(page_size=page_size + 1024)},
+        "costs": {"costs": CostModel(mc_latency=99.0)},
+    }
+    for name, knobs in kept.items():
+        spec = point_spec("sor", None, 1, scale="tiny", **knobs)
+        assert key_for_spec(spec) != key, name
 
 
 def test_source_fingerprint_stable():

@@ -358,10 +358,10 @@ def test_barnes_scalar_walks_are_bounded_by_the_blocks_fetched(monkeypatch):
 
 
 def test_barnes_forces_working_memory_is_bounded_by_the_batch():
-    """One call over 4,096 bodies peaks at a few MB because the frontier
-    holds at most ``BARNES_BATCH`` bodies' pairs (4.7 MB when pinned; 140
-    MB with all 4,096 bodies in one frontier)."""
-    n, page_rows = 4096, 64
+    """One call over 2,048 bodies peaks at a few MB because the frontier
+    holds at most ``BARNES_BATCH`` bodies' pairs (4.0 MB when pinned; 59
+    MB with all 2,048 bodies in one frontier)."""
+    n, page_rows = 2048, 64
     positions = deterministic_rng(1997).random((n, 3)) * 2.0 - 1.0
     tree = barnes._build_tree(positions, np.ones(n) / n)
     table = barnes._encode_cells(tree, (5 * n) // 2)

@@ -201,9 +201,7 @@ def test_clear_and_prune_sweep_stale_root_files(tmp_path):
 def test_key_for_spec_matches_manual_derivation():
     ctx = ExperimentContext(scale="tiny")
     spec = ctx._spec_for(BatchPoint("sor", CSM_POLL, 4))
-    assert key_for_spec(spec) == run_key(
-        spec.app, spec.params, spec.run_config()
-    )
+    assert key_for_spec(spec) == run_key(spec.app, spec.params, spec.config)
     sequential = ctx._spec_for(BatchPoint("sor", None))
     assert key_for_spec(sequential) != key_for_spec(spec)
     assert key_for_spec(sequential) == key_for_spec(sequential)
