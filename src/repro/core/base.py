@@ -20,6 +20,7 @@ from repro.cluster.messaging import Request
 from repro.core.fastpath import PermBitmaps
 from repro.memory.page import Protection
 from repro.stats import Category
+from repro.stats.counters import EVENT_COUNTERS
 
 Span = Tuple[int, int, int]  # (page, start_within_page, length)
 
@@ -40,7 +41,7 @@ class DsmProtocol(abc.ABC):
     #: writes; None only when it has none — never fetched, or evicted)
     tables: Sequence[Dict[int, Any]]
 
-    def trace(
+    def record(
         self,
         proc,
         kind: str,
@@ -49,17 +50,21 @@ class DsmProtocol(abc.ABC):
         at: Optional[float] = None,
         **details,
     ) -> None:
-        """Record a protocol event when tracing is enabled.
+        """Count one protocol event and, when tracing, trace it.
 
-        ``dur > 0`` records a *span* that started ``dur`` microseconds
-        ago (callers emit spans when they end); the tracer files it
-        under its start time.  ``at`` stamps the event with a simulated
-        time other than now — a merge of write notices is evaluated
-        ahead of the occupancies it is charged (``Processor.busy_run``),
-        and stamps each ``invalidate`` with the time it takes effect.
-        See ``docs/OBSERVABILITY.md`` for the catalog of kinds and
-        their ``details`` fields.
+        Increments the counter ``EVENT_COUNTERS`` pairs with ``kind``,
+        if any.  ``dur > 0`` records a *span* that started ``dur``
+        microseconds ago (callers record spans when they end); the
+        tracer files it under its start time.  ``at`` stamps the event
+        with a simulated time other than now — a merge of write notices
+        is evaluated ahead of the occupancies it is charged
+        (``Processor.busy_run``), and stamps each ``invalidate`` with
+        the time it takes effect.  See ``docs/OBSERVABILITY.md`` for the
+        catalog of kinds and their ``details`` fields.
         """
+        counter = EVENT_COUNTERS.get(kind)
+        if counter is not None:
+            proc.bump(counter)
         if self.tracer is not None and self.tracer.enabled:
             if at is None:
                 at = proc.engine.now
@@ -67,8 +72,9 @@ class DsmProtocol(abc.ABC):
 
     @property
     def tracing(self) -> bool:
-        """True while an enabled tracer is installed: the hottest trace
-        sites test it before building a :meth:`trace` call at all."""
+        """True while an enabled tracer is installed: the hottest
+        uncounted sites test it before building a :meth:`record` call
+        at all."""
         return self.tracer is not None and self.tracer.enabled
 
     # -- page access ------------------------------------------------------
@@ -400,12 +406,11 @@ class DsmProtocol(abc.ABC):
         """
         start = self.engine.now
         done = self.network.read(proc.node.nid, from_node, nbytes)
-        proc.bump("rdma_reads")
         proc.bump("data_bytes", nbytes)
         arrived = self.engine.event()
         self.engine.succeed_at(done, arrived)
         yield from proc.wait(arrived, Category.COMM_WAIT)
-        self.trace(
+        self.record(
             proc,
             "rdma_read",
             dur=self.engine.now - start,

@@ -192,8 +192,7 @@ class CashmereProtocol(DsmProtocol):
         entry = self._entry(proc.pid, page)
         if entry.perm.allows_read():
             return
-        proc.bump("read_faults")
-        self.trace(proc, "read_fault", page=page)
+        self.record(proc, "read_fault", page=page)
         yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
         yield from self._validate_page(proc, page, entry)
         self._set_perm(proc.pid, page, entry, Protection.READ)
@@ -204,8 +203,7 @@ class CashmereProtocol(DsmProtocol):
         entry = self._entry(proc.pid, page)
         if entry.perm.allows_write():
             return
-        proc.bump("write_faults")
-        self.trace(proc, "write_fault", page=page)
+        self.record(proc, "write_fault", page=page)
         yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
         if not entry.perm.allows_read():
             yield from self._validate_page(proc, page, entry)
@@ -242,8 +240,7 @@ class CashmereProtocol(DsmProtocol):
         holder = dir_entry.exclusive_holder
         if holder is not None and holder != proc.pid:
             return
-        proc.bump("prefetches")
-        self.trace(proc, "prefetch", page=page)
+        self.record(proc, "prefetch", page=page)
         yield from self._validate_page(proc, page, entry)
         self._set_perm(proc.pid, page, entry, Protection.READ)
         yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
@@ -281,7 +278,7 @@ class CashmereProtocol(DsmProtocol):
         paper's is first-touch) and record it in the directory."""
         home = self.home_table.place(dir_entry.page, proc.node.nid)
         dir_entry.home_node = home
-        self.trace(proc, "home_assigned", page=dir_entry.page, home=home)
+        self.record(proc, "home_assigned", page=dir_entry.page, home=home)
         # Asserting home ownership takes the directory entry lock.
         yield from self._dir_update(proc, locked=True, page=dir_entry.page)
         self._master_page(dir_entry.page)
@@ -307,7 +304,6 @@ class CashmereProtocol(DsmProtocol):
                 proc, dir_entry.home_node, self.space.page_size
             )
             entry.copy[:] = master
-            proc.bump("page_transfers")
         elif self.cfg.remote_reads:
             # Hypothetical hardware remote reads (Section 3.2): the page
             # streams from the home node's memory with no remote CPU
@@ -317,7 +313,6 @@ class CashmereProtocol(DsmProtocol):
             self.engine.succeed_at(done, arrived)
             yield from proc.wait(arrived, Category.COMM_WAIT)
             entry.copy[:] = master
-            proc.bump("page_transfers")
         else:
             # Ask a processor at the home node to write us the page (MC
             # has no remote reads).  The reply lands by DMA in the
@@ -329,8 +324,7 @@ class CashmereProtocol(DsmProtocol):
                 proc, target, PAGE_FETCH, payload=page, size=0
             )
             entry.copy[:] = snapshot
-            proc.bump("page_transfers")
-        self.trace(proc, "page_transfer", page=page, home=dir_entry.home_node)
+        self.record(proc, "page_transfer", page=page, home=dir_entry.home_node)
         if self.home_table.dynamic:
             yield from self._maybe_migrate_home(proc, page, entry, dir_entry)
 
@@ -365,10 +359,7 @@ class CashmereProtocol(DsmProtocol):
                     peer_entry.copy = master.copy()
         entry.copy = master
         dir_entry.home_node = nid
-        proc.bump("home_migrations")
-        self.trace(
-            proc, "home_migrated", page=page, home=nid, old=old_home
-        )
+        self.record(proc, "home_migrated", page=page, home=nid, old=old_home)
         yield from self._dir_update(proc, locked=True, page=page)
 
     # ------------------------------------------------------------------
@@ -477,9 +468,7 @@ class CashmereProtocol(DsmProtocol):
             done = self.engine.event()
             self.engine.succeed_at(state.flush_due, done)
             yield from proc.wait(done, Category.COMM_WAIT)
-            self.trace(
-                proc, "write_flush", dur=self.engine.now - flush_start
-            )
+            self.record(proc, "write_flush", dur=self.engine.now - flush_start)
         if self.cfg.weak_state:
             return  # the legacy protocol sends no write notices
         for page in state.dirty:
@@ -501,7 +490,7 @@ class CashmereProtocol(DsmProtocol):
         )
         if not others and may_go_exclusive:
             dir_entry.exclusive_holder = proc.pid
-            self.trace(proc, "exclusive_enter", page=page)
+            self.record(proc, "exclusive_enter", page=page)
             yield from self._dir_update(proc, page=page)
             return  # keeps read/write permission: no more faults/notices
         for other in sorted(others):
@@ -510,8 +499,7 @@ class CashmereProtocol(DsmProtocol):
                 self.network.write(
                     proc.node.nid, self.costs.write_notice_bytes
                 )
-                proc.bump("write_notices_sent")
-                self.trace(proc, "write_notice", page=page, to=other)
+                self.record(proc, "write_notice", page=page, to=other)
         if entry.perm is Protection.READ_WRITE:
             self._set_perm(proc.pid, page, entry, Protection.READ)
             yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
@@ -540,7 +528,7 @@ class CashmereProtocol(DsmProtocol):
             entry = self._entry(proc.pid, page)
             if entry.perm is not Protection.NONE:
                 self._set_perm(proc.pid, page, entry, Protection.NONE)
-                self.trace(proc, "invalidate", page=page)
+                self.record(proc, "invalidate", page=page)
                 yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
 
     # ------------------------------------------------------------------
@@ -557,7 +545,7 @@ class CashmereProtocol(DsmProtocol):
 
     def barrier(self, proc: Processor, barrier_id: int) -> Generator:
         yield from self._process_release(proc)
-        self.trace(proc, "barrier_arrive", barrier=barrier_id)
+        self.record(proc, "barrier_arrive", barrier=barrier_id)
         yield from self.sync.barrier(barrier_id).arrive_and_wait(proc)
         yield from self._process_acquire(proc)
         if self._mem_limit is not None:
@@ -621,8 +609,7 @@ class CashmereProtocol(DsmProtocol):
             self._set_perm(pid, page, entry, Protection.NONE)
             entry.copy = None  # release the frame
             state.touch.pop(page, None)
-            proc.bump("copy_evictions")
-            self.trace(proc, "evict", page=page)
+            self.record(proc, "evict", page=page)
             yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
 
     def flag_set(self, proc: Processor, flag_id: int) -> Generator:

@@ -99,7 +99,7 @@ class HlrcProtocol(LrcProtocolBase):
         broadcast like a Cashmere directory update."""
         home = self.home_table.place(page_idx, proc.pid)
         self.homes[page_idx] = home
-        self.trace(proc, "home_assigned", page=page_idx, home=home)
+        self.record(proc, "home_assigned", page=page_idx, home=home)
         yield from proc.busy(self.costs.dir_modify_locked, Category.PROTOCOL)
         self.network.write(proc.node.nid, 8, broadcast=True)
         home_state = self.procs[home]
@@ -186,8 +186,7 @@ class HlrcProtocol(LrcProtocolBase):
             # diffs out exactly our own words.
             np.copyto(page.twin, snapshot)
             apply_diff(page.copy, own_diff)
-        proc.bump("page_fetches")
-        self.trace(proc, "page_fetch", page=page_idx, home=home)
+        self.record(proc, "page_fetch", page=page_idx, home=home)
         if self._dynamic_homing and own_diff is None:
             yield from self._maybe_migrate_home(proc, page_idx, page, home)
 
@@ -213,8 +212,7 @@ class HlrcProtocol(LrcProtocolBase):
         self.home_table.moved(page_idx)
         self.homes[page_idx] = pid
         self.home_pages[page_idx] = page.copy
-        proc.bump("home_migrations")
-        self.trace(
+        self.record(
             proc, "home_migrated", page=page_idx, home=pid, old=old_home
         )
         # Announcing the new home is a locked directory update, like the
@@ -256,8 +254,7 @@ class HlrcProtocol(LrcProtocolBase):
                 Category.PROTOCOL,
             )
             self._retire_twin(page)
-            proc.bump("diffs_created")
-            self.trace(
+            self.record(
                 proc, "diff_to_home", page=page_idx, bytes=diff.dirty_bytes
             )
             # Re-protect so the next interval's writes re-twin and raise
@@ -277,7 +274,7 @@ class HlrcProtocol(LrcProtocolBase):
             t0 = self.engine.now
             for request in outstanding:
                 yield from proc.wait(request.reply_event)
-            self.trace(
+            self.record(
                 proc,
                 "diff_flush_wait",
                 dur=self.engine.now - t0,
@@ -301,7 +298,7 @@ class HlrcProtocol(LrcProtocolBase):
                 continue  # the home copy is always current
             self._set_perm(pid, page_idx, page, Protection.NONE)
             if self.tracing:
-                self.trace(proc, "invalidate", page=page_idx, at=at)
+                self.record(proc, "invalidate", page=page_idx, at=at)
             run.append(mprotect)
             at += mprotect
         return at
@@ -343,8 +340,7 @@ class HlrcProtocol(LrcProtocolBase):
         )
         yield from proc.busy(apply_cost, Category.PROTOCOL)
         apply_diff(self._home_page(page_idx), diff)
-        proc.bump("diffs_applied")
-        self.trace(proc, "diff_apply", page=page_idx)
+        self.record(proc, "diff_apply", page=page_idx)
         # The home's own mapping (and twin, if it is mid-interval) must
         # absorb the update too.
         state = self._state(proc)

@@ -192,8 +192,7 @@ class LrcProtocolBase(DsmProtocol):
         page = self._state(proc).page(page_idx)
         if page.perm.allows_read():
             return
-        proc.bump("read_faults")
-        self.trace(proc, "read_fault", page=page_idx)
+        self.record(proc, "read_fault", page=page_idx)
         yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
         yield from self._on_fault(proc, page_idx)
         yield from self._validate_page(proc, page_idx, page)
@@ -206,8 +205,7 @@ class LrcProtocolBase(DsmProtocol):
         page = state.page(page_idx)
         if page.perm.allows_write():
             return
-        proc.bump("write_faults")
-        self.trace(proc, "write_fault", page=page_idx)
+        self.record(proc, "write_fault", page=page_idx)
         yield from proc.busy(self.costs.page_fault, Category.PROTOCOL)
         yield from self._on_fault(proc, page_idx)
         if not page.perm.allows_read():
@@ -224,8 +222,7 @@ class LrcProtocolBase(DsmProtocol):
                 page.twin = twin
             else:
                 page.twin = copy.copy()
-            proc.bump("twins_created")
-            self.trace(proc, "twin", page=page_idx)
+            self.record(proc, "twin", page=page_idx)
             run.append(self.costs.twin_cost(self.space.page_size))
             if self._dynamic_homing:
                 # A migration check elsewhere reads ``perm``: it may
@@ -255,8 +252,7 @@ class LrcProtocolBase(DsmProtocol):
         page = self._prefetch_candidate(proc, page_idx)
         if page is None or page.copy is None or page.perm.allows_read():
             return
-        proc.bump("prefetches")
-        self.trace(proc, "prefetch", page=page_idx)
+        self.record(proc, "prefetch", page=page_idx)
         yield from self._validate_page(proc, page_idx, page)
         self._set_perm(proc.pid, page_idx, page, Protection.READ)
         yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)
@@ -308,9 +304,7 @@ class LrcProtocolBase(DsmProtocol):
             pages=tuple(sorted(state.notices)),
         )
         state.store.insert(record)
-        self.trace(
-            proc, "interval_close", iid=iid, pages=len(record.pages)
-        )
+        self.record(proc, "interval_close", iid=iid, pages=len(record.pages))
         pages, _ = record.pages, state.notices.clear()
         yield from proc.busy(2.0, Category.PROTOCOL)  # bookkeeping
         yield from self._on_interval_closed(proc, pages)
@@ -410,7 +404,7 @@ class LrcProtocolBase(DsmProtocol):
         state = self._state(proc)
         yield from self._close_interval(proc)
         records = state.store.records_after(requester_vts)
-        self.trace(
+        self.record(
             proc,
             "lock_grant",
             lock=lock_id,
@@ -471,7 +465,7 @@ class LrcProtocolBase(DsmProtocol):
         barrier manager; ~sqrt(P) groups keep any processor's reply
         count at ``group + leaders``."""
         yield from self._close_interval(proc)
-        self.trace(proc, "barrier_arrive", barrier=barrier_id)
+        self.record(proc, "barrier_arrive", barrier=barrier_id)
         pid = proc.pid
         leader = self._bleader[pid]
         if pid != leader:
@@ -629,8 +623,7 @@ class LrcProtocolBase(DsmProtocol):
         """Collect interval records once every processor has flushed
         whatever page state depends on them (subclass hook)."""
         state = self._state(proc)
-        proc.bump("gc_rounds")
-        self.trace(proc, "gc_flush")
+        self.record(proc, "gc_flush")
         yield from self._gc_flush_pages(proc)
         if self.nprocs > 1:
             # A full synchronization round guarantees every outstanding

@@ -85,7 +85,7 @@ class Env:
                 }
         t0 = self.now
         yield from self.proc.compute(total, polls=polls, shares=shares)
-        self.protocol.trace(
+        self.protocol.record(
             self.proc, "compute", dur=self.now - t0, polls=polls
         )
 
@@ -97,10 +97,9 @@ class Env:
     # repro.stats.trace.diff_traces align two traces of one app run.
 
     def barrier(self, barrier_id: int = 0) -> Generator:
-        self.proc.bump("barriers")
         t0 = self.now
         yield from self.protocol.barrier(self.proc, barrier_id)
-        self.protocol.trace(
+        self.protocol.record(
             self.proc, "barrier", dur=self.now - t0, barrier=barrier_id
         )
         if self.debug_checks:
@@ -111,24 +110,23 @@ class Env:
             self.protocol.check_page_tables()
 
     def lock_acquire(self, lock_id: int) -> Generator:
-        self.proc.bump("locks")
         t0 = self.now
         yield from self.protocol.lock_acquire(self.proc, lock_id)
-        self.protocol.trace(
+        self.protocol.record(
             self.proc, "lock_acquire", dur=self.now - t0, lock=lock_id
         )
 
     def lock_release(self, lock_id: int) -> Generator:
         yield from self.protocol.lock_release(self.proc, lock_id)
-        self.protocol.trace(self.proc, "lock_release", lock=lock_id)
+        self.protocol.record(self.proc, "lock_release", lock=lock_id)
 
     def flag_set(self, flag_id: int) -> Generator:
         yield from self.protocol.flag_set(self.proc, flag_id)
-        self.protocol.trace(self.proc, "flag_set", flag=flag_id)
+        self.protocol.record(self.proc, "flag_set", flag=flag_id)
 
     def flag_wait(self, flag_id: int) -> Generator:
         t0 = self.now
         yield from self.protocol.flag_wait(self.proc, flag_id)
-        self.protocol.trace(
+        self.protocol.record(
             self.proc, "flag_wait", dur=self.now - t0, flag=flag_id
         )

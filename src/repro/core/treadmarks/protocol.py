@@ -149,7 +149,7 @@ class TreadMarksProtocol(LrcProtocolBase):
         page.pending.clear()
         if not needed:
             return
-        self.trace(proc, "diff_fetch", page=page_idx, writers=len(needed))
+        self.record(proc, "diff_fetch", page=page_idx, writers=len(needed))
         one_sided = self.network.remote_reads
         # Request all writers' diffs concurrently, then collect replies.
         requests = []
@@ -234,8 +234,7 @@ class TreadMarksProtocol(LrcProtocolBase):
             apply_diff_versioned(
                 targets, diff, page.tags_for(self.space.page_size), tag
             )
-            proc.bump("diffs_applied")
-            self.trace(
+            self.record(
                 proc,
                 "diff_apply",
                 page=page_idx,
@@ -277,8 +276,7 @@ class TreadMarksProtocol(LrcProtocolBase):
                 Category.PROTOCOL,
             )
             page.copy = snapshot.copy()
-            proc.bump("page_fetches")
-            self.trace(proc, "page_fetch", page=page_idx, manager=manager)
+            self.record(proc, "page_fetch", page=page_idx, manager=manager)
             return
         snapshot = yield from self.messenger.request(
             proc,
@@ -292,8 +290,7 @@ class TreadMarksProtocol(LrcProtocolBase):
             self.costs.memcpy_cost(self.space.page_size), Category.PROTOCOL
         )
         page.copy = snapshot.copy()
-        proc.bump("page_fetches")
-        self.trace(proc, "page_fetch", page=page_idx, manager=manager)
+        self.record(proc, "page_fetch", page=page_idx, manager=manager)
 
     # ------------------------------------------------------------------
     # base-class hooks
@@ -315,7 +312,7 @@ class TreadMarksProtocol(LrcProtocolBase):
             if page.perm is not Protection.NONE:
                 self._set_perm(pid, page_idx, page, Protection.NONE)
                 if self.tracing:
-                    self.trace(proc, "invalidate", page=page_idx, at=at)
+                    self.record(proc, "invalidate", page=page_idx, at=at)
                 run.append(mprotect)
                 at += mprotect
         return at
@@ -382,10 +379,7 @@ class TreadMarksProtocol(LrcProtocolBase):
         page.lamport += 1
         writer_diffs.cache.append((writer_diffs.seq, page.lamport, diff))
         self._retire_twin(page)
-        proc.bump("diffs_created")
-        self.trace(
-            proc, "diff_create", page=page_idx, bytes=diff.dirty_bytes
-        )
+        self.record(proc, "diff_create", page=page_idx, bytes=diff.dirty_bytes)
         if page.perm is Protection.READ_WRITE:
             self._set_perm(proc.pid, page_idx, page, Protection.READ)
             yield from proc.busy(self.costs.mprotect, Category.PROTOCOL)

@@ -90,7 +90,7 @@ def point_spec(
     ``variant=None`` is the sequential baseline: its config keeps only
     the cluster's page size, ``costs`` and ``debug_checks``
     (:func:`~repro.config.sequential_config`); ``nprocs`` and every
-    other knob are ignored.
+    other knob are checked, then ignored.
     """
     module = registry.load(app)
     if isinstance(variant, str):
@@ -105,6 +105,9 @@ def point_spec(
             costs,
             bool(overrides.get("debug_checks", False)),
         )
+        # The baseline ignores the other knobs, but an unknown or
+        # invalid one is still refused, as on a variant's point.
+        replace(config, warm_start=warm_start, trace=trace, **overrides)
     else:
         config = RunConfig(
             variant=variant,

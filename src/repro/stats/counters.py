@@ -29,6 +29,22 @@ class Category(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: The counter each countable event kind increments: the one pairing
+#: ``DsmProtocol.record`` applies, so a counter is the count of its
+#: events.  Other kinds are traced only (docs/OBSERVABILITY.md).
+EVENT_COUNTERS: Dict[str, str] = {
+    "read_fault": "read_faults", "write_fault": "write_faults",
+    "twin": "twins_created", "prefetch": "prefetches",
+    "gc_flush": "gc_rounds", "page_fetch": "page_fetches",
+    "diff_apply": "diffs_applied", "diff_create": "diffs_created",
+    "diff_to_home": "diffs_created", "page_transfer": "page_transfers",
+    "home_migrated": "home_migrations",
+    "write_notice": "write_notices_sent",
+    "evict": "copy_evictions", "rdma_read": "rdma_reads",
+    "barrier": "barriers", "lock_acquire": "locks",
+}
+
+
 @dataclass
 class ProcStats:
     """Time and event accounting for a single processor.

@@ -75,7 +75,8 @@ def run_metadata(result, scale: Optional[str] = None) -> Dict[str, Any]:
         "flags": {},
         "exec_time_us": result.exec_time,
         "network_bytes": result.network_bytes,
-        "counters": dict(result.stats.aggregate_counters()),
+        # Sorted: the bytes must not depend on which counter ticked first.
+        "counters": dict(sorted(result.stats.aggregate_counters().items())),
         "breakdown_us": result.breakdown.as_dict(),
     }
     # Every other run knob, so a file names the exact run (a field

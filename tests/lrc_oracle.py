@@ -49,7 +49,7 @@ class OracleTreadMarks(_PerOccupancyMerge, tmk_mod.TreadMarksProtocol):
         page.pending[writer] = iid
         if page.perm is not Protection.NONE:
             self._set_perm(proc.pid, page_idx, page, Protection.NONE)
-            self.trace(proc, "invalidate", page=page_idx)
+            self.record(proc, "invalidate", page=page_idx)
             return self.costs.mprotect
         return 0.0
 
@@ -62,7 +62,7 @@ class OracleHlrc(_PerOccupancyMerge, hlrc_mod.HlrcProtocol):
         if page is None or page.perm is Protection.NONE:
             return 0.0
         self._set_perm(proc.pid, page_idx, page, Protection.NONE)
-        self.trace(proc, "invalidate", page=page_idx)
+        self.record(proc, "invalidate", page=page_idx)
         return self.costs.mprotect
 
 

@@ -350,6 +350,20 @@ def test_sequential_key_distinct_namespace():
         assert key_for_spec(spec) != key, name
 
 
+def test_sequential_point_rejects_unknown_and_invalid_knobs():
+    """A baseline ignores its knobs, but checks them as a variant's
+    point would: a typo or a bad value is an error, not the baseline."""
+    for knobs, error in (
+        ({"bogus": 1}, TypeError),
+        ({"network": "bogus"}, ValueError),
+        ({"barrier_fanin": 1}, ValueError),
+        ({"granularity": "bogus"}, ValueError),
+    ):
+        for variant in (CSM_POLL, None):
+            with pytest.raises(error):
+                point_spec("sor", variant, 1, scale="tiny", **knobs)
+
+
 def test_source_fingerprint_stable():
     assert source_fingerprint() == source_fingerprint()
     assert len(source_fingerprint()) == 64

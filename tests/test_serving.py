@@ -311,6 +311,24 @@ def test_bad_requests_are_400s(tmp_path):
     _serve(tmp_path, go)
 
 
+def test_bad_knobs_on_a_baseline_are_400s(tmp_path):
+    """A sequential point is refused a knob a variant's point is."""
+    baseline = {"app": "sor", "scale": "tiny"}
+
+    async def go(service):
+        for bad in (
+            dict(baseline, options={"bogus": 1}),
+            dict(baseline, options={"network": "bogus"}),
+            dict(baseline, overrides={"barrier_fanin": 1}),
+        ):
+            with pytest.raises(ServingError) as refused:
+                await service.resolve(bad)
+            assert refused.value.status == 400, bad
+        assert service.stats.errors == 0
+
+    _serve(tmp_path, go)
+
+
 # -- HTTP front end ----------------------------------------------------
 
 

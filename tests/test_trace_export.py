@@ -87,6 +87,8 @@ def test_run_metadata_is_self_describing(traced_results):
     assert meta["exec_time_us"] > 0
     assert meta["events"] == len(traced_results["csm_poll"].trace)
     assert meta["counters"]["read_faults"] >= 0
+    # Sorted, so the bytes do not depend on which counter ticked first.
+    assert list(meta["counters"]) == sorted(meta["counters"])
     assert "user" in meta["breakdown_us"]
 
 
