@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.memory import policy as sharing_policy
 
@@ -257,44 +257,97 @@ class WorkingSet:
     twin_l2: int = 0
 
 
+@dataclass(frozen=True)
+class Knob:
+    """The one declaration of a run knob, in its :class:`RunConfig`
+    field's metadata; its check, CLI flag, wire field and key are read
+    from it.  ``kind`` is ``bool``, ``choice`` (one of ``choices``) or
+    ``int`` (None = automatic, else at least ``minimum``).  ``context``
+    places a context-wide knob, one an invocation sets for all its
+    points: a common CLI flag ``--<name>`` (``help``) and a field of the
+    wire's ``options``.  ``key`` names the property the cache key reads
+    instead, a resolved value, so an explicit setting and the automatic
+    policy that picks the same value share an entry."""
+
+    kind: str
+    choices: Tuple[str, ...] = ()
+    minimum: int = 1
+    context: Optional[int] = None
+    help: Optional[str] = None
+    key: Optional[str] = None
+
+    def checker(self, name: str) -> Callable[[Any], None]:
+        """The check of a value of knob ``name``: ValueError unless it
+        is of this kind (a bool is not an int)."""
+        minimum = self.minimum
+        valid, known = {
+            "bool": (lambda v: type(v) is bool, "True, False"),
+            "choice": (self.choices.__contains__, ", ".join(self.choices)),
+            "int": (
+                lambda v: v is None or (type(v) is int and v >= minimum),
+                f"None or an int >= {minimum}",
+            ),
+        }[self.kind]
+
+        def check(value: Any) -> None:
+            if not valid(value):
+                raise ValueError(f"unknown {name} {value!r}; known: {known}")
+
+        return check
+
+
+def _knob(default: Any, choices: Tuple[str, ...] = (), **declared: Any):
+    """A :class:`RunConfig` field declared as a run knob; its kind
+    follows from its default and ``choices``."""
+    kind = "bool" if type(default) is bool else "choice" if choices else "int"
+    knob = Knob(kind, choices, **declared)
+    return field(default=default, metadata={"knob": knob})
+
+
 @dataclass
 class RunConfig:
-    """Everything a single simulated program execution needs."""
+    """Everything a single simulated program execution needs.  The
+    fields after ``costs`` are the run knobs, each declared once."""
 
     variant: Variant
     nprocs: int
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     costs: CostModel = field(default_factory=CostModel)
-    # Interconnect backend (see repro.cluster.network / docs/NETWORKS.md).
-    # "memch" is the paper's Memory Channel; "rdma" and "ethernet" are
-    # the cross-era what-if fabrics.  Changes simulated results, so it
-    # enters the result-cache key.
-    network: str = "memch"
-    exclusive_mode: bool = True  # Cashmere exclusive-mode optimisation
-    write_double_dummy: bool = False  # paper's dummy-address diagnostic
+    network: str = _knob(
+        "memch",
+        NETWORK_BACKENDS,
+        context=1,
+        help="interconnect backend: memch (paper's Memory Channel, "
+        "default), rdma (modern one-sided reads+writes), or ethernet "
+        "(kernel TCP) — CHANGES simulated results; see docs/NETWORKS.md",
+    )
+    exclusive_mode: bool = _knob(True)  # Cashmere exclusive-mode optimisation
+    write_double_dummy: bool = _knob(False)  # paper's dummy-address diagnostic
     # A hypothetical Memory Channel with *hardware remote reads* (the
     # paper's csm_pp variant only emulates this conservatively with a
     # dedicated processor): page fetches cost wire time only, with no
     # remote CPU involvement and a single bus crossing.
-    remote_reads: bool = False
+    remote_reads: bool = _knob(False)
     # The simulation studies' original protocol (Section 2.1): pages with
     # any writer sit in the "weak state" and every sharer invalidates
     # them at every acquire — no write notices, no exclusive mode.  The
     # implemented protocol replaced this; the flag revives it for the
     # ablation that motivates the change.
-    weak_state: bool = False
+    weak_state: bool = _knob(False)
     # Record every protocol event (see repro.stats.trace).
-    trace: bool = False
-    # ``--debug-checks``: re-check the page tables at every barrier and
-    # the backing store around the run.  Only adds checking, but enters
-    # the result-cache key like ``trace``, so a checked run is never
-    # served from an unchecked entry.
-    debug_checks: bool = False
+    trace: bool = _knob(False)
+    debug_checks: bool = _knob(
+        False,
+        context=0,
+        help="re-verify the page tables at every barrier and the backing "
+        "store around each run (checked runs never share cache entries "
+        "with unchecked ones)",
+    )
     # Pre-validate read-only copies everywhere before timing starts.
     # The paper's runs are minutes long, so cold distribution of the data
     # set is negligible there; at simulation scale it can dominate, and
     # this switch isolates the steady-state protocol comparison.
-    warm_start: bool = False
+    warm_start: bool = _knob(False)
     # --- Scaling past the paper (PR 7) -------------------------------
     # All three knobs default to ``None`` = automatic: at <= 32
     # processors (the paper's machine) the automatic policy selects the
@@ -302,41 +355,58 @@ class RunConfig:
     # 32 it switches to the scalable structures.  Setting a value
     # explicitly forces that structure at any processor count (that is
     # how the tests run several LRC barrier groups at 8p).
-    # All three change simulated results when active, so their resolved
-    # values enter the result-cache key.
     #
     # Barrier fan-in: Cashmere's MC tree barrier arity (2 is the legacy
     # tree), and the group size of the LRC group-leader barrier (None
     # puts all processors in one group at <= 32 processors, which is
     # the paper's centralized barrier manager, and picks ~sqrt(nprocs)
     # groups above 32).
-    barrier_fanin: Optional[int] = None
+    barrier_fanin: Optional[int] = _knob(
+        None, minimum=2, key="resolved_barriers"
+    )
     # Cashmere directory shards: page-interleaved directory segments,
     # each anchored at a home node that receives *unicast* directory
     # updates instead of the legacy all-node broadcast.  None = 1 shard
     # (legacy broadcast) at <= 32 processors, one shard per node above.
-    dir_shards: Optional[int] = None
+    dir_shards: Optional[int] = _knob(None, key="resolved_dir_shards")
     # Per-node page-copy budget: the maximum number of remote page
     # copies a node keeps before cold copies are evicted (invalidated)
     # at release points.  None = unlimited (the paper's machines never
     # paged).  Changes simulated results when it actually evicts.
-    node_mem_pages: Optional[int] = None
+    node_mem_pages: Optional[int] = _knob(None)
     # --- Sharing policy (PR 10, docs/POLICIES.md) --------------------
     # The unit of sharing and its fetch/placement policies.  The
     # default triple (page, none, first-touch) reconstructs the
-    # pre-policy stack exactly — bit-identical to every golden; any
-    # other value changes simulated results and enters the cache key
-    # (by resolved value, see repro.harness.cache.run_key).
-    granularity: str = "page"  # block256/block1k/block2k/page/region2/region4
-    prefetch: str = "none"  # none/seq/stride
-    homing: str = "first-touch"  # first-touch/round-robin/dynamic
+    # pre-policy stack exactly — bit-identical to every golden.
+    granularity: str = _knob(
+        "page",
+        sharing_policy.GRANULARITIES,
+        context=2,
+        key="resolved_unit_bytes",
+        help="coherence-unit size: sub-page blocks (block256/1k/2k), the "
+        "VM page (default), or multi-page regions (region2/region4) — "
+        "CHANGES simulated results; see docs/POLICIES.md",
+    )
+    prefetch: str = _knob(
+        "none",
+        sharing_policy.PREFETCHES,
+        context=3,
+        help="software prefetch policy: none (demand faults only, "
+        "default), seq (next-unit run-ahead), or stride (confirmed-stride "
+        "run-ahead) — CHANGES simulated results; see docs/POLICIES.md",
+    )
+    homing: str = _knob(
+        "first-touch",
+        sharing_policy.HOMINGS,
+        context=4,
+        help="home-assignment policy: first-touch (the paper's, default), "
+        "round-robin, or dynamic (re-home to the dominant remote fetcher) "
+        "— CHANGES simulated results; see docs/POLICIES.md",
+    )
 
     def __post_init__(self) -> None:
-        if self.network not in NETWORK_BACKENDS:
-            known = ", ".join(NETWORK_BACKENDS)
-            raise ValueError(
-                f"unknown network backend {self.network!r}; known: {known}"
-            )
+        for name, check in _CHECKS:
+            check(getattr(self, name))
         if self.nprocs < 1:
             raise ValueError("need at least one processor")
         if self.nprocs > self.compute_cpus_available:
@@ -345,14 +415,6 @@ class RunConfig:
                 f"{self.compute_cpus_available} compute CPUs available "
                 f"for {self.variant.name}"
             )
-        if self.barrier_fanin is not None and self.barrier_fanin < 2:
-            raise ValueError("barrier_fanin must be >= 2")
-        if self.dir_shards is not None and self.dir_shards < 1:
-            raise ValueError("dir_shards must be >= 1")
-        if self.node_mem_pages is not None and self.node_mem_pages < 1:
-            raise ValueError("node_mem_pages must be >= 1")
-        sharing_policy.validate_prefetch(self.prefetch)
-        sharing_policy.validate_homing(self.homing)
         # Resolution also validates divisibility against the VM page.
         sharing_policy.resolve_unit_size(
             self.granularity, self.cluster.page_size
@@ -407,6 +469,13 @@ class RunConfig:
         return math.isqrt(self.nprocs - 1) + 1
 
     @property
+    def resolved_barriers(self) -> Tuple[int, int]:
+        """Both barrier shapes ``barrier_fanin`` sets, as the cache key
+        holds them: the Cashmere tree arity and the LRC group size."""
+        group = min(self.lrc_barrier_group, self.nprocs)
+        return self.resolved_barrier_fanin, group
+
+    @property
     def resolved_dir_shards(self) -> int:
         """Cashmere directory shard count (1 = legacy broadcast)."""
         if self.dir_shards is not None:
@@ -419,6 +488,23 @@ class RunConfig:
         if self.variant.mechanism is Mechanism.PROTOCOL_PROCESSOR:
             per_node -= 1  # one CPU per node is dedicated to requests
         return self.cluster.n_nodes * per_node
+
+
+#: Every run knob's declaration, in field order.
+KNOBS: Dict[str, Knob] = {
+    f.name: f.metadata["knob"] for f in fields(RunConfig) if f.metadata
+}
+
+#: The context-wide knobs, in their CLI flag and wire ``options`` order.
+CONTEXT_KNOBS = tuple(
+    sorted(
+        (name for name, knob in KNOBS.items() if knob.context is not None),
+        key=lambda name: KNOBS[name].context,
+    )
+)
+
+#: ``RunConfig.__post_init__``'s per-field checks, built once.
+_CHECKS = tuple((name, knob.checker(name)) for name, knob in KNOBS.items())
 
 
 def sequential_config(

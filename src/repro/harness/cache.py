@@ -98,21 +98,13 @@ def _canonical(value: Any) -> Any:
     return repr(value)
 
 
-#: RunConfig fields keyed by their *resolved* value, so an explicit
-#: setting and the automatic policy that picks the same value share an
-#: entry, while a policy change (or crossing the 32-processor threshold)
-#: never serves a stale result.  Granularity keys by unit bytes
-#: (``page`` and an explicit unit of the same size share an entry).
-_RESOLVED: Dict[str, Callable[[RunConfig], Any]] = {
-    "barrier_fanin": lambda cfg: (
-        cfg.resolved_barrier_fanin,
-        min(cfg.lrc_barrier_group, cfg.nprocs),
-    ),
-    "dir_shards": lambda cfg: cfg.resolved_dir_shards,
-    "granularity": lambda cfg: cfg.resolved_unit_bytes,
-}
-
-_RUN_FIELDS = tuple(knob.name for knob in fields(RunConfig))
+#: ``(field, attribute)`` for every RunConfig field: the key holds the
+#: field's value, or the resolved value its declaration names
+#: (:class:`~repro.config.Knob` ``key``).
+_KEY_READS = tuple(
+    (knob.name, getattr(knob.metadata.get("knob"), "key", None) or knob.name)
+    for knob in fields(RunConfig)
+)
 
 
 def run_key(
@@ -123,17 +115,14 @@ def run_key(
     """Cache key for one run, the sequential baseline included: every
     RunConfig field, so a field added later enters the key without being
     listed here."""
-    config = {}
-    for name in _RUN_FIELDS:
-        resolve = _RESOLVED.get(name)
-        config[name] = _canonical(
-            resolve(run_cfg) if resolve else getattr(run_cfg, name)
-        )
     payload = {
         "kind": "run",
         "app": app,
         "params": _canonical(params),
-        "config": config,
+        "config": {
+            name: _canonical(getattr(run_cfg, read))
+            for name, read in _KEY_READS
+        },
     }
     return _digest(payload)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import api
-from repro.config import NETWORK_BACKENDS, variant_by_name
+from repro.config import CONTEXT_KNOBS, KNOBS, variant_by_name
 from repro.harness.declaration import (
     APP_CHOICES,
     LIST_KINDS,
@@ -31,9 +31,8 @@ from repro.harness.declaration import (
     Param,
     positive_int,
 )
-from repro.memory.policy import GRANULARITIES, HOMINGS, PREFETCHES
 from repro.harness.cache import ResultCache
-from repro.harness.runner import CONTEXT_KNOBS, ExperimentContext
+from repro.harness.runner import ExperimentContext
 from repro.stats.export import EXPORT_FORMATS, export_runs
 from repro.stats.trace import diff_traces
 
@@ -105,59 +104,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="recompute every point and overwrite any cached results",
     )
-    parser.add_argument(
-        "--debug-checks",
-        action="store_true",
-        help=(
-            "re-verify the page tables at every barrier and the backing "
-            "store around each run (checked runs never share cache "
-            "entries with unchecked ones)"
-        ),
-    )
-    parser.add_argument(
-        "--network",
-        default=None,
-        choices=NETWORK_BACKENDS,
-        help=(
-            "interconnect backend: memch (paper's Memory Channel, "
-            "default), rdma (modern one-sided reads+writes), or "
-            "ethernet (kernel TCP) — CHANGES simulated results; see "
-            "docs/NETWORKS.md"
-        ),
-    )
-    parser.add_argument(
-        "--granularity",
-        default=None,
-        choices=GRANULARITIES,
-        help=(
-            "coherence-unit size: sub-page blocks (block256/1k/2k), "
-            "the VM page (default), or multi-page regions "
-            "(region2/region4) — CHANGES simulated results; see "
-            "docs/POLICIES.md"
-        ),
-    )
-    parser.add_argument(
-        "--prefetch",
-        default=None,
-        choices=PREFETCHES,
-        help=(
-            "software prefetch policy: none (demand faults only, "
-            "default), seq (next-unit run-ahead), or stride "
-            "(confirmed-stride run-ahead) — CHANGES simulated results; "
-            "see docs/POLICIES.md"
-        ),
-    )
-    parser.add_argument(
-        "--homing",
-        default=None,
-        choices=HOMINGS,
-        help=(
-            "home-assignment policy: first-touch (the paper's, "
-            "default), round-robin, or dynamic (re-home to the "
-            "dominant remote fetcher) — CHANGES simulated results; see "
-            "docs/POLICIES.md"
-        ),
-    )
+    for name in CONTEXT_KNOBS:
+        knob = KNOBS[name]
+        param = Param(name, knob.kind, help=knob.help, choices=knob.choices)
+        _add_param(parser, param)
     parser.add_argument(
         "--profile",
         metavar="FILE",

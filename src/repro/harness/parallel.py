@@ -103,7 +103,7 @@ def point_spec(
         config = sequential_config(
             cluster.page_size,
             costs,
-            bool(overrides.get("debug_checks", False)),
+            overrides.get("debug_checks", False),
         )
         # The baseline ignores the other knobs, but an unknown or
         # invalid one is still refused, as on a variant's point.

@@ -71,8 +71,7 @@ def build(driver: str, ctx, rows, text: str, config: Dict[str, Any]) -> DriverRe
     that is exactly this invocation's work.
     """
     import repro
-    from repro.config import RunConfig
-    from repro.harness.runner import CONTEXT_KNOBS
+    from repro.config import CONTEXT_KNOBS, RunConfig
 
     provenance = {
         "package_version": repro.__version__,

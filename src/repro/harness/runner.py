@@ -17,11 +17,6 @@ from repro.harness.cache import ResultCache, key_for_spec
 from repro.harness.parallel import PointSpec, point_spec, run_points
 from repro.stats.export import TraceRun
 
-#: The RunConfig knobs one invocation sets for all its points: the CLI's
-#: ``--debug-checks``, ``--network`` and policy flags, and the wire's
-#: ``options`` object.
-CONTEXT_KNOBS = ("debug_checks", "network", "granularity", "prefetch", "homing")
-
 
 @dataclass(frozen=True)
 class BatchPoint:

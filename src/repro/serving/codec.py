@@ -8,8 +8,10 @@ A request is a plain JSON object naming one experiment point::
 
 Only ``app`` is required.  ``options`` and ``overrides`` both name
 :class:`~repro.config.RunConfig` fields: ``options`` the five
-context-wide knobs, ``overrides`` any field; an ``overrides`` entry
-wins.  :func:`decode_request` funnels the request through
+context-wide knobs (:data:`~repro.config.CONTEXT_KNOBS`), ``overrides``
+any knob (:data:`~repro.config.KNOBS`); an ``overrides`` entry wins.
+Each value is checked by its knob's declaration when ``RunConfig`` is
+built.  :func:`decode_request` funnels the request through
 :func:`repro.harness.parallel.point_spec` — the exact builder behind
 ``api.run_point`` — so a served point and a direct call construct the
 same :class:`~repro.harness.parallel.PointSpec`, and the deterministic
@@ -29,14 +31,13 @@ tests and the load generator compare these bytes (or the SHA-256
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import DRIVERS
-from repro.config import RunConfig
+from repro.config import CONTEXT_KNOBS, KNOBS
 from repro.harness.cache import (  # noqa: F401  (re-exported)
     encode_result,
     encode_with_digest,
@@ -45,7 +46,7 @@ from repro.harness.cache import (  # noqa: F401  (re-exported)
 )
 from repro.harness.declaration import resolve
 from repro.harness.parallel import point_spec
-from repro.harness.runner import CONTEXT_KNOBS, ExperimentContext
+from repro.harness.runner import ExperimentContext
 
 #: The wire-schema version.  A request's ``"v"`` field may be absent
 #: (meaning "current") or equal to this; anything else is a 400.
@@ -63,27 +64,6 @@ REQUEST_FIELDS = (
     "options",
     "overrides",
 )
-
-#: ``options`` sub-object fields: the knobs the CLI sets for a whole
-#: invocation, folded into the overrides.
-OPTION_FIELDS = CONTEXT_KNOBS
-
-#: ``overrides`` sub-object fields: the RunConfig knobs, less the ones
-#: the request itself names (variant, processor count, machine, costs).
-OVERRIDE_FIELDS = tuple(
-    field.name
-    for field in dataclasses.fields(RunConfig)
-    if field.name not in ("variant", "nprocs", "cluster", "costs")
-)
-
-#: Sharing-policy fields (docs/POLICIES.md), validated eagerly — once,
-#: on the merged overrides — so an unknown policy value is a
-#: negative-cacheable 400, not a worker-side crash.
-_POLICY_VALIDATORS = {
-    "granularity": "validate_granularity",
-    "prefetch": "validate_prefetch",
-    "homing": "validate_homing",
-}
 
 
 class ServingError(Exception):
@@ -124,7 +104,9 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     Rejects unknown fields loudly (a typo like ``"procs"`` must not
     silently serve the default point).  ``options`` and ``overrides``
     become RunConfig keywords, ``overrides`` winning; a knob absent
-    from both is RunConfig's default.
+    from both is RunConfig's default.  Knob values (``warm_start``
+    included) are checked where :func:`decode_request` builds the
+    ``RunConfig``.
     """
     if not isinstance(request, dict):
         raise ServingError("request must be a JSON object")
@@ -160,23 +142,15 @@ def request_kwargs(request: Dict[str, Any]) -> Dict[str, Any]:
     if isinstance(nprocs, bool) or not isinstance(nprocs, int) or nprocs < 1:
         raise ServingError("'nprocs' must be a positive integer")
     overrides = {
-        **_sub_object(request, "options", OPTION_FIELDS),
-        **_sub_object(request, "overrides", OVERRIDE_FIELDS),
+        **_sub_object(request, "options", CONTEXT_KNOBS),
+        **_sub_object(request, "overrides", KNOBS),
     }
-    from repro.memory import policy as sharing_policy
-
-    for field, validator in _POLICY_VALIDATORS.items():
-        if field in overrides:
-            try:
-                getattr(sharing_policy, validator)(overrides[field])
-            except (TypeError, ValueError) as exc:
-                raise ServingError(f"bad {field}: {exc}") from exc
     kwargs: Dict[str, Any] = {
         "app": app,
         "variant": variant,
         "nprocs": nprocs,
         "scale": request.get("scale", "small"),
-        "warm_start": bool(request.get("warm_start", True)),
+        "warm_start": request.get("warm_start", True),
     }
     params = request.get("params")
     if params is not None:

@@ -358,6 +358,14 @@ def test_sequential_point_rejects_unknown_and_invalid_knobs():
         ({"network": "bogus"}, ValueError),
         ({"barrier_fanin": 1}, ValueError),
         ({"granularity": "bogus"}, ValueError),
+        # Wrong-typed knobs: a bool knob takes only a bool, an int knob
+        # only a non-bool int (``"off"`` is truthy: exclusive mode on).
+        ({"exclusive_mode": "off"}, ValueError),
+        ({"debug_checks": "no"}, ValueError),
+        ({"warm_start": "false"}, ValueError),
+        ({"trace": 1}, ValueError),
+        ({"node_mem_pages": 2.5}, ValueError),
+        ({"dir_shards": True}, ValueError),
     ):
         for variant in (CSM_POLL, None):
             with pytest.raises(error):

@@ -289,6 +289,18 @@ def test_graceful_shutdown_completes_inflight_then_503s(tmp_path):
     asyncio.run(go())
 
 
+#: Knob values of the wrong type, as request fields: each is a 400 (the
+#: strings are truthy, so a coercing decoder would serve them as on).
+WRONG_TYPED_KNOBS = (
+    {"overrides": {"exclusive_mode": "off"}},
+    {"options": {"debug_checks": "no"}},
+    {"overrides": {"trace": 1}},
+    {"overrides": {"node_mem_pages": 2.5}},
+    {"overrides": {"dir_shards": True}},
+    {"warm_start": "false"},
+)
+
+
 def test_bad_requests_are_400s(tmp_path):
     async def go(service):
         with pytest.raises(ServingError) as unknown_app:
@@ -302,6 +314,7 @@ def test_bad_requests_are_400s(tmp_path):
             dict(SOR, nprocs=True),
             dict(SOR, v=1),
             dict(SOR, overrides={"first_touch_homes": False}),
+            *(dict(SOR, **knob) for knob in WRONG_TYPED_KNOBS),
         ):
             with pytest.raises(ServingError) as refused:
                 await service.resolve(bad)
@@ -320,6 +333,7 @@ def test_bad_knobs_on_a_baseline_are_400s(tmp_path):
             dict(baseline, options={"bogus": 1}),
             dict(baseline, options={"network": "bogus"}),
             dict(baseline, overrides={"barrier_fanin": 1}),
+            *(dict(baseline, **knob) for knob in WRONG_TYPED_KNOBS),
         ):
             with pytest.raises(ServingError) as refused:
                 await service.resolve(bad)

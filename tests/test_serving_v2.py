@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro import api
+from repro.config import CONTEXT_KNOBS
 from repro.harness.cache import CacheStats, ResultCache, key_for_spec
 from repro.serving import codec
 from repro.serving import (
@@ -152,7 +153,10 @@ def test_retired_scheduler_options_are_negative_cached_400s(tmp_path, retired):
             assert exc_info.value.status == 400
         message = str(exc_info.value)
         assert f"unknown options field(s) ['{retired}']" in message
-        assert f"accepted: {list(codec.OPTION_FIELDS)}" in message
+        assert f"accepted: {list(CONTEXT_KNOBS)}" in message
+        assert CONTEXT_KNOBS == (
+            "debug_checks", "network", "granularity", "prefetch", "homing"
+        )
         assert service.stats.negative_hits == 1
         assert service.negative.as_dict()["stores"] == 1
 
