@@ -65,13 +65,12 @@ QUANTITIES = {
 }
 
 
-def _batch_point(ctx, point):
+def _batch_point(point):
     overrides = dict(point.overrides)
     overrides.pop("warm_start", None)
-    costs = overrides.pop("costs", None)
     return BatchPoint(
         point.app, variant_by_name(point.variant), point.nprocs,
-        costs=costs and ctx.costs_for(point.app, costs),
+        costs=overrides.pop("costs", None),
         cluster=overrides.pop("cluster", None),
         overrides=tuple(sorted(overrides.items())),
     )
@@ -85,7 +84,7 @@ def _measure_points(ctx, measures):
     out = {measure: {} for measure in measures}
     for context in (ctx, cold):
         group = [e for e in named if dict(e[2].overrides).get("warm_start", True) == context.warm_start]
-        results = context.run_batch(_batch_point(context, p) for _, _, p in group)
+        results = context.run_batch(_batch_point(p) for _, _, p in group)
         for (measure, name, p), result in zip(group, results):
             counters = result.stats.aggregate_counters()
             out[measure][name] = {

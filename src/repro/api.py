@@ -93,12 +93,10 @@ def run_point(
     """Run one simulation point and return its :class:`RunResult`.
 
     ``variant=None`` runs the app's sequential (unlinked) baseline.
-    ``params`` defaults to the app's ``default_params(scale)``;
-    ``costs`` defaults to the plain paper cost model (the harness's
-    per-app scaled-cache overrides apply only through
-    :func:`run_experiment` / ``ExperimentContext``, matching the
-    long-standing ``run_program`` behaviour).  Extra keyword arguments
-    become :class:`~repro.config.RunConfig` overrides
+    The point is :func:`point_spec`'s: ``params`` defaults to the app's
+    ``default_params(scale)``, and ``costs`` to the paper cost model
+    with the app's cost rule applied, as every driver runs it.  Extra
+    keyword arguments become :class:`~repro.config.RunConfig` overrides
     (``homing="round-robin"``, ``debug_checks=True``, ...).
 
     ``cache`` (a :class:`~repro.harness.cache.ResultCache`) makes the

@@ -34,7 +34,7 @@ import os
 import pickle
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional
@@ -90,8 +90,10 @@ def _canonical(value: Any) -> Any:
         return value
     if isinstance(value, Enum):
         return value.value
-    if is_dataclass(value):
-        return _canonical(asdict(value))
+    if is_dataclass(value):  # its fields, without asdict's deep copy
+        return _canonical(
+            {f.name: getattr(value, f.name) for f in fields(value)}
+        )
     item = getattr(value, "item", None)  # NumPy scalars
     if callable(item):
         return item()

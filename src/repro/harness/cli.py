@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -153,6 +154,19 @@ def _positive_int(text: str) -> int:
         ) from None
 
 
+def _knob_int(param: Param, text: str) -> int:
+    """argparse type for an int run knob (the knob kind): checked by
+    the knob's declaration."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text  # refused below, in the knob's own words
+    try:
+        return param.check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_param(parser: argparse.ArgumentParser, param: Param) -> None:
     """The CLI option of one declared driver parameter.
 
@@ -167,6 +181,8 @@ def _add_param(parser: argparse.ArgumentParser, param: Param) -> None:
             options["nargs"] = "+"
         if param.kind in ("counts", "procs"):
             options["type"] = _positive_int
+        elif param.kind == "knob":
+            options["type"] = partial(_knob_int, param)
         else:
             options["choices"] = param.values
     parser.add_argument(param.option, **options)

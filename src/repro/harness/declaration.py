@@ -18,6 +18,7 @@ from repro.apps import registry
 from repro.config import (
     ALL_VARIANTS,
     EXTENSION_VARIANTS,
+    KNOBS,
     Variant,
     variant_by_name,
 )
@@ -35,7 +36,9 @@ class Param:
     """One driver parameter: the keyword ``name`` its ``run()`` takes.
 
     ``kind`` is ``app``, ``apps``, ``variants``, ``counts``, ``procs``,
-    ``choice``, ``choices`` or ``bool``.  ``default`` None means "the
+    ``choice``, ``choices``, ``bool`` or ``knob`` (an int
+    :class:`~repro.config.RunConfig` knob of the same name, checked by
+    its :class:`~repro.config.Knob`).  ``default`` None means "the
     driver's own default" (all paper apps, its variant set, its
     processor counts); the keyword is then not passed at all.  ``flag``
     is the CLI option when it is not ``--<name>`` with dashes.
@@ -74,6 +77,9 @@ class Param:
     def _one(self, value: Any) -> Any:
         if self.kind in ("counts", "procs"):
             return positive_int(value, self.name)
+        if self.kind == "knob":
+            KNOBS[self.name].checker(self.name)(value)
+            return value
         if self.kind == "bool":
             if not isinstance(value, bool):
                 raise ValueError(f"'{self.name}' must be true or false")

@@ -55,8 +55,8 @@ def points(
     full: bool = False,
 ) -> List[BatchPoint]:
     """Every simulation of the figure, app-major: each app's sequential
-    baseline, then each variant at the counts it can field on
-    ``ctx.cluster`` (``csm_pp`` gives up a CPU a node to its protocol
+    baseline, then each variant at the counts it can field on the
+    paper's cluster (``csm_pp`` gives up a CPU a node to its protocol
     processor, so it stops at 24).  ``full`` selects the paper's
     processor counts."""
     apps, variants = _axes(apps, variants)
@@ -65,7 +65,7 @@ def points(
     for app in apps:
         batch.append(BatchPoint(app, None))
         for variant in variants:
-            feasible = feasible_counts(counts, variant, ctx.cluster)
+            feasible = feasible_counts(counts, variant)
             batch.extend(BatchPoint(app, variant, n) for n in feasible)
     return batch
 

@@ -83,8 +83,10 @@ def point_spec(
     guarantees a served result is byte-for-byte the result of the
     equivalent direct call.  ``params`` defaults to the app's
     ``default_params(scale)``; ``cluster`` to the default cluster, grown
-    by nodes past its 32 CPUs; ``costs`` to the plain paper cost model.
-    Extra keywords are :class:`~repro.config.RunConfig` fields
+    by nodes past its 32 CPUs; ``costs`` to the paper cost model.  An
+    app's cost rule (``cost_overrides(params)``: gauss scales its caches
+    with its matrix) applies on top of ``costs``, for the point's own
+    params.  Extra keywords are :class:`~repro.config.RunConfig` fields
     (``network="rdma"``, ``debug_checks=True``, ...).
 
     ``variant=None`` is the sequential baseline: its config keeps only
@@ -95,6 +97,11 @@ def point_spec(
     module = registry.load(app)
     if isinstance(variant, str):
         variant = variant_by_name(variant)
+    params = dict(module.default_params(scale) if params is None else params)
+    costs = costs or CostModel()
+    rule = getattr(module, "cost_overrides", None)
+    if rule is not None:
+        costs = replace(costs, **rule(params))
     if cluster is None:
         cluster = cluster_for(
             nprocs, mechanism=None if variant is None else variant.mechanism
@@ -113,19 +120,12 @@ def point_spec(
             variant=variant,
             nprocs=nprocs,
             cluster=cluster,
-            costs=costs or CostModel(),
+            costs=costs,
             warm_start=warm_start,
             trace=trace,
             **overrides,
         )
-    return PointSpec(
-        app=app,
-        params=(
-            dict(params) if params is not None
-            else module.default_params(scale)
-        ),
-        config=config,
-    )
+    return PointSpec(app=app, params=params, config=config)
 
 
 def _runner(spec: PointSpec):

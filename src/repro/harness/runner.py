@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import (
@@ -22,14 +22,13 @@ from repro.stats.export import TraceRun
 class BatchPoint:
     """One experiment point for :meth:`ExperimentContext.run_batch`.
 
-    ``variant=None`` requests the app's sequential (unlinked) baseline;
-    ``costs=None`` uses the context's (app-adjusted) cost model — sweeps
-    pass explicit swept models.  ``params``/``cluster`` (both normally
-    None = the context's scale tier and cluster) let the scaling sweeps
-    grow the problem and the machine per point: weak scaling re-sizes
-    the input with the processor count, and counts past the base
-    cluster's capacity ride on clusters grown via
-    :func:`repro.harness.configs.cluster_for`.
+    ``variant=None`` requests the app's sequential (unlinked) baseline.
+    The rest default as in :func:`~repro.harness.parallel.point_spec`:
+    ``costs=None`` is the paper cost model (sweeps pass swept models;
+    the app's cost rule applies on top either way), ``params=None`` the
+    context's scale tier (weak scaling re-sizes it per count) and
+    ``cluster=None`` the cluster grown from ``nprocs``; only the
+    ledger's clustering ablation passes a cluster.
     """
 
     app: str
@@ -46,8 +45,6 @@ class ExperimentContext:
     """Caches and configuration shared across one harness invocation."""
 
     scale: str = "small"
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    costs: CostModel = field(default_factory=CostModel)
     # Warm start is the faithful default at simulation scale: the
     # paper's minutes-long runs amortise cold data distribution to ~1%
     # of execution time, while at scaled-down sizes it can dominate
@@ -90,18 +87,6 @@ class ExperimentContext:
 
     def sequential(self, name: str) -> RunResult:
         return self.run_batch([BatchPoint(name, None)])[0]
-
-    def costs_for(
-        self, name: str, costs: Optional[CostModel] = None
-    ) -> CostModel:
-        """The cost model for one app — ``costs``, else the context's —
-        honouring the app's scaled-cache overrides (see e.g.
-        ``repro.apps.gauss.cost_overrides``)."""
-        costs = costs or self.costs
-        overrides = getattr(self.app(name), "cost_overrides", None)
-        if overrides is None:
-            return costs
-        return replace(costs, **overrides(self.params(name)))
 
     def run(
         self,
@@ -176,11 +161,8 @@ class ExperimentContext:
             point.nprocs,
             scale=self.scale,
             params=point.params,
-            cluster=point.cluster if point.cluster is not None else self.cluster,
-            costs=(
-                point.costs if point.costs is not None
-                else self.costs_for(point.app)
-            ),
+            cluster=point.cluster,
+            costs=point.costs,
             warm_start=self.warm_start,
             trace=trace,
             **overrides,
@@ -216,12 +198,8 @@ class ExperimentContext:
             self.cache.put(key, result)
 
 
-def feasible_counts(
-    counts: Iterable[int], variant: Variant, cluster: ClusterConfig
-) -> List[int]:
-    """The ``counts`` ``variant`` can field on ``cluster`` (``csm_pp``
-    loses one CPU a node to its protocol processor)."""
-    limit = RunConfig(
-        variant=variant, nprocs=1, cluster=cluster
-    ).compute_cpus_available
+def feasible_counts(counts: Iterable[int], variant: Variant) -> List[int]:
+    """The ``counts`` ``variant`` can field on the paper's cluster
+    (``csm_pp`` loses one CPU a node to its protocol processor)."""
+    limit = RunConfig(variant=variant, nprocs=1).compute_cpus_available
     return [n for n in counts if n <= limit]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import CSM_POLL, TMK_MC_POLL, Variant
-from repro.harness.configs import cluster_for
 from repro.harness.declaration import Param
 from repro.harness.runner import BatchPoint, ExperimentContext
 
@@ -56,7 +55,8 @@ HELP = (
     "see EXPERIMENTS.md 'Scaling past the paper')"
 )
 
-#: The last three are RunConfig knobs applied to every point.
+#: The last three are RunConfig knobs applied to every point, each
+#: checked by its field's declaration.
 PARAMS = (
     Param(
         "mode",
@@ -80,21 +80,21 @@ PARAMS = (
     ),
     Param(
         "barrier_fanin",
-        "procs",
+        "knob",
         flag="--fanin",
         help="tree-barrier fan-in (default: auto — binary at <=32p, "
         "4-ary past; CHANGES simulated results)",
     ),
     Param(
         "dir_shards",
-        "procs",
+        "knob",
         help="Cashmere directory shards (default: auto — replicated "
         "at <=32p, one per node past; CHANGES simulated results on "
         "point-to-point fabrics)",
     ),
     Param(
         "node_mem_pages",
-        "procs",
+        "knob",
         flag="--node-mem",
         help="per-node memory-pressure limit: evict cold remote page "
         "copies past this many resident pages (default: unlimited; "
@@ -140,10 +140,10 @@ def points(
 
     The first count is the reference; under weak scaling each count's
     input grows from the context's scale tier by :func:`weak_params`.
-    Counts past ``ctx.cluster``'s capacity get a cluster grown node by
-    node.  ``overrides`` (``barrier_fanin=8``, ``dir_shards=4``,
-    ``node_mem_pages=...``) apply to every point and enter its cache
-    key.
+    Counts past the paper cluster's capacity run on one grown node by
+    node (:func:`~repro.harness.parallel.point_spec`).  ``overrides``
+    (``barrier_fanin=8``, ``dir_shards=4``, ``node_mem_pages=...``)
+    apply to every point and enter its cache key.
     """
     if mode not in MODES:
         raise ValueError(f"unknown scaling mode {mode!r}; known: {MODES}")
@@ -164,9 +164,6 @@ def points(
                     nprocs,
                     overrides=knobs,
                     params=tuple(sorted(params.items())),
-                    cluster=cluster_for(
-                        nprocs, ctx.cluster, variant.mechanism
-                    ),
                 )
             )
     return batch

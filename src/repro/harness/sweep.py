@@ -10,10 +10,10 @@ position to make excellent use" of better hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import CSM_POLL, TMK_MC_POLL, Variant
+from repro.config import CSM_POLL, TMK_MC_POLL, CostModel, Variant
 from repro.harness.declaration import Param
 from repro.harness.runner import BatchPoint, ExperimentContext
 
@@ -56,7 +56,7 @@ def _sweep(
     batch = [BatchPoint(app, None)]
     for _value, costs in swept_costs:
         batch.extend(
-            BatchPoint(app, variant, nprocs, costs=ctx.costs_for(app, costs))
+            BatchPoint(app, variant, nprocs, costs=costs)
             for variant in variants
         )
     results = ctx.run_batch(batch)
@@ -85,14 +85,14 @@ def sweep_bandwidth(
     variants: Optional[Sequence[Variant]] = None,
 ) -> List[SweepPoint]:
     """Scale link and aggregate bandwidth together."""
+    base = CostModel()
     swept = [
         (
             multiplier,
-            replace(
-                ctx.costs,
-                mc_link_bandwidth=ctx.costs.mc_link_bandwidth * multiplier,
+            CostModel(
+                mc_link_bandwidth=base.mc_link_bandwidth * multiplier,
                 mc_aggregate_bandwidth=(
-                    ctx.costs.mc_aggregate_bandwidth * multiplier
+                    base.mc_aggregate_bandwidth * multiplier
                 ),
             ),
         )
@@ -109,10 +109,7 @@ def sweep_latency(
     variants: Optional[Sequence[Variant]] = None,
 ) -> List[SweepPoint]:
     """Vary the Memory Channel remote-write latency."""
-    swept = [
-        (latency, replace(ctx.costs, mc_latency=latency))
-        for latency in latencies
-    ]
+    swept = [(latency, CostModel(mc_latency=latency)) for latency in latencies]
     return _sweep(ctx, app, nprocs, "latency", swept, variants)
 
 

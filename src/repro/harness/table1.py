@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.config import ALL_VARIANTS, RunConfig, Variant
+from repro.config import ALL_VARIANTS, ClusterConfig, RunConfig, Variant
 from repro.core import Program, SharedArray, run_program
 from repro.harness.runner import ExperimentContext
 
@@ -128,13 +128,7 @@ def _page_program(page_size: int) -> Program:
 def _run_probe(
     program: Program, ctx: ExperimentContext, variant: Variant, nprocs: int
 ) -> List[float]:
-    cfg = RunConfig(
-        variant=variant,
-        nprocs=nprocs,
-        cluster=ctx.cluster,
-        costs=ctx.costs,
-        **ctx.overrides,
-    )
+    cfg = RunConfig(variant=variant, nprocs=nprocs, **ctx.overrides)
     result = run_program(program, cfg, {})
     ctx._accumulate(result)
     return [v for v in result.values if v is not None]
@@ -148,7 +142,9 @@ def generate(ctx: ExperimentContext = None) -> List[Table1Row]:
         lock_values = _run_probe(_lock_program(), ctx, variant, 2)
         barrier2 = _run_probe(_barrier_program(), ctx, variant, 2)
         barrier16 = _run_probe(_barrier_program(), ctx, variant, 16)
-        page = _run_probe(_page_program(ctx.cluster.page_size), ctx, variant, 2)
+        page = _run_probe(
+            _page_program(ClusterConfig().page_size), ctx, variant, 2
+        )
         rows.append(
             Table1Row(
                 variant=variant.name,

@@ -42,7 +42,7 @@ def generate(ctx: ExperimentContext = None) -> List[Table2Row]:
     for spec in registry.APPS:
         module = ctx.app(spec.name)
         params = ctx.params(spec.name)
-        space = AddressSpace(ctx.cluster.page_size)
+        space = AddressSpace()
         module.setup(space, dict(params))
         seq = ctx.sequential(spec.name)
         rows.append(

@@ -346,9 +346,8 @@ def expand_sweep(
 
 def _wire_point(point, common: Dict[str, Any]) -> Dict[str, Any]:
     """One driver :class:`~repro.harness.runner.BatchPoint` as a point
-    request.  Its cluster is not sent: ``point_spec`` grows the
-    same one from the processor count.  Nor are its costs, so an app
-    with ``cost_overrides`` (gauss) runs on the plain cost model."""
+    request.  Its cluster and costs are not sent: ``point_spec``
+    derives the same ones from the processor count and params."""
     wire = dict(common, app=point.app)
     if point.variant is not None:
         wire["variant"] = point.variant.name

@@ -2,7 +2,8 @@
 
 Run this ONLY when a simulated-semantics change is intentional (protocol
 fix, cost-model change); performance work must leave the goldens alone —
-that is the point of ``tests/test_engine_equivalence.py``.
+that is the point of ``tests/test_engine_equivalence.py``.  Each point
+is built by ``api.run_point``, the call that test replays.
 
 Usage::
 
@@ -12,11 +13,11 @@ Usage::
 import json
 import pathlib
 
-from repro import RunConfig, run_program, run_sequential, variant_by_name
-from repro.apps import registry
+from repro import api
 
 # A spread across protocols (Cashmere, TreadMarks, HLRC), mechanisms
-# (poll, interrupt, protocol processor), and transports (MC, UDP).
+# (poll, interrupt, protocol processor), and transports (MC, UDP), and
+# the sequential baseline.
 CONFIGS = [
     ("sor", "csm_poll", 4, "tiny"),
     ("sor", "tmk_mc_poll", 4, "tiny"),
@@ -24,17 +25,18 @@ CONFIGS = [
     ("gauss", "csm_pp", 4, "tiny"),
     ("tsp", "hlrc_poll", 4, "tiny"),
     ("lu", "csm_int", 4, "tiny"),
+    ("sor", "sequential", 1, "tiny"),
 ]
 
 
 def golden(app, variant, nprocs, scale):
-    module = registry.load(app)
-    params = module.default_params(scale)
-    cfg = RunConfig(
-        variant=variant_by_name(variant), nprocs=nprocs, warm_start=True
+    result = api.run_point(
+        app, None if variant == "sequential" else variant, nprocs,
+        scale=scale,
     )
-    result = run_program(module.program(), cfg, params)
     agg = result.stats.aggregate_counters()
+    if variant == "sequential":
+        agg = {}  # the baseline's record pins no counters
     return {
         "app": app,
         "variant": variant,
@@ -49,20 +51,8 @@ def golden(app, variant, nprocs, scale):
 
 def main() -> None:
     out = [golden(*spec) for spec in CONFIGS]
-    module = registry.load("sor")
-    seq = run_sequential(module.program(), module.default_params("tiny"))
-    out.append({
-        "app": "sor",
-        "variant": "sequential",
-        "nprocs": 1,
-        "scale": "tiny",
-        "exec_time": seq.exec_time,
-        "network_bytes": seq.network_bytes,
-        "counters": {},
-        "breakdown": seq.breakdown.as_dict(),
-    })
     path = pathlib.Path(__file__).parent / "golden_engine.json"
-    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(out, indent=1, sort_keys=True))
     print(f"wrote {len(out)} goldens to {path}")
 
 

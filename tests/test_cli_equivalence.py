@@ -150,3 +150,15 @@ def test_non_positive_processor_counts_are_usage_errors(argv, capsys):
         main(argv + TINY)
     assert exc_info.value.code == 2
     assert "is not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--fanin", "1"], ["--dir-shards", "0"], ["--node-mem", "x"]],
+    ids=["fanin", "dir-shards", "node-mem"],
+)
+def test_invalid_scaling_knobs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["scaling", "--app", "sor", "--counts", "2", "4"] + argv + TINY)
+    assert exc_info.value.code == 2
+    assert "known: None or an int" in capsys.readouterr().err

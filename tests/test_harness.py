@@ -113,11 +113,9 @@ def test_figure5_curves(ctx):
     assert "== sor ==" in text
 
 
-def test_figure5_pp_not_applicable_at_32(ctx):
-    assert feasible_counts([16, 24, 32], CSM_PP, ctx.cluster) == [16, 24]
-    assert feasible_counts([16, 24, 32], CSM_POLL, ctx.cluster) == [
-        16, 24, 32
-    ]
+def test_figure5_pp_not_applicable_at_32():
+    assert feasible_counts([16, 24, 32], CSM_PP) == [16, 24]
+    assert feasible_counts([16, 24, 32], CSM_POLL) == [16, 24, 32]
 
 
 def test_figure6_bars(ctx):

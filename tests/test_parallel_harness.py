@@ -12,14 +12,16 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.apps import gauss
 from repro.config import (
     CSM_POLL,
+    CSM_PP,
     TMK_MC_POLL,
     ClusterConfig,
     CostModel,
     RunConfig,
 )
-from repro.harness import sweep
+from repro.harness import cache, sweep
 from repro.harness.cache import (
     ResultCache,
     key_for_spec,
@@ -257,6 +259,26 @@ def test_cache_keys_are_sensitive_to_inputs():
 
     # Stability: recomputing the same key yields the same digest.
     assert run_key(spec.app, spec.params, spec.config) == base
+
+
+def test_run_key_digest_is_pinned(monkeypatch):
+    """With the source fingerprint held fixed, a key's digest is a
+    function of the key payload alone: these are the digests of the
+    payload as ``_canonical`` reduced it through ``dataclasses.asdict``
+    (the default config, and gauss's cost rule at ``n=48``)."""
+    monkeypatch.setattr(cache, "source_fingerprint", lambda: "0" * 64)
+    default = RunConfig(variant=CSM_POLL, nprocs=4)
+    assert run_key("sor", {"rows": 8}, default) == (
+        "5adec8125e6fbadd2b93e21a58ea320cb0823e80456a6db35679d713382c888c"
+    )
+    ruled = RunConfig(
+        variant=CSM_PP,
+        nprocs=4,
+        costs=CostModel(**gauss.cost_overrides({"n": 48})),
+    )
+    assert run_key("gauss", {"n": 48}, ruled) == (
+        "793456fd66540b6c895b5b8ad3d8cc59757b4da7cd1c8b1828fe271d91cb08df"
+    )
 
 
 #: A non-default value for every RunConfig field (the base is

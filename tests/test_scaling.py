@@ -434,6 +434,22 @@ def test_knob_validation():
         RunConfig(variant=CSM_POLL, nprocs=8, node_mem_pages=0)
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [{"barrier_fanin": 1}, {"dir_shards": 0}, {"node_mem_pages": True}],
+    ids=["fanin", "dir_shards", "node_mem_pages"],
+)
+def test_scaling_knobs_are_refused_before_any_point(knobs, monkeypatch):
+    """scaling's knob parameters are checked by the knobs' own
+    declarations, so a value RunConfig refuses never reaches a point."""
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(scaling, "points", no_points)
+    with pytest.raises(ValueError, match="known: None or an int"):
+        api.run_experiment("scaling", scale="tiny", **knobs)
+
+
 def test_weak_params_scales_the_linear_knob():
     scaled = scaling.weak_params("sor", TINY_SOR, 8, 64)
     assert scaled["rows"] == TINY_SOR["rows"] * 8

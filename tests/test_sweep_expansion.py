@@ -10,23 +10,26 @@ the wire behaviour fixed across that move.
 
 The served points must also *be* the driver's points: each expanded
 request resolves to the spec, and so the cache key, of the driver's
-own point.  Gauss does not yet (see the xfail below).
+own point, gauss's scaled caches included.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.apps import registry
+from repro.apps import gauss, registry
+from repro.config import CostModel, variant_by_name
 from repro.harness import scaling
-from repro.harness.cache import key_for_spec
+from repro.harness.cache import key_for_spec, result_digest
 from repro.harness.declaration import resolve
-from repro.harness.runner import ExperimentContext
+from repro.harness.runner import BatchPoint, ExperimentContext
 from repro.serving import ServingError, expand_sweep, request_kwargs
+from repro.serving.codec import decode_request
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden_sweeps.json").read_text()
@@ -64,22 +67,7 @@ def _sweeps(app):
     ]
 
 
-_GAUSS_XFAIL = pytest.mark.xfail(
-    strict=True,
-    reason="api.point_spec ignores gauss.cost_overrides, which "
-    "ExperimentContext.costs_for applies: the served Figure 5 gauss "
-    "point (8p, small, csm_poll) gives speedup 1.87x where "
-    "`repro-dsm figure5` gives 2.21x",
-)
-
-
-@pytest.mark.parametrize(
-    "app",
-    [
-        pytest.param(app, marks=_GAUSS_XFAIL) if app == "gauss" else app
-        for app in registry.ALL_APP_NAMES
-    ],
-)
+@pytest.mark.parametrize("app", registry.ALL_APP_NAMES)
 def test_served_sweep_points_key_like_the_driver(app):
     ctx = ExperimentContext(scale="tiny")
     for kind, fields in _sweeps(app):
@@ -90,3 +78,30 @@ def test_served_sweep_points_key_like_the_driver(app):
         for point, batch_point in zip(wire, own):
             served = key_for_spec(api.point_spec(**request_kwargs(point)))
             assert served == key_for_spec(ctx._spec_for(batch_point)), point
+
+
+@pytest.mark.parametrize("variant", [None, "csm_poll"])
+def test_run_point_runs_gauss_as_the_driver_does(variant):
+    """``api.run_point`` and the drivers' ``run_batch`` run one point:
+    gauss on the caches its cost rule scales."""
+    direct = api.run_point("gauss", variant, 4, scale="tiny")
+    own = ExperimentContext(scale="tiny").run_batch(
+        [BatchPoint("gauss", variant and variant_by_name(variant), 4)]
+    )[0]
+    assert result_digest(direct) == result_digest(own)
+    assert direct.exec_time == own.exec_time
+
+
+def test_a_wire_point_is_keyed_with_the_rule_on_its_own_params():
+    """The cost rule reads the request's ``params``, not its scale
+    tier's (``small``, where the rule gives other cache sizes)."""
+    spec = decode_request(
+        {"app": "gauss", "variant": "csm_poll", "nprocs": 4,
+         "params": {"n": 64}}
+    )
+    own = CostModel(**gauss.cost_overrides({"n": 64}))
+    tier = CostModel(**gauss.cost_overrides(gauss.default_params("small")))
+    assert own != tier
+    assert spec.config.costs == own
+    tiered = replace(spec, config=replace(spec.config, costs=tier))
+    assert key_for_spec(spec) != key_for_spec(tiered)
